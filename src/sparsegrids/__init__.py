@@ -45,6 +45,7 @@ from .grid import (
 from .evalkit import (
     Domain,
     EvaluationTable,
+    Interpolant,
     evaluate_on_grid,
     gradient,
     hessian,

@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .evalkit import EvaluationTable, quadrature
+from .evalkit import EvaluationTable, _rule_key, _tensor_basis, quadrature
 from .grid import (
     ReducedGrid,
     SparseGrid,
@@ -31,7 +31,7 @@ from .grid import (
 from .knots import KnotFamily
 from .levels import LevelMap, UnsupportedLevelError, apply_level_map
 from .midx import MultiIndexSet
-from ._bary import barycentric_weights, basis_matrix
+from ._bary import basis_matrix
 
 __all__ = [
     "AdaptControls",
@@ -124,6 +124,7 @@ class AdaptState:
     num_evals: int = 0
     active_dims: int = 0
     tols: np.ndarray | None = None
+    rules: dict = field(default_factory=dict, init=False, repr=False, compare=False)  # evalkit._rule_key
 
     @property
     def nb_pts_visited(self) -> int:
@@ -271,16 +272,17 @@ def error_indicator_point(candidate, state: AdaptState) -> float:
         test_pts = _new_knots_of(state, candidate)
     else:
         test_pts = _tensor_rule(state, candidate).knots
+    bases = {}  # the detail terms share two 1D rules per dimension
     delta = None
     for sign, tensor in _detail_terms(state, candidate):
         _ensure_values(state, tensor.knots)
         vals = _gather(state, tensor.knots)
-        basis = None
-        for n in range(state.dim):
-            nodes = tensor.knots_per_dim[n]
-            B = basis_matrix(nodes, barycentric_weights(nodes), test_pts[n])
-            basis = B if basis is None else (B[:, :, None] * basis[:, None, :]).reshape(test_pts.shape[1], -1)
-        term = sign * (vals @ basis.T)
+        keys = [_rule_key(state.rules, n, nodes) for n, nodes in enumerate(tensor.knots_per_dim)]
+        for key in keys:
+            if key not in bases:
+                nodes, bw = state.rules[key]
+                bases[key] = basis_matrix(nodes, bw, test_pts[key[0]])
+        term = sign * (vals @ _tensor_basis([bases[key] for key in keys]).T)
         delta = term if delta is None else delta + term
     err = np.max(np.abs(delta), axis=0)  # max over outputs
     if state.controls.profit.startswith("weighted"):

@@ -3,7 +3,10 @@
 Interpolation works tensor grid by tensor grid: values at each tensor's
 knots are gathered from the reduced table through the extended->reduced
 map, the tensor-product Lagrange interpolant is evaluated in barycentric
-form, and the results accumulate with the combination coefficients.
+form, and the results accumulate with the combination coefficients.  The
+1D bases are shared across tensors: an ``Interpolant`` computes the
+barycentric weights of each distinct 1D rule once when it is built, and
+each distinct rule's basis once per chunk of query points.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from ._bary import barycentric_weights, basis_matrix
 __all__ = [
     "EvaluationTable",
     "Domain",
+    "Interpolant",
     "evaluate_on_grid",
     "quadrature",
     "interpolate",
@@ -59,6 +63,13 @@ class EvaluationTable:
     @property
     def n_points(self) -> int:
         return self.values.shape[1]
+
+
+def _value_matrix(values) -> np.ndarray:
+    """The (outputs x knots) matrix of an EvaluationTable or array-like."""
+    if isinstance(values, EvaluationTable):
+        return values.values
+    return np.atleast_2d(np.asarray(values, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -116,7 +127,7 @@ def evaluate_on_grid(f, reduced: ReducedGrid, old=None, workers: int = 1) -> Eva
     copied: dict[int, np.ndarray] = {}
     if old is not None:
         old_table, _, old_reduced = old
-        old_vals = old_table.values if isinstance(old_table, EvaluationTable) else np.atleast_2d(old_table)
+        old_vals = _value_matrix(old_table)
         lookup = {
             key: p for p, key in enumerate(lattice_keys(old_reduced.knots, reduced.tol))
         }
@@ -162,7 +173,7 @@ def quadrature(values_or_f, grid_or_reduced):
     if callable(values_or_f):
         table = evaluate_on_grid(values_or_f, reduced)
         return quadrature(table, reduced), table
-    vals = values_or_f.values if isinstance(values_or_f, EvaluationTable) else np.atleast_2d(np.asarray(values_or_f, dtype=float))
+    vals = _value_matrix(values_or_f)
     if vals.shape[1] != reduced.size:
         raise ValueError(
             f"values have {vals.shape[1]} columns, reduced grid has {reduced.size} knots"
@@ -170,50 +181,72 @@ def quadrature(values_or_f, grid_or_reduced):
     return vals @ reduced.weights
 
 
-def _gather_tensor_values(grid: SparseGrid, reduced: ReducedGrid, values: np.ndarray):
-    """Per-tensor value matrices, via the extended->reduced map."""
-    offsets = grid.tensor_offsets()
-    out = []
-    for t, start in zip(grid.tensors, offsets[:-1]):
-        sel = reduced.n[start : start + t.size]
-        out.append(values[:, sel])
-    return out
+def _tensor_basis(bases) -> np.ndarray:
+    """Row-wise Kronecker product of 1D basis matrices, first dimension fastest."""
+    basis = bases[0]
+    for B in bases[1:]:
+        basis = (B[:, :, None] * basis[:, None, :]).reshape(B.shape[0], -1)
+    return basis
+
+
+def _rule_key(rules: dict, n: int, nodes: np.ndarray) -> tuple[int, bytes]:
+    """Key of the 1D rule ``nodes`` of dimension ``n`` in ``rules``, which maps
+    keys to (nodes, barycentric weights); the weights are computed once."""
+    key = (n, nodes.tobytes())
+    if key not in rules:
+        rules[key] = (nodes, barycentric_weights(nodes))
+    return key
+
+
+class Interpolant:
+    """Sparse-grid interpolant, compiled once from (grid, reduced, values).
+
+    Holds the table of distinct 1D rules with their barycentric weights
+    and, per tensor, its combination coefficient, its gathered value
+    matrix and the rule it uses in each dimension.  Build it once and
+    call it many times: each call evaluates every distinct 1D basis once
+    per chunk of query points and shares it across the tensors.
+    """
+
+    def __init__(self, grid: SparseGrid, reduced: ReducedGrid, values):
+        vals = _value_matrix(values)
+        if vals.shape[1] != reduced.size:
+            raise ValueError("values do not conform to the reduced grid")
+        self.dim = grid.dim
+        self.n_outputs = vals.shape[0]
+        self._rules: dict[tuple[int, bytes], tuple[np.ndarray, np.ndarray]] = {}
+        self._tensors = []
+        offsets = grid.tensor_offsets()
+        for t, start in zip(grid.tensors, offsets[:-1]):
+            tv = vals[:, reduced.n[start : start + t.size]]
+            keys = [_rule_key(self._rules, n, nodes) for n, nodes in enumerate(t.knots_per_dim)]
+            self._tensors.append((t.coeff, tv, keys))
+
+    def __call__(self, points) -> np.ndarray:
+        """Interpolant values at query points (dim x Q); shape (V, Q)."""
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        if points.shape[0] != self.dim:
+            raise ValueError(f"points must be {self.dim} x Q")
+        Q = points.shape[1]
+        result = np.zeros((self.n_outputs, Q))
+        for lo in range(0, Q, _QUERY_CHUNK):
+            chunk = points[:, lo : lo + _QUERY_CHUNK]
+            bases = {key: basis_matrix(nodes, bw, chunk[key[0]])
+                     for key, (nodes, bw) in self._rules.items()}
+            for coeff, tv, keys in self._tensors:
+                basis = _tensor_basis([bases[key] for key in keys])
+                result[:, lo : lo + chunk.shape[1]] += coeff * (tv @ basis.T)
+        return result
 
 
 def interpolate(grid: SparseGrid, reduced: ReducedGrid, values, points) -> np.ndarray:
     """Evaluate the sparse-grid interpolant at query points (dim x Q).
 
     Reproduces exactly any polynomial the grid spans; for nested knot
-    families the interpolant matches the data at the grid knots.
+    families the interpolant matches the data at the grid knots.  To
+    evaluate the same surrogate repeatedly, build an ``Interpolant`` once.
     """
-    vals = values.values if isinstance(values, EvaluationTable) else np.atleast_2d(np.asarray(values, dtype=float))
-    if vals.shape[1] != reduced.size:
-        raise ValueError("values do not conform to the reduced grid")
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    if points.shape[0] != grid.dim:
-        raise ValueError(f"points must be {grid.dim} x Q")
-    n_out = vals.shape[0]
-    Q = points.shape[1]
-    result = np.zeros((n_out, Q))
-    tensor_vals = _gather_tensor_values(grid, reduced, vals)
-    bary = [
-        [(t.knots_per_dim[n], barycentric_weights(t.knots_per_dim[n])) for n in range(grid.dim)]
-        for t in grid.tensors
-    ]
-    for lo in range(0, Q, _QUERY_CHUNK):
-        chunk = points[:, lo : lo + _QUERY_CHUNK]
-        for t, tv, tb in zip(grid.tensors, tensor_vals, bary):
-            basis = None
-            for n in range(grid.dim):
-                nodes, bw = tb[n]
-                B = basis_matrix(nodes, bw, chunk[n])
-                if basis is None:
-                    basis = B
-                else:
-                    # keep the first dimension fastest in the flat index
-                    basis = (B[:, :, None] * basis[:, None, :]).reshape(chunk.shape[1], -1)
-            result[:, lo : lo + chunk.shape[1]] += t.coeff * (tv @ basis.T)
-    return result
+    return Interpolant(grid, reduced, values)(points)
 
 
 def _default_steps(domain: Domain, points: np.ndarray, h: float | None) -> np.ndarray:
@@ -247,14 +280,14 @@ def _warn_outside(domain: Domain, points: np.ndarray, what: str):
 
 def gradient(grid: SparseGrid, reduced: ReducedGrid, values, domain: Domain,
              points, h: float | None = None) -> np.ndarray:
-    """Centered-difference gradient of a scalar surrogate at each point.
+    """Centered-difference gradient of the surrogate at each point.
 
-    Points closer than one step to a finite boundary switch to one-sided
-    second-order differences, keeping the error order uniform.
+    Returns shape (N, Q) for a single-output table and (V, N, Q) for a
+    V-output one.  Points closer than one step to a finite boundary switch
+    to one-sided second-order differences, keeping the error order
+    uniform.
     """
-    vals = values.values if isinstance(values, EvaluationTable) else np.atleast_2d(np.asarray(values, dtype=float))
-    if vals.shape[0] != 1:
-        raise ValueError("gradient requires a single-output value table")
+    vals = _value_matrix(values)
     points = np.atleast_2d(np.asarray(points, dtype=float))
     _warn_outside(domain, points, "gradient")
     N, Q = points.shape
@@ -281,26 +314,26 @@ def gradient(grid: SparseGrid, reduced: ReducedGrid, values, domain: Domain,
                 p[n] += o
                 batches.append(p)
             plans.append((kind, n, q, s))
-    fvals = interpolate(grid, reduced, vals, np.array(batches).T)[0]
-    out = np.empty((N, Q))
+    fvals = interpolate(grid, reduced, vals, np.array(batches).T)
+    out = np.empty((vals.shape[0], N, Q))
     pos = 0
     for kind, n, q, s in plans:
         if kind == "centered":
-            out[n, q] = (fvals[pos] - fvals[pos + 1]) / (2.0 * s)
+            out[:, n, q] = (fvals[:, pos] - fvals[:, pos + 1]) / (2.0 * s)
             pos += 2
         elif kind == "forward":
-            out[n, q] = (-3.0 * fvals[pos] + 4.0 * fvals[pos + 1] - fvals[pos + 2]) / (2.0 * s)
+            out[:, n, q] = (-3.0 * fvals[:, pos] + 4.0 * fvals[:, pos + 1] - fvals[:, pos + 2]) / (2.0 * s)
             pos += 3
         else:
-            out[n, q] = (3.0 * fvals[pos] - 4.0 * fvals[pos + 1] + fvals[pos + 2]) / (2.0 * s)
+            out[:, n, q] = (3.0 * fvals[:, pos] - 4.0 * fvals[:, pos + 1] + fvals[:, pos + 2]) / (2.0 * s)
             pos += 3
-    return out
+    return out[0] if vals.shape[0] == 1 else out
 
 
 def hessian(grid: SparseGrid, reduced: ReducedGrid, values, domain: Domain,
             point, h: float | None = None) -> np.ndarray:
     """Centered second-difference Hessian of a scalar surrogate at one point."""
-    vals = values.values if isinstance(values, EvaluationTable) else np.atleast_2d(np.asarray(values, dtype=float))
+    vals = _value_matrix(values)
     if vals.shape[0] != 1:
         raise ValueError("hessian requires a single-output value table")
     x = np.asarray(point, dtype=float).ravel()

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evalkit import Domain, EvaluationTable
+from .evalkit import Domain, _value_matrix
 from .grid import ReducedGrid, SparseGrid
 from .knots import DistributionSpec, recurrence_coefficients
 from .midx import MultiIndexSet
@@ -173,7 +173,7 @@ def convert_to_modal(grid: SparseGrid, reduced: ReducedGrid, values, domain: Dom
     by the grid's multi-index set and level-to-knots map.  The expansion
     is the same polynomial as the interpolant.
     """
-    vals = values.values if isinstance(values, EvaluationTable) else np.atleast_2d(np.asarray(values, dtype=float))
+    vals = _value_matrix(values)
     if vals.shape[1] != reduced.size:
         raise ValueError("values do not conform to the reduced grid")
     params = _params_from_grid(grid, domain, family)
@@ -239,7 +239,7 @@ def sobol_indices(grid: SparseGrid, reduced: ReducedGrid, values, domain: Domain
     dimension collects squared coefficients supported on that dimension
     alone, the total index all coefficients involving it.
     """
-    vals = values.values if isinstance(values, EvaluationTable) else np.atleast_2d(np.asarray(values, dtype=float))
+    vals = _value_matrix(values)
     if vals.shape[0] != 1:
         raise ValueError("sobol indices require a single-output value table")
     expansion = convert_to_modal(grid, reduced, vals, domain, family)

@@ -12,13 +12,14 @@ least-squares fit on a sparse-grid surrogate, followed by a Gaussian
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .evalkit import Domain, EvaluationTable, evaluate_on_grid, gradient, interpolate, quadrature
+from .evalkit import (Domain, EvaluationTable, Interpolant, evaluate_on_grid, gradient,
+                      interpolate, quadrature)
 from .grid import ReducedGrid, SparseGrid, build_sparse_grid_from_rule, reduce_grid
 from .knots import cc_family, gauss_family, DistributionSpec
 from .levels import LevelMap
@@ -212,7 +213,6 @@ class InverseProblem:
     x_points: np.ndarray
     data: np.ndarray
     sigma_eps: float | None = None
-    _misfit_cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def n_data(self) -> int:
@@ -231,16 +231,22 @@ def make_synthetic_data(model: DiffusionModel, y_star, sigma_eps: float,
 
 @dataclass
 class SolutionSurrogate:
-    """Sparse-grid approximation of the solution at the measurement points."""
+    """Sparse-grid approximation of the solution at the measurement points.
+
+    The interpolant is compiled once, when the surrogate is built.
+    """
 
     grid: SparseGrid
     reduced: ReducedGrid
     table: EvaluationTable
     domain: Domain
 
+    def __post_init__(self):
+        self._interpolant = Interpolant(self.grid, self.reduced, self.table)
+
     def __call__(self, y) -> np.ndarray:
         y = np.asarray(y, dtype=float).reshape(-1, 1)
-        return interpolate(self.grid, self.reduced, self.table, y)[:, 0]
+        return self._interpolant(y)[:, 0]
 
 
 def build_solution_surrogate(model: DiffusionModel, problem: InverseProblem,
@@ -253,12 +259,7 @@ def build_solution_surrogate(model: DiffusionModel, problem: InverseProblem,
 
 
 def _misfits(problem: InverseProblem, surrogate: SolutionSurrogate, y) -> np.ndarray:
-    key = (id(surrogate), tuple(np.asarray(y, dtype=float).ravel()))
-    cached = problem._misfit_cache.get(key)
-    if cached is None:
-        cached = problem.data - surrogate(y)
-        problem._misfit_cache[key] = cached
-    return cached
+    return problem.data - surrogate(y)
 
 
 def least_squares_objective(problem: InverseProblem, surrogate: SolutionSurrogate):
@@ -370,15 +371,12 @@ def posterior_covariance(problem: InverseProblem, surrogate: SolutionSurrogate,
 
     The noise variance is the mean squared misfit; the covariance is its
     product with the inverse Gram matrix of the misfit Jacobian, computed
-    row by row from surrogate finite differences.
+    from surrogate finite differences of all observations at once.
     """
     y_map = np.asarray(y_map, dtype=float).ravel()
-    n_dim = y_map.size
-    jac = np.empty((problem.n_data, n_dim))
-    for k in range(problem.n_data):
-        g = gradient(surrogate.grid, surrogate.reduced, surrogate.table.values[k],
-                     surrogate.domain, y_map.reshape(-1, 1))
-        jac[k, :] = -g[:, 0]
+    g = gradient(surrogate.grid, surrogate.reduced, surrogate.table,
+                 surrogate.domain, y_map.reshape(-1, 1))
+    jac = -g.reshape(problem.n_data, y_map.size)
     sigma2 = float(np.mean(_misfits(problem, surrogate, y_map) ** 2))
     gram = jac.T @ jac
     try:

@@ -4,16 +4,19 @@ import numpy as np
 import pytest
 
 import sparsegrids as sg
+from sparsegrids._bary import barycentric_weights, basis_matrix
 from sparsegrids.evalkit import (
     Domain,
     EvaluationError,
     EvaluationTable,
+    Interpolant,
     evaluate_on_grid,
     gradient,
     hessian,
     interpolate,
     quadrature,
 )
+from sparsegrids.uqdemo import DiffusionModel, build_solution_surrogate, make_synthetic_data
 
 EXPSUM = lambda y: math.exp(float(np.sum(y)))
 EXACT_2D = (math.e - 1.0) ** 2
@@ -39,6 +42,46 @@ def product_lagrange_interpolate(knots_per_dim, values_fd, point):
                     basis *= (point[n] - nodes[k]) / (nodes[j] - nodes[k])
         total += values_fd[flat] * basis
     return total
+
+
+def loop_interpolate(grid, reduced, values, points):
+    """Reference: every tensor computes its own 1D weights and bases."""
+    vals = np.atleast_2d(np.asarray(values, dtype=float))
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    result = np.zeros((vals.shape[0], points.shape[1]))
+    offsets = grid.tensor_offsets()
+    for lo in range(0, points.shape[1], 512):
+        chunk = points[:, lo : lo + 512]
+        for t, start in zip(grid.tensors, offsets[:-1]):
+            tv = vals[:, reduced.n[start : start + t.size]]
+            basis = None
+            for n in range(grid.dim):
+                nodes = t.knots_per_dim[n]
+                B = basis_matrix(nodes, barycentric_weights(nodes), chunk[n])
+                if basis is None:
+                    basis = B
+                else:
+                    basis = (B[:, :, None] * basis[:, None, :]).reshape(chunk.shape[1], -1)
+            result[:, lo : lo + chunk.shape[1]] += t.coeff * (tv @ basis.T)
+    return result
+
+
+def three_outputs(y):
+    return np.array([EXPSUM(y), math.sin(3.0 * y[0]), y[0] * y[-1] - 0.5])
+
+
+def interpolant_case(kind):
+    """(grid, reduced, table) for a nested, a non-nested and a 3-output case."""
+    if kind == "gauss":
+        rule, _ = sg.preset("TD")
+        fam, lm, dim = sg.gauss_family(sg.DistributionSpec.uniform(0, 1)), sg.LevelMap.LINEAR, 2
+    else:
+        rule, lm = sg.preset("SM")
+        fam, dim = sg.cc_family(0, 1), 3
+    grid = sg.build_sparse_grid_from_rule(dim, 4, fam, lm, rule)
+    reduced = sg.reduce_grid(grid)
+    table = evaluate_on_grid(three_outputs if kind == "three-outputs" else EXPSUM, reduced)
+    return grid, reduced, table
 
 
 @pytest.fixture(scope="module")
@@ -194,6 +237,63 @@ class TestInterpolate:
         grid, reduced, table = exp_grid_w5
         with pytest.raises(ValueError):
             interpolate(grid, reduced, table, np.zeros((3, 4)))
+
+
+class TestInterpolant:
+    @pytest.mark.parametrize("kind", ["cc", "gauss", "three-outputs"])
+    @pytest.mark.parametrize("query", ["one", "past-chunk", "knots"])
+    def test_matches_per_tensor_loop(self, kind, query, rng):
+        grid, reduced, table = interpolant_case(kind)
+        pts = {
+            "one": rng.uniform(0, 1, (grid.dim, 1)),
+            "past-chunk": rng.uniform(0, 1, (grid.dim, 1300)),
+            "knots": reduced.knots,
+        }[query]
+        want = loop_interpolate(grid, reduced, table.values, pts)
+        got = Interpolant(grid, reduced, table)(pts)
+        assert got.shape == want.shape == (table.n_outputs, pts.shape[1])
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        assert np.array_equal(interpolate(grid, reduced, table, pts), got)
+
+    def test_rules_are_shared_across_tensors(self):
+        grid, reduced, table = interpolant_case("cc")
+        interp = Interpolant(grid, reduced, table)
+        distinct = {(n, k.tobytes()) for t in grid.tensors for n, k in enumerate(t.knots_per_dim)}
+        assert len(interp._rules) == len(distinct) < grid.dim * len(grid.tensors)
+
+    def test_wrong_shapes_rejected(self):
+        grid, reduced, table = interpolant_case("cc")
+        with pytest.raises(ValueError):
+            Interpolant(grid, reduced, table.values[:, :-1])
+        with pytest.raises(ValueError):
+            interpolate(grid, reduced, np.ones((1, reduced.size + 1)), reduced.knots)
+        interp = Interpolant(grid, reduced, table)
+        with pytest.raises(ValueError):
+            interp(np.zeros((grid.dim + 1, 4)))
+
+    def test_vector_gradient_stacks_scalar_gradients(self):
+        grid, reduced, table = interpolant_case("three-outputs")
+        domain = Domain(np.array([[0.0] * grid.dim, [1.0] * grid.dim]))
+        # centered, forward and backward differences all occur
+        pts = np.array([[0.0, 0.3, 1.0], [0.5, 1.0, 0.2], [0.4, 0.7, 0.0]])
+        g = gradient(grid, reduced, table, domain, pts)
+        assert g.shape == (3, grid.dim, pts.shape[1])
+        h = 1e-5
+        coeff_sum = sum(abs(t.coeff) for t in grid.tensors)
+        for k in range(3):
+            scalar = gradient(grid, reduced, table.values[k], domain, pts)
+            assert scalar.shape == (grid.dim, pts.shape[1])
+            # a few roundings per tensor term of the surrogate, amplified by 1/h
+            tol = 4 * np.finfo(float).eps * coeff_sum * np.max(np.abs(table.values[k])) / h
+            assert np.max(np.abs(g[k] - scalar)) <= tol
+
+    def test_solution_surrogate_matches_interpolate(self, rng):
+        model = DiffusionModel(n_random=2, sigmas=(0.5, 0.5), mesh=11)
+        problem = make_synthetic_data(model, np.array([0.9, -1.1]), 0.01)
+        surrogate = build_solution_surrogate(model, problem, w=4)
+        for y in rng.uniform(-math.sqrt(3), math.sqrt(3), (3, 2)):
+            want = interpolate(surrogate.grid, surrogate.reduced, surrogate.table, y[:, None])
+            assert np.array_equal(surrogate(y), want[:, 0])
 
 
 class TestGradientHessian:
