@@ -12,16 +12,18 @@ all those evaluations are available anyway.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .evalkit import EvaluationTable, _rule_key, _tensor_basis, quadrature
+from .evalkit import EvaluationTable, _call_f, _rule_key, quadrature
 from .grid import (
     ReducedGrid,
     SparseGrid,
+    _kron_rows,
+    _normalize_families,
+    _tensor_product_columns,
     build_sparse_grid,
     build_tensor_grid,
     dedup_tolerances,
@@ -30,7 +32,7 @@ from .grid import (
 )
 from .knots import KnotFamily
 from .levels import LevelMap, UnsupportedLevelError, apply_level_map
-from .midx import MultiIndexSet
+from .midx import MultiIndexSet, _backward_closed, _forward_neighbours, _signed_neighbours
 from ._bary import basis_matrix
 
 __all__ = [
@@ -189,41 +191,31 @@ def _reference_tolerances(state: AdaptState) -> np.ndarray:
     return state.tols
 
 
-def _ensure_values(state: AdaptState, tensor_knots: np.ndarray):
-    """Evaluate f wherever the tensor grid needs values not yet cached.
+def _values_at(state: AdaptState, knots: np.ndarray) -> np.ndarray:
+    """Values at the knot columns (outputs x knots), calling f only where
+    no value is cached.
 
     The cache entry is committed only after a successful evaluation, so a
     failing function leaves the state resumable.
     """
-    tols = _reference_tolerances(state)
-    for key, col in zip(lattice_keys(tensor_knots, tols), tensor_knots.T):
-        if key not in state.points:
-            value = np.atleast_1d(np.asarray(state.f(col), dtype=float)).ravel()
+    cols = []
+    for key, col in zip(lattice_keys(knots, _reference_tolerances(state)), knots.T):
+        if key not in state.values:
+            state.values[key] = _call_f(state.f, col)
             state.points[key] = col.copy()
-            state.values[key] = value
             state.num_evals += 1
+        cols.append(state.values[key])
+    return np.stack(cols, axis=1)
 
 
 def _tensor_rule(state: AdaptState, idx):
     return build_tensor_grid(idx, state.families, state.level_map, coeff=1)
 
 
-def _gather(state: AdaptState, knots: np.ndarray) -> np.ndarray:
-    tols = _reference_tolerances(state)
-    cols = [state.values[key] for key in lattice_keys(knots, tols)]
-    return np.stack(cols, axis=1)
-
-
 def _detail_terms(state: AdaptState, candidate):
     """(sign, tensor) pairs of the candidate's hierarchical detail."""
-    terms = []
-    for offsets in itertools.product((0, 1), repeat=state.dim):
-        neighbor = tuple(v - o for v, o in zip(candidate, offsets))
-        if any(v < 1 for v in neighbor):
-            continue
-        sign = -1.0 if sum(offsets) % 2 else 1.0
-        terms.append((sign, _tensor_rule(state, neighbor)))
-    return terms
+    return [(sign, _tensor_rule(state, neighbor))
+            for sign, neighbor in _signed_neighbours(candidate, lambda i: min(i) >= 1, -1)]
 
 
 def _new_knots_of(state: AdaptState, candidate) -> np.ndarray:
@@ -234,15 +226,12 @@ def _new_knots_of(state: AdaptState, candidate) -> np.ndarray:
     for n, v in enumerate(candidate):
         nodes = state.families[n](apply_level_map(state.level_map, v)).nodes
         prev_count = apply_level_map(state.level_map, v - 1)
-        if prev_count == 0:
-            per_dim.append(nodes)
-            continue
-        prev = state.families[n](prev_count).nodes
-        old_keys = {int(np.rint(x / tols[n])) for x in prev}
-        fresh = [x for x in nodes if int(np.rint(x / tols[n])) not in old_keys]
-        per_dim.append(np.asarray(fresh))
-    grids = np.meshgrid(*per_dim, indexing="ij")
-    return np.stack([g.reshape(-1, order="F") for g in grids], axis=0)
+        if prev_count:
+            tol = tols[n : n + 1]
+            old_keys = set(lattice_keys(state.families[n](prev_count).nodes[None, :], tol))
+            nodes = nodes[[key not in old_keys for key in lattice_keys(nodes[None, :], tol)]]
+        per_dim.append(nodes)
+    return _tensor_product_columns(per_dim)
 
 
 def error_indicator_quad(candidate, state: AdaptState) -> float:
@@ -253,8 +242,7 @@ def error_indicator_quad(candidate, state: AdaptState) -> float:
     candidate = tuple(int(v) for v in candidate)
     total = None
     for sign, tensor in _detail_terms(state, candidate):
-        _ensure_values(state, tensor.knots)
-        vals = _gather(state, tensor.knots)
+        vals = _values_at(state, tensor.knots)
         q = vals @ tensor.weights
         total = sign * q if total is None else total + sign * q
     return float(np.max(np.abs(total)))
@@ -275,14 +263,13 @@ def error_indicator_point(candidate, state: AdaptState) -> float:
     bases = {}  # the detail terms share two 1D rules per dimension
     delta = None
     for sign, tensor in _detail_terms(state, candidate):
-        _ensure_values(state, tensor.knots)
-        vals = _gather(state, tensor.knots)
+        vals = _values_at(state, tensor.knots)
         keys = [_rule_key(state.rules, n, nodes) for n, nodes in enumerate(tensor.knots_per_dim)]
         for key in keys:
             if key not in bases:
                 nodes, bw = state.rules[key]
                 bases[key] = basis_matrix(nodes, bw, test_pts[key[0]])
-        term = sign * (vals @ _tensor_basis([bases[key] for key in keys]).T)
+        term = sign * (vals @ _kron_rows([bases[key] for key in keys]).T)
         delta = term if delta is None else delta + term
     err = np.max(np.abs(delta), axis=0)  # max over outputs
     if state.controls.profit.startswith("weighted"):
@@ -304,13 +291,6 @@ def _profit_of(state: AdaptState, candidate) -> _Candidate:
     return _Candidate(error=err, work=work, profit=profit)
 
 
-def _admissible(accepted: set, candidate) -> bool:
-    return all(
-        v == 1 or candidate[:n] + (v - 1,) + candidate[n + 1 :] in accepted
-        for n, v in enumerate(candidate)
-    )
-
-
 def _margin_additions(state: AdaptState, accepted: set, visible: int, around_list):
     """Profits of the newly admissible forward neighbors.
 
@@ -319,13 +299,10 @@ def _margin_additions(state: AdaptState, accepted: set, visible: int, around_lis
     """
     out = {}
     for around in around_list:
-        for n in range(state.dim):
-            cand = around[:n] + (around[n] + 1,) + around[n + 1 :]
+        for cand in _forward_neighbours(around, visible):
             if cand in accepted or cand in state.margin or cand in out:
                 continue
-            if n >= visible:
-                continue
-            if _admissible(accepted, cand):
+            if _backward_closed(cand, accepted):
                 try:
                     out[cand] = _profit_of(state, cand)
                 except UnsupportedLevelError:
@@ -349,7 +326,7 @@ def _assemble_result(state: AdaptState) -> AdaptResult:
     full = MultiIndexSet(state.accepted + list(state.margin), dim=state.dim)
     grid = build_sparse_grid(full, state.families, state.level_map)
     reduced = reduce_grid(grid)
-    values = EvaluationTable(_gather(state, reduced.knots))
+    values = EvaluationTable(_values_at(state, reduced.knots))
     intf = quadrature(values, reduced)
     return AdaptResult(
         dim=state.dim,
@@ -393,18 +370,15 @@ def serialize_state(state: AdaptState) -> dict:
 def restore_state(data: dict, families, level_map: LevelMap,
                   controls: AdaptControls, f) -> AdaptState:
     """Rebuild an AdaptState from its serialized form."""
-    from .grid import _normalize_families
-
     pts = np.asarray(data["points"], dtype=float)
     dim = pts.shape[0]
     state = AdaptState(dim=dim, families=_normalize_families(families, dim),
                        level_map=LevelMap(level_map), controls=controls, f=f)
     vals = np.asarray(data["values"], dtype=float)
-    tols = _reference_tolerances(state)
-    for col in range(pts.shape[1]):
-        key = lattice_keys(pts[:, col : col + 1], tols)[0]
-        state.points[key] = pts[:, col]
-        state.values[key] = vals[:, col]
+    keys = lattice_keys(pts, _reference_tolerances(state))
+    for key, point, value in zip(keys, pts.T, vals.T, strict=True):
+        state.points[key] = point
+        state.values[key] = value
     state.accepted = [tuple(i) for i in data["accepted"]]
     state.margin = {
         tuple(rec["idx"]): _Candidate(rec["error"], rec["work"], rec["profit"])
@@ -435,11 +409,14 @@ def adapt(
     """
     if controls is None:
         raise ConfigurationError("adapt requires controls with the nested flag set")
-    from .grid import _normalize_families
-
     families = _normalize_families(families, dim)
     if previous is not None:
         state = previous if isinstance(previous, AdaptState) else previous.internal
+        have = (state.dim, tuple(state.families), LevelMap(state.level_map))
+        wanted = (dim, families, LevelMap(level_map))
+        if have != wanted:
+            raise ConfigurationError(f"cannot resume a run on (dim, families, level map) "
+                                     f"{have} as {wanted}")
         state.f = f
         old_controls = state.controls
         state.controls = controls
@@ -452,12 +429,11 @@ def adapt(
     try:
         if not state.accepted:
             root = (1,) * dim
-            _ensure_values(state, _tensor_rule(state, root).knots)
+            _values_at(state, _tensor_rule(state, root).knots)
+            additions = _margin_additions(state, {root}, state.visible_dims(), [root])
             state.accepted.append(root)
             state.history.append(root)
-            state.margin.update(
-                _margin_additions(state, {root}, state.visible_dims(), [root])
-            )
+            state.margin.update(additions)
         while True:
             if not state.margin:
                 break

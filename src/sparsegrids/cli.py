@@ -186,6 +186,10 @@ def _cmd_adapt(args) -> int:
         prev_bundle = load_grid(args.resume)
         if prev_bundle.adapt_state is None:
             raise UsageError(f"{args.resume} carries no adaptive state")
+        stored = prev_bundle.grid
+        if (stored.families, stored.level_map) != (fams, level_map):
+            raise UsageError(f"--dim/--knots/--domain/--lev2knots do not match {args.resume}: "
+                             f"{list(stored.families)}, {stored.level_map.value}")
         previous = adaptive.restore_state(prev_bundle.adapt_state, fams, level_map,
                                           controls, f)
     result = adapt(f, args.dim, fams, level_map, previous=previous, controls=controls)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import ReducedGrid, SparseGrid, lattice_keys
+from .grid import ReducedGrid, SparseGrid, _kron_rows, lattice_keys, reduce_grid
 from ._bary import barycentric_weights, basis_matrix
 
 __all__ = [
@@ -104,11 +104,15 @@ class Domain:
         return np.all((pts >= self.lower[:, None]) & (pts <= self.upper[:, None]), axis=0)
 
 
-def _call_f(f, knot):
+def _call_f(f, knot) -> np.ndarray:
+    """f(knot) as a flat float vector; failures and non-finite values raise
+    an EvaluationError naming the knot."""
     try:
         out = np.atleast_1d(np.asarray(f(knot), dtype=float)).ravel()
     except Exception as exc:  # attach the offending knot
         raise EvaluationError(knot, exc) from exc
+    if not np.isfinite(out).all():
+        raise EvaluationError(knot, ValueError(f"non-finite value {out}"))
     return out
 
 
@@ -165,8 +169,6 @@ def quadrature(values_or_f, grid_or_reduced):
     fly.
     """
     if isinstance(grid_or_reduced, SparseGrid):
-        from .grid import reduce_grid
-
         reduced = reduce_grid(grid_or_reduced)
     else:
         reduced = grid_or_reduced
@@ -181,12 +183,15 @@ def quadrature(values_or_f, grid_or_reduced):
     return vals @ reduced.weights
 
 
-def _tensor_basis(bases) -> np.ndarray:
-    """Row-wise Kronecker product of 1D basis matrices, first dimension fastest."""
-    basis = bases[0]
-    for B in bases[1:]:
-        basis = (B[:, :, None] * basis[:, None, :]).reshape(B.shape[0], -1)
-    return basis
+def _tensor_values(grid: SparseGrid, reduced: ReducedGrid, values):
+    """(tensor, its values gathered from the reduced table) for each tensor
+    grid; the values are checked against the reduced grid up front."""
+    vals = _value_matrix(values)
+    if vals.shape[1] != reduced.size:
+        raise ValueError("values do not conform to the reduced grid")
+    offsets = grid.tensor_offsets()
+    return ((t, vals[:, reduced.n[start : start + t.size]])
+            for t, start in zip(grid.tensors, offsets))
 
 
 def _rule_key(rules: dict, n: int, nodes: np.ndarray) -> tuple[int, bytes]:
@@ -209,18 +214,13 @@ class Interpolant:
     """
 
     def __init__(self, grid: SparseGrid, reduced: ReducedGrid, values):
-        vals = _value_matrix(values)
-        if vals.shape[1] != reduced.size:
-            raise ValueError("values do not conform to the reduced grid")
         self.dim = grid.dim
-        self.n_outputs = vals.shape[0]
         self._rules: dict[tuple[int, bytes], tuple[np.ndarray, np.ndarray]] = {}
-        self._tensors = []
-        offsets = grid.tensor_offsets()
-        for t, start in zip(grid.tensors, offsets[:-1]):
-            tv = vals[:, reduced.n[start : start + t.size]]
-            keys = [_rule_key(self._rules, n, nodes) for n, nodes in enumerate(t.knots_per_dim)]
-            self._tensors.append((t.coeff, tv, keys))
+        self._tensors = [
+            (t.coeff, tv, [_rule_key(self._rules, n, nodes) for n, nodes in enumerate(t.knots_per_dim)])
+            for t, tv in _tensor_values(grid, reduced, values)
+        ]
+        self.n_outputs = self._tensors[0][1].shape[0]
 
     def __call__(self, points) -> np.ndarray:
         """Interpolant values at query points (dim x Q); shape (V, Q)."""
@@ -234,7 +234,7 @@ class Interpolant:
             bases = {key: basis_matrix(nodes, bw, chunk[key[0]])
                      for key, (nodes, bw) in self._rules.items()}
             for coeff, tv, keys in self._tensors:
-                basis = _tensor_basis([bases[key] for key in keys])
+                basis = _kron_rows([bases[key] for key in keys])
                 result[:, lo : lo + chunk.shape[1]] += coeff * (tv @ basis.T)
         return result
 

@@ -9,18 +9,19 @@ the two formats.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .knots import KnotFamily
+from .knots import KnotFamily, cc_family
 from .levels import LevelMap, apply_level_map
 from .midx import (
     MultiIndexSet,
+    _signed_neighbours,
     combination_coefficients,
     generate_rule_set,
+    is_downward_closed,
     preset,
 )
 
@@ -122,11 +123,19 @@ def _tensor_product_columns(arrays: Sequence[np.ndarray]) -> np.ndarray:
     return np.stack([g.reshape(-1, order="F") for g in grids], axis=0)
 
 
-def _tensor_product_weights(arrays: Sequence[np.ndarray]) -> np.ndarray:
-    out = arrays[0]
-    for w in arrays[1:]:
-        out = (w[:, None] * out[None, :]).reshape(-1)
+def _kron_rows(mats: Sequence[np.ndarray]) -> np.ndarray:
+    """Row-wise Kronecker product of matrices; first factor varies fastest."""
+    out = mats[0]
+    for B in mats[1:]:
+        out = (B[:, :, None] * out[:, None, :]).reshape(B.shape[0], -1)
     return out
+
+
+def _tensor_weights(rules, coeff: int) -> np.ndarray:
+    """coeff times the tensor product of the 1D weights, first dim fastest."""
+    weights = coeff * _kron_rows([r.weights[None, :] for r in rules])[0]
+    weights.flags.writeable = False
+    return weights
 
 
 def build_tensor_grid(idx, families, level_map: LevelMap, coeff: int = 1) -> TensorGrid:
@@ -139,13 +148,11 @@ def build_tensor_grid(idx, families, level_map: LevelMap, coeff: int = 1) -> Ten
     m = tuple(apply_level_map(level_map, v) for v in idx)
     rules = [families[n](m[n]) for n in range(dim)]
     knots = _tensor_product_columns([r.nodes for r in rules])
-    weights = coeff * _tensor_product_weights([r.weights for r in rules])
     knots.flags.writeable = False
-    weights.flags.writeable = False
     return TensorGrid(
         idx=idx,
         knots=knots,
-        weights=weights,
+        weights=_tensor_weights(rules, coeff),
         size=int(np.prod(m)),
         knots_per_dim=tuple(r.nodes for r in rules),
         m=m,
@@ -162,31 +169,41 @@ def build_sparse_grid(
     """Sparse grid over a downward-closed multi-index set.
 
     Tensor grids of ``previous`` with a matching multi-index are reused
-    (weights rescaled when only the coefficient changed) provided the knot
-    families and level map agree.
+    provided the knot families and level map agree; a changed coefficient
+    gets its weights recomputed, not rescaled, so they equal a cold build
+    bitwise.
     """
     if index_set.base != 1:
         raise ValueError("sparse grids require a base-1 multi-index set")
-    families = _normalize_families(families, index_set.dim)
     coeffs = combination_coefficients(index_set)
+    return _assemble(index_set, coeffs, families, level_map, previous)
+
+
+def _assemble(index_set: MultiIndexSet, coeffs: dict[tuple[int, ...], int], families,
+              level_map: LevelMap, previous: SparseGrid | None) -> SparseGrid:
+    """Grid of the indices with nonzero coefficient, reusing the tensors of
+    ``previous`` as ``build_sparse_grid`` describes."""
+    families = _normalize_families(families, index_set.dim)
     reuse: dict[tuple[int, ...], TensorGrid] = {}
-    if previous is not None:
-        if (
-            previous.dim == index_set.dim
-            and previous.level_map == level_map
-            and tuple(previous.families) == families
-        ):
-            reuse = {t.idx: t for t in previous.tensors}
+    if (
+        previous is not None
+        and previous.level_map == level_map
+        and tuple(previous.families) == families
+    ):
+        reuse = {t.idx: t for t in previous.tensors}
     tensors = []
     for idx in index_set:
         c = coeffs[idx]
         if c == 0:
             continue
         old = reuse.get(idx)
-        if old is not None:
-            tensors.append(old.with_coeff(c))
-        else:
+        if old is None:
             tensors.append(build_tensor_grid(idx, families, level_map, coeff=c))
+        elif old.coeff != c:
+            rules = [fam(m) for fam, m in zip(families, old.m)]
+            tensors.append(replace(old, weights=_tensor_weights(rules, c), coeff=c))
+        else:
+            tensors.append(old)
     return SparseGrid(
         dim=index_set.dim,
         tensors=tuple(tensors),
@@ -212,8 +229,6 @@ def build_sparse_grid_from_rule(
 def quick_preset(dim: int, level: int):
     """Smolyak grid of Clenshaw-Curtis knots on [-1, 1]^dim; returns both
     the extended and the reduced format."""
-    from .knots import cc_family
-
     rule, level_map = preset("SM")
     grid = build_sparse_grid_from_rule(dim, level, cc_family(-1.0, 1.0), level_map, rule)
     return grid, reduce_grid(grid)
@@ -238,35 +253,13 @@ def add_one_index(
     if new_idx in index_set:
         raise ValueError(f"index {new_idx} is already in the set")
     new_set = index_set.union([new_idx])
-    from .midx import is_downward_closed
-
     if not is_downward_closed(new_set):
         raise ValueError(f"adding {new_idx} violates downward closedness")
-    families = _normalize_families(families, grid.dim)
     new_coeffs = dict(coeffs)
     new_coeffs[new_idx] = 0
-    for offsets in itertools.product((0, 1), repeat=grid.dim):
-        neighbor = tuple(v - o for v, o in zip(new_idx, offsets))
-        if neighbor in new_coeffs:
-            new_coeffs[neighbor] += -1 if sum(offsets) % 2 else 1
-    existing = {t.idx: t for t in grid.tensors}
-    tensors = []
-    for idx in new_set:
-        c = new_coeffs[idx]
-        if c == 0:
-            continue
-        old = existing.get(idx)
-        if old is not None:
-            tensors.append(old.with_coeff(c))
-        else:
-            tensors.append(build_tensor_grid(idx, families, level_map, coeff=c))
-    return SparseGrid(
-        dim=grid.dim,
-        tensors=tuple(tensors),
-        families=families,
-        level_map=LevelMap(level_map),
-        index_set=new_set,
-    )
+    for sign, neighbor in _signed_neighbours(new_idx, new_set._members.__contains__, -1):
+        new_coeffs[neighbor] += sign
+    return _assemble(new_set, new_coeffs, families, level_map, grid)
 
 
 # ---------------------------------------------------------------------------

@@ -62,6 +62,25 @@ def _reduced_from_json(obj: dict) -> ReducedGrid:
     return ReducedGrid(knots=knots, weights=weights, size=weights.size, m=m, n=n, tol=tol)
 
 
+def _check_reduced(grid: SparseGrid, reduced: ReducedGrid, values) -> None:
+    """Check a stored reduced form (and values) against the rebuilt grid."""
+    knots = np.concatenate([t.knots for t in grid.tensors], axis=1)
+    weights = np.concatenate([t.weights for t in grid.tensors])
+    m, n, size = reduced.m, reduced.n, reduced.size
+    if values is not None and values.n_points != size:
+        raise GridFileError(f"'values' has {values.n_points} columns for {size} reduced knots")
+    if n.shape != weights.shape or np.any((n < 0) | (n >= size)):
+        raise GridFileError(f"reduced 'n' does not map {weights.size} knots onto {size}")
+    if m.shape != (size,) or np.any((m < 0) | (m >= n.size)) or np.any(n[m] != np.arange(size)):
+        raise GridFileError("reduced 'm' is not the first occurrence of each reduced knot")
+    if reduced.knots.shape != (grid.dim, size) or not np.allclose(reduced.knots, knots[:, m],
+                                                                   rtol=0, atol=1e-12):
+        raise GridFileError("reduced 'knots' do not match the grid's knots")
+    error = np.abs(reduced.weights - np.bincount(n, weights, minlength=size)).max()
+    if error > 1e-12 * np.abs(weights).sum():
+        raise GridFileError(f"reduced 'weights' are off the summed tensor weights by {error:.3g}")
+
+
 def save_grid(path, grid: SparseGrid, reduced: ReducedGrid | None = None,
               values: EvaluationTable | None = None,
               adapt_state: dict | None = None) -> None:
@@ -126,6 +145,8 @@ def load_grid(path) -> GridBundle:
                 raise GridFileError(f"stored knots of tensor {t.idx} do not match")
     reduced = _reduced_from_json(doc["reduced"]) if "reduced" in doc else None
     values = EvaluationTable(np.asarray(doc["values"], dtype=float)) if "values" in doc else None
+    if reduced is not None:
+        _check_reduced(grid, reduced, values)
     return GridBundle(grid=grid, reduced=reduced, values=values,
                       adapt_state=doc.get("adapt_state"))
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -133,9 +134,7 @@ def box_set(upper: Iterable[int]) -> MultiIndexSet:
     upper = [int(v) for v in upper]
     if any(v < 1 for v in upper):
         raise ValueError("box bounds must be >= 1")
-    grids = np.meshgrid(*[np.arange(1, v + 1) for v in upper], indexing="ij")
-    rows = np.stack([g.ravel() for g in grids], axis=1)
-    return MultiIndexSet(rows, dim=len(upper))
+    return MultiIndexSet(itertools.product(*[range(1, v + 1) for v in upper]), dim=len(upper))
 
 
 def fast_td_set(dim: int, level: int) -> MultiIndexSet:
@@ -192,35 +191,60 @@ def preset(name: str, weights=None):
     return rule, level_map
 
 
+def _forward_neighbours(idx: tuple[int, ...], dims: int) -> Iterator[tuple[int, ...]]:
+    """idx + e_n for n < dims."""
+    for n in range(dims):
+        yield idx[:n] + (idx[n] + 1,) + idx[n + 1 :]
+
+
+def _backward_closed(idx: tuple[int, ...], members, base: int = 1) -> bool:
+    """True iff ``members`` (plain tuples) holds every idx - e_n with idx[n] > base."""
+    return all(
+        v == base or idx[:n] + (v - 1,) + idx[n + 1 :] in members
+        for n, v in enumerate(idx)
+    )
+
+
+def _signed_neighbours(idx: tuple[int, ...], contains: Callable[[tuple], bool],
+                       step: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """(-1)**|j| and idx + step * j for each j in {0, 1}^d, in
+    itertools.product order, skipping neighbours that fail ``contains``
+    (idx itself, j = 0, is always yielded).
+
+    Depth-first, dimension 0 first, 0 branch before 1 branch; a branch is
+    pruned at its first failing partial neighbour, which is exact for
+    membership in a downward-closed set that contains idx.
+    """
+    dim = len(idx)
+    stack = [(0, 1, idx)]
+    while stack:
+        n, sign, current = stack.pop()
+        if n == dim:
+            yield sign, current
+            continue
+        bumped = current[:n] + (current[n] + step,) + current[n + 1 :]
+        if contains(bumped):
+            stack.append((n + 1, -sign, bumped))
+        stack.append((n + 1, sign, current))
+
+
 def is_downward_closed(index_set: MultiIndexSet) -> bool:
     """True iff every backward neighbor of every index is in the set."""
-    base = index_set.base
-    for idx in index_set:
-        for n, v in enumerate(idx):
-            if v > base:
-                if idx[:n] + (v - 1,) + idx[n + 1 :] not in index_set:
-                    return False
-    return True
+    members = index_set._members
+    return all(_backward_closed(idx, members, index_set.base) for idx in members)
 
 
 def reduced_margin(index_set: MultiIndexSet) -> MultiIndexSet:
     """Forward neighbors whose addition keeps the set downward closed."""
     if not is_downward_closed(index_set):
         raise ClosureError("reduced margin requires a downward-closed set")
-    base = index_set.base
-    out = set()
-    for idx in index_set:
-        for n in range(index_set.dim):
-            cand = idx[:n] + (idx[n] + 1,) + idx[n + 1 :]
-            if cand in index_set or cand in out:
-                continue
-            ok = True
-            for k, v in enumerate(cand):
-                if v > base and cand[:k] + (v - 1,) + cand[k + 1 :] not in index_set:
-                    ok = False
-                    break
-            if ok:
-                out.add(cand)
+    members = index_set._members
+    out = {
+        cand
+        for idx in members
+        for cand in _forward_neighbours(idx, index_set.dim)
+        if cand not in members and _backward_closed(cand, members, index_set.base)
+    }
     return MultiIndexSet(out, dim=index_set.dim, base=index_set.base)
 
 
@@ -233,19 +257,8 @@ def combination_coefficients(index_set: MultiIndexSet) -> dict[tuple[int, ...], 
     """
     if not is_downward_closed(index_set):
         raise ClosureError("combination coefficients require a downward-closed set")
-    coeffs: dict[tuple[int, ...], int] = {}
-    dim = index_set.dim
-
-    def walk(current: tuple[int, ...], start: int, sign: int) -> int:
-        # depth-first over binary forward offsets that stay in the set;
-        # downward closedness prunes whole branches at the first miss
-        total = sign
-        for n in range(start, dim):
-            bumped = current[:n] + (current[n] + 1,) + current[n + 1 :]
-            if bumped in index_set:
-                total += walk(bumped, n + 1, -sign)
-        return total
-
-    for idx in index_set:
-        coeffs[idx] = walk(idx, 0, 1)
-    return coeffs
+    contains = index_set._members.__contains__
+    return {
+        idx: sum(sign for sign, _ in _signed_neighbours(idx, contains, 1))
+        for idx in index_set
+    }

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evalkit import Domain, _value_matrix
-from .grid import ReducedGrid, SparseGrid
+from .evalkit import Domain, _tensor_values, _value_matrix
+from .grid import ReducedGrid, SparseGrid, _tensor_product_columns
 from .knots import DistributionSpec, recurrence_coefficients
 from .midx import MultiIndexSet
 
@@ -173,15 +173,11 @@ def convert_to_modal(grid: SparseGrid, reduced: ReducedGrid, values, domain: Dom
     by the grid's multi-index set and level-to-knots map.  The expansion
     is the same polynomial as the interpolant.
     """
-    vals = _value_matrix(values)
-    if vals.shape[1] != reduced.size:
-        raise ValueError("values do not conform to the reduced grid")
+    tensor_values = _tensor_values(grid, reduced, values)
     params = _params_from_grid(grid, domain, family)
-    n_out = vals.shape[0]
-    offsets = grid.tensor_offsets()
     coeff_map: dict[tuple[int, ...], np.ndarray] = {}
-    for t, start in zip(grid.tensors, offsets[:-1]):
-        tv = vals[:, reduced.n[start : start + t.size]]
+    for t, tv in tensor_values:
+        n_out = tv.shape[0]
         block = tv.T.reshape(list(t.m) + [n_out], order="F")
         for n in range(grid.dim):
             nodes = t.knots_per_dim[n]
@@ -196,7 +192,9 @@ def convert_to_modal(grid: SparseGrid, reduced: ReducedGrid, values, domain: Dom
             solved = np.linalg.solve(vander, moved.reshape(shape[0], -1))
             block = np.moveaxis(solved.reshape(shape), 0, n)
         flat = block.reshape(-1, n_out, order="F").T  # degree index, first dim fastest
-        for pos, degree in enumerate(_degree_tuples(t.m)):
+        # multi-degrees of the block in flat order, first dim fastest
+        degrees = _tensor_product_columns([np.arange(v) for v in t.m]).T.tolist()
+        for pos, degree in enumerate(map(tuple, degrees)):
             acc = coeff_map.get(degree)
             if acc is None:
                 coeff_map[degree] = t.coeff * flat[:, pos].copy()
@@ -205,13 +203,6 @@ def convert_to_modal(grid: SparseGrid, reduced: ReducedGrid, values, domain: Dom
     lam = MultiIndexSet(coeff_map.keys(), dim=grid.dim, base=0)
     coeffs = np.stack([coeff_map[deg] for deg in lam], axis=1)
     return PCExpansion(family=family, params=params, lambda_set=lam, coeffs=coeffs)
-
-
-def _degree_tuples(m):
-    """Multi-degrees of a tensor block in flat order, first dim fastest."""
-    grids = np.meshgrid(*[np.arange(v) for v in m], indexing="ij")
-    flat = np.stack([g.reshape(-1, order="F") for g in grids], axis=1)
-    return [tuple(row) for row in flat]
 
 
 def evaluate_pce(expansion: PCExpansion, points) -> np.ndarray:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 import sparsegrids as sg
 
@@ -15,3 +16,14 @@ def smolyak_cc_unit_w3():
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@st.composite
+def downward_closed_sets(draw, max_dim=4, max_extra=12):
+    """Random downward-closed sets grown from the root by margin additions."""
+    dim = draw(st.integers(1, max_dim))
+    s = sg.MultiIndexSet([(1,) * dim])
+    for pick in draw(st.lists(st.integers(0, 10**6), max_size=max_extra)):
+        margin = list(sg.reduced_margin(s))
+        s = s.union([margin[pick % len(margin)]])
+    return s

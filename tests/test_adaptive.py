@@ -15,7 +15,7 @@ from sparsegrids.adaptive import (
     serialize_state,
     work_indicator,
 )
-from sparsegrids.evalkit import evaluate_on_grid, quadrature
+from sparsegrids.evalkit import EvaluationError, evaluate_on_grid, quadrature
 from sparsegrids.midx import is_downward_closed, reduced_margin
 
 EXPSUM = lambda y: math.exp(float(np.sum(y)))
@@ -241,6 +241,40 @@ class TestFailureRecovery:
                        controls=AdaptControls(nested=True, max_pts=200))
         assert set(resumed.internal.accepted) == set(single.internal.accepted)
         assert resumed.intf == pytest.approx(single.intf, abs=1e-14)
+
+
+    def test_non_finite_value_stops_with_resumable_state(self):
+        from sparsegrids.adaptive import AdaptEvaluationError
+
+        controls = AdaptControls(nested=True, max_pts=200)
+        nan_at_right_edge = lambda y: float("nan") if y[0] > 0.9 else EXPSUM(y)
+        with pytest.raises(AdaptEvaluationError) as err:
+            adapt(nan_at_right_edge, 2, sg.cc_family(0, 1), sg.LevelMap.DOUBLING,
+                  controls=controls)
+        assert isinstance(err.value.cause, EvaluationError)
+        assert err.value.cause.knot[0] > 0.9
+        resumed = adapt(EXPSUM, 2, sg.cc_family(0, 1), sg.LevelMap.DOUBLING,
+                        previous=err.value.state, controls=controls)
+        single = adapt(EXPSUM, 2, sg.cc_family(0, 1), sg.LevelMap.DOUBLING, controls=controls)
+        assert resumed.internal.history == single.internal.history
+        assert np.array_equal(resumed.intf, single.intf)
+
+
+class TestResumeMismatch:
+    @pytest.mark.parametrize("dim, family, level_map", [
+        (2, sg.cc_family(-5, 5), sg.LevelMap.DOUBLING),
+        (2, sg.cc_family(0, 1), sg.LevelMap.LINEAR),
+        (3, sg.cc_family(0, 1), sg.LevelMap.DOUBLING),
+    ])
+    def test_rejected_before_the_loop(self, dim, family, level_map):
+        controls = AdaptControls(nested=True, max_pts=30)
+        first = adapt(EXPSUM, 2, sg.cc_family(0, 1), sg.LevelMap.DOUBLING, controls=controls)
+        history = list(first.internal.history)
+        calls = []
+        with pytest.raises(ConfigurationError, match="cannot resume"):
+            adapt(lambda y: calls.append(y) or 1.0, dim, family, level_map,
+                  previous=first, controls=AdaptControls(nested=True, max_pts=60))
+        assert not calls and first.internal.history == history
 
 
 class TestTabulatedFamilySaturation:

@@ -136,6 +136,13 @@ class TestEvaluateOnGrid:
             evaluate_on_grid(bad, reduced)
         assert err.value.knot[0] > 0.9
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_value_names_knot(self, smolyak_cc_unit_w3, bad):
+        _, reduced = smolyak_cc_unit_w3
+        with pytest.raises(EvaluationError, match="non-finite") as err:
+            quadrature(lambda y: bad if y[0] > 0.9 else 1.0, reduced)
+        assert err.value.knot[0] > 0.9
+
     def test_workers_match_serial(self, smolyak_cc_unit_w3):
         _, reduced = smolyak_cc_unit_w3
         serial = evaluate_on_grid(EXPSUM, reduced)

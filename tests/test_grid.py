@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from conftest import downward_closed_sets
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import sparsegrids as sg
 from sparsegrids.grid import reduce_grid
-from sparsegrids.midx import combination_coefficients
+from sparsegrids.midx import combination_coefficients, reduced_margin
 
 
 class TestBuildTensorGrid:
@@ -225,3 +228,33 @@ class TestDedupToleranceIndependence:
             results.append(interpolate(grid, reduced, table, pts))
         assert np.allclose(results[0], results[1], atol=1e-13, rtol=0)
         assert np.allclose(results[0], results[2], atol=1e-13, rtol=0)
+
+
+class TestAddOneIndexProperty:
+    # a coefficient of -3 turning into -2: rescaling the old weights by 2/3
+    # rounds differently from a cold build
+    @example(
+        s=sg.MultiIndexSet([(1, 1, 1, 1), (1, 1, 1, 2), (1, 1, 1, 3), (1, 1, 2, 1),
+                            (1, 1, 2, 2), (1, 1, 3, 1), (1, 2, 1, 1), (1, 2, 2, 1),
+                            (1, 3, 1, 1), (2, 1, 1, 1), (2, 1, 1, 2), (2, 1, 2, 1)]),
+        lm=sg.LevelMap.DOUBLING,
+        fam=sg.cc_family(0, 1),
+    )
+    @given(
+        s=downward_closed_sets(max_extra=10),
+        lm=st.sampled_from([sg.LevelMap.LINEAR, sg.LevelMap.DOUBLING]),
+        fam=st.sampled_from([sg.cc_family(0, 1),
+                             sg.gauss_family(sg.DistributionSpec.uniform(-1, 2))]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_equals_cold_build_on_the_union(self, s, lm, fam):
+        grid = sg.build_sparse_grid(s, fam, lm)
+        coeffs = combination_coefficients(s)
+        for idx in reduced_margin(s):
+            grown = sg.add_one_index(idx, grid, s, coeffs, fam, lm)
+            cold = sg.build_sparse_grid(s.union([idx]), fam, lm)
+            assert [(t.idx, t.coeff) for t in grown.tensors] == [
+                (t.idx, t.coeff) for t in cold.tensors]
+            for a, b in zip(grown.tensors, cold.tensors):
+                assert np.array_equal(a.weights, b.weights)
+                assert np.array_equal(a.knots, b.knots)

@@ -8,6 +8,7 @@ import sparsegrids as sg
 from sparsegrids.adaptive import AdaptControls, adapt, serialize_state
 from sparsegrids.cli import cli_main
 from sparsegrids.evalkit import evaluate_on_grid, quadrature
+from sparsegrids import testfunctions
 from sparsegrids.gridio import GridBundle, GridFileError, export_points, load_grid, save_grid
 
 EXPSUM = lambda y: math.exp(float(np.sum(y)))
@@ -362,3 +363,68 @@ class TestStructuralValidation:
         }))
         with pytest.raises(GridFileError, match="structurally invalid"):
             load_grid(path)
+
+
+def _corrupt(doc, field):
+    red = doc["reduced"]
+    if field == "values":
+        doc["values"] = [row[:-2] for row in doc["values"]]
+    elif field == "n":
+        red["n"] = red["n"][:-1]
+    elif field == "m":
+        red["m"][1] = red["m"][0]
+    elif field == "knots":
+        red["knots"][0][3] += 1e-3
+    elif field == "weights":
+        red["weights"] = [0.0] * len(red["weights"])
+
+
+class TestReducedValidation:
+    @pytest.mark.parametrize("field", ["values", "n", "m", "knots", "weights"])
+    def test_inconsistent_field_is_named(self, saved_bundle, field):
+        path = saved_bundle[0]
+        doc = json.load(open(path))
+        _corrupt(doc, field)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(GridFileError, match=f"'{field}'"):
+            load_grid(path)
+
+    def test_adapted_grid_file_loads(self, tmp_path):
+        res = adapt(EXPSUM, 2, sg.leja_family(-1, 1), sg.LevelMap.LINEAR,
+                    controls=AdaptControls(nested=True, max_pts=40))
+        path = tmp_path / "ad.json"
+        save_grid(path, res.extended, res.reduced, res.values_on_reduced,
+                  serialize_state(res.internal))
+        assert np.array_equal(load_grid(path).reduced.weights, res.reduced.weights)
+
+
+class TestCLIFailures:
+    ADAPT = ["adapt", "--dim", "2", "--fn", "expsum", "--knots", "cc", "--domain", "0,1x0,1",
+             "--nested", "--max-pts", "40"]
+
+    @pytest.fixture
+    def nan_fn(self, monkeypatch):
+        monkeypatch.setitem(testfunctions.TEST_FUNCTIONS, "nanfn",
+                            lambda y: float("nan") if y[0] > 0.9 else 1.0)
+
+    def test_quad_non_finite_exits_2(self, tmp_path, capsys, nan_fn):
+        gpath = str(tmp_path / "g.json")
+        cli_main(["build", "--dim", "2", "--w", "3", "--domain", "0,1x0,1", "-o", gpath])
+        assert cli_main(["quad", "--grid", gpath, "--fn", "nanfn"]) == 2
+        assert "non-finite" in capsys.readouterr().err
+
+    def test_adapt_non_finite_exits_2(self, tmp_path, capsys, nan_fn):
+        argv = [a if a != "expsum" else "nanfn" for a in self.ADAPT]
+        assert cli_main(argv + ["-o", str(tmp_path / "ad.json")]) == 2
+        assert "non-finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("change", [
+        ["--domain=-5,5"], ["--lev2knots", "linear"], ["--dim", "3", "--domain", "0,1"],
+        ["--knots", "leja"],
+    ])
+    def test_resume_mismatch_is_a_usage_error(self, tmp_path, capsys, change):
+        first = str(tmp_path / "ad.json")
+        assert cli_main(self.ADAPT + ["-o", first]) == 0
+        argv = self.ADAPT + change + ["--resume", first, "-o", str(tmp_path / "ad2.json")]
+        assert cli_main(argv) == 1
+        assert "do not match" in capsys.readouterr().err

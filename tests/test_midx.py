@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import downward_closed_sets
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,6 +11,7 @@ from sparsegrids.levels import LevelMap
 from sparsegrids.midx import (
     ClosureError,
     MultiIndexSet,
+    _signed_neighbours,
     box_set,
     combination_coefficients,
     fast_td_set,
@@ -241,3 +243,32 @@ class TestCombinationCoefficients:
         table = {idx: rng.standard_normal() for idx in box}
         total = sum(c * table[idx] for idx, c in coeffs.items())
         assert total == pytest.approx(table[upper], abs=1e-12)
+
+
+def product_order_neighbours(idx, members, step):
+    """Oracle: every binary offset in itertools.product order, filtered."""
+    out = []
+    for offsets in itertools.product((0, 1), repeat=len(idx)):
+        neighbour = tuple(v + step * o for v, o in zip(idx, offsets))
+        if neighbour in members:
+            out.append((-1 if sum(offsets) % 2 else 1, neighbour))
+    return out
+
+
+class TestSignedNeighbours:
+    @given(downward_closed_sets())
+    @settings(max_examples=60, deadline=None)
+    def test_walk_equals_product_order(self, s):
+        members = s._members
+        for idx in s:
+            for step in (1, -1):
+                walked = list(_signed_neighbours(idx, members.__contains__, step))
+                assert walked == product_order_neighbours(idx, members, step)
+
+    @given(downward_closed_sets())
+    @settings(max_examples=60, deadline=None)
+    def test_coefficients_equal_brute_force_sum(self, s):
+        coeffs = combination_coefficients(s)
+        for idx in s:
+            assert coeffs[idx] == sum(sign for sign, _ in product_order_neighbours(idx, s, 1))
+        assert sum(coeffs.values()) == 1
