@@ -60,14 +60,6 @@ class TensorGrid:
     m: tuple[int, ...]
     coeff: int
 
-    def with_coeff(self, coeff: int) -> "TensorGrid":
-        if coeff == self.coeff:
-            return self
-        w = self.weights * (coeff / self.coeff)
-        w.flags.writeable = False
-        return TensorGrid(self.idx, self.knots, w, self.size,
-                          self.knots_per_dim, self.m, coeff)
-
 
 @dataclass(frozen=True)
 class SparseGrid:
@@ -268,12 +260,14 @@ def add_one_index(
 
 
 def dedup_tolerances(knots: np.ndarray, tol: float | None = None) -> np.ndarray:
-    """Per-dimension dedup tolerance: tol * max(1, coordinate range)."""
+    """Per-dimension dedup tolerance: tol * max(1, coordinate range,
+    largest coordinate magnitude), so lattice keys fit in int64 wherever
+    the domain lies."""
     base = DEFAULT_DEDUP_TOL if tol is None else float(tol)
     if knots.size == 0:
         return np.full(knots.shape[0], base)
-    spread = knots.max(axis=1) - knots.min(axis=1)
-    return base * np.maximum(1.0, spread)
+    lo, hi = knots.min(axis=1), knots.max(axis=1)
+    return base * np.maximum(1.0, np.maximum(hi - lo, np.maximum(-lo, hi)))
 
 
 def lattice_keys(points: np.ndarray, tols: np.ndarray) -> list[tuple[int, ...]]:

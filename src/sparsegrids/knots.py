@@ -5,7 +5,9 @@ distribution, so weights always sum to one.  Gauss rules come from the
 eigendecomposition of the three-term recurrence matrix; Clenshaw-Curtis
 weights from an FFT; Leja-type sequences from a greedy log-domain search
 with quadrature weights obtained by integrating the Lagrange basis with
-an auxiliary Gauss rule.
+an auxiliary Gauss rule.  The densities, the standard-variable maps and
+the recurrence coefficients also serve the orthonormal polynomials of
+``pce``.
 """
 
 from __future__ import annotations
@@ -122,43 +124,11 @@ class DistributionSpec:
         return self.params[:2]
 
     def pdf(self, y):
-        y = np.asarray(y, dtype=float)
-        p = self.params
-        if self.kind == "uniform":
-            a, b = p
-            return np.where((y >= a) & (y <= b), 1.0 / (b - a), 0.0)
-        if self.kind == "normal":
-            mu, sig = p
-            return np.exp(-0.5 * ((y - mu) / sig) ** 2) / (sig * math.sqrt(2 * math.pi))
-        if self.kind == "exponential":
-            lam = p[0]
-            return np.where(y >= 0, lam * np.exp(-lam * y), 0.0)
-        if self.kind == "gamma":
-            alpha, beta = p
-            out = np.zeros_like(y, dtype=float)
-            pos = y > 0
-            out[pos] = np.exp(
-                (alpha + 1) * math.log(beta)
-                + alpha * np.log(y[pos])
-                - beta * y[pos]
-                - math.lgamma(alpha + 1)
-            )
-            return out
-        a, b, alpha, beta = p
-        out = np.zeros_like(y, dtype=float)
-        inside = (y > a) & (y < b)
-        lognorm = (
-            math.lgamma(alpha + beta + 2)
-            - math.lgamma(alpha + 1)
-            - math.lgamma(beta + 1)
-            - (alpha + beta + 1) * math.log(b - a)
-        )
-        out[inside] = np.exp(
-            lognorm + alpha * np.log(y[inside] - a) + beta * np.log(b - y[inside])
-        )
-        return out
+        return np.exp(self.log_pdf(y))
 
     def log_pdf(self, y):
+        """Log density, -inf off the support.  An endpoint belongs to the
+        support exactly when its exponent is 0 (gamma at 0, beta at a or b)."""
         y = np.asarray(y, dtype=float)
         p = self.params
         if self.kind == "uniform":
@@ -180,6 +150,8 @@ class DistributionSpec:
                 - beta * y[pos]
                 - math.lgamma(alpha + 1)
             )
+            if alpha == 0:
+                out[y == 0] = math.log(beta)
             return out
         a, b, alpha, beta = p
         out = np.full_like(y, -np.inf, dtype=float)
@@ -191,6 +163,10 @@ class DistributionSpec:
             - (alpha + beta + 1) * math.log(b - a)
         )
         out[inside] = lognorm + alpha * np.log(y[inside] - a) + beta * np.log(b - y[inside])
+        if alpha == 0:
+            out[y == a] = lognorm + beta * math.log(b - a)
+        if beta == 0:
+            out[y == b] = lognorm + alpha * math.log(b - a)
         return out
 
 
@@ -287,6 +263,19 @@ def _standard_to_native(dist: DistributionSpec, x: np.ndarray) -> np.ndarray:
     return x / p[1]  # gamma: standard variable is beta*y
 
 
+def _native_to_standard(dist: DistributionSpec, y: np.ndarray) -> np.ndarray:
+    """Map points from y-space to the standard variable of the recurrence."""
+    p = dist.params
+    if dist.kind in ("uniform", "beta"):
+        a, b = p[0], p[1]
+        return (2.0 * y - a - b) / (b - a)
+    if dist.kind == "normal":
+        return (y - p[0]) / p[1]
+    if dist.kind == "exponential":
+        return p[0] * y
+    return p[1] * y  # gamma
+
+
 def gauss_knots(dist: DistributionSpec, count: int) -> Rule1D:
     """Gauss rule with ``count`` nodes for ``dist``.
 
@@ -332,7 +321,8 @@ def cc_knots(count: int, a: float, b: float) -> Rule1D:
     if count < 1:
         raise ParameterError("count must be >= 1")
     if count == 1:
-        return _freeze([(a + b) / 2.0], [1.0])
+        # the middle node of every odd rule below, bitwise, so the family nests
+        return _freeze([a + (b - a) / 2.0], [1.0])
     if count == 2:
         x = np.array([1.0, -1.0])
         w = np.array([0.5, 0.5])
@@ -442,28 +432,31 @@ def _next_leja_node(existing: np.ndarray, lo: float, hi: float, log_weight=None)
     return refined
 
 
-def _leja_sequence(count: int, a: float, b: float, variant: str) -> np.ndarray:
-    mid = (a + b) / 2.0
-    if variant == "p_disk":
-        phi = [0.0, math.pi, math.pi / 2.0]
-        j = 0
-        while len(phi) < count:
-            phi.append(phi[j + 2] / 2.0)
-            phi.append(phi[j + 2] / 2.0 + math.pi)
-            j += 1
-        x = np.cos(phi[:count])
-        return a + (b - a) * (x + 1.0) / 2.0
-    nodes = [b, a, mid][:count]
+def _leja_sequence(count: int, start, lo: float, hi: float, log_weight=None,
+                   centre: float | None = None, anchor: float | None = None) -> np.ndarray:
+    """Greedy Leja sequence of ``count`` nodes that begins with ``start``.
+
+    Each further node maximizes the distance product to the nodes before
+    it, times exp(log_weight), over [lo, hi]; with ``centre`` its mirror
+    image ``centre - (t - centre)`` follows it.  With ``anchor`` the
+    interval truncates an unbounded support: a node within 1% of the
+    interval's width from an end other than the anchor doubles the
+    interval about the anchor, and the search repeats.
+    """
+    nodes = list(start[:count])
     while len(nodes) < count:
         arr = np.asarray(nodes)
-        if variant == "symmetric" and len(nodes) % 2 == 1:
-            t = _next_leja_node(arr, a, b)
-            nodes.append(t)
-            if len(nodes) < count:
-                nodes.append(mid - (t - mid))
-        else:
-            nodes.append(_next_leja_node(arr, a, b))
-    return np.asarray(nodes[:count])
+        t = _next_leja_node(arr, lo, hi, log_weight)
+        while anchor is not None and (
+            (hi > anchor and hi - t <= 0.01 * (hi - lo))
+            or (lo < anchor and t - lo <= 0.01 * (hi - lo))
+        ):
+            lo, hi = anchor - 2 * (anchor - lo), anchor + 2 * (hi - anchor)
+            t = _next_leja_node(arr, lo, hi, log_weight)
+        nodes.append(t)
+        if centre is not None and len(nodes) < count:
+            nodes.append(centre - (t - centre))
+    return np.asarray(nodes)
 
 
 def _lagrange_quadrature_weights(nodes: np.ndarray, dist: DistributionSpec) -> np.ndarray:
@@ -488,62 +481,29 @@ def leja_knots(count: int, a: float, b: float, variant: str = "standard") -> Rul
         raise ParameterError("count must be >= 1")
     if variant not in ("standard", "symmetric", "p_disk"):
         raise UnsupportedVariantError(f"unknown Leja variant {variant!r}")
-    nodes = _leja_sequence(count, a, b, variant)
+    if variant == "p_disk":
+        phi = [0.0, math.pi, math.pi / 2.0]
+        j = 0
+        while len(phi) < count:
+            phi.append(phi[j + 2] / 2.0)
+            phi.append(phi[j + 2] / 2.0 + math.pi)
+            j += 1
+        nodes = a + (b - a) * (np.cos(phi[:count]) + 1.0) / 2.0
+    else:
+        mid = (a + b) / 2.0
+        centre = mid if variant == "symmetric" else None
+        nodes = _leja_sequence(count, [b, a, mid], a, b, centre=centre)
     w = _lagrange_quadrature_weights(nodes, DistributionSpec.uniform(a, b))
     return _freeze(nodes, w)
-
-
-def _weighted_leja_interval(dist: DistributionSpec) -> tuple[float, float]:
-    p = dist.params
-    if dist.kind == "normal":
-        return (p[0] - 10.0 * p[1], p[0] + 10.0 * p[1])
-    if dist.kind == "exponential":
-        return (0.0, 40.0 / p[0])
-    if dist.kind == "gamma":
-        return (0.0, 40.0 * (p[0] + 1.0) / p[1])
-    return dist.support
-
-
-def _weighted_leja_sequence(count: int, dist: DistributionSpec, variant: str) -> np.ndarray:
-    lo, hi = _weighted_leja_interval(dist)
-    bounded = dist.kind in ("uniform", "beta")
-
-    def log_weight(t):
-        return 0.5 * dist.log_pdf(t)
-
-    if variant == "symmetric":
-        center = dist.params[0] if dist.kind == "normal" else sum(dist.params[:2]) / 2.0
-    nodes: list[float] = []
-    while len(nodes) < count:
-        arr = np.asarray(nodes)
-        if variant == "symmetric" and len(nodes) % 2 == 0 and nodes:
-            nodes.append(center - (nodes[-1] - center))
-            continue
-        while True:
-            t = _next_leja_node(arr, lo, hi, log_weight)
-            if bounded:
-                break
-            width = hi - lo
-            near_hi = (hi - t) <= 0.01 * width
-            near_lo = dist.kind == "normal" and (t - lo) <= 0.01 * width
-            if not (near_hi or near_lo):
-                break
-            # widen the truncated search interval and retry
-            if dist.kind == "normal":
-                mu = dist.params[0]
-                lo, hi = mu - 2 * (mu - lo), mu + 2 * (hi - mu)
-            else:
-                hi = 2 * hi
-        nodes.append(t)
-    return np.asarray(nodes[:count])
 
 
 def weighted_leja_knots(count: int, dist: DistributionSpec, variant: str = "standard") -> Rule1D:
     """Density-weighted Leja sequence for ``dist``.
 
     Each node maximizes sqrt(pdf) times the distance product over the
-    (possibly truncated) support; the symmetric variant mirrors every other
-    node about the center and exists only for normal and beta variables.
+    (possibly truncated) support.  The symmetric variant exists only for
+    normal and beta variables: it starts at the centre (the mean, or the
+    interval midpoint) and follows each computed node by its mirror image.
     """
     if count < 1:
         raise ParameterError("count must be >= 1")
@@ -553,7 +513,21 @@ def weighted_leja_knots(count: int, dist: DistributionSpec, variant: str = "stan
         raise UnsupportedVariantError(
             f"symmetric weighted Leja not available for {dist.kind} variables"
         )
-    nodes = _weighted_leja_sequence(count, dist, variant)
+    p = dist.params
+    lo, hi = dist.support
+    anchor = None
+    if dist.kind == "normal":
+        lo, hi, anchor = p[0] - 10.0 * p[1], p[0] + 10.0 * p[1], p[0]
+    elif dist.kind == "exponential":
+        hi, anchor = 40.0 / p[0], 0.0
+    elif dist.kind == "gamma":
+        hi, anchor = 40.0 * (p[0] + 1.0) / p[1], 0.0
+    start, centre = [], None
+    if variant == "symmetric":
+        centre = p[0] if dist.kind == "normal" else (p[0] + p[1]) / 2.0
+        start = [centre]
+    nodes = _leja_sequence(count, start, lo, hi, lambda t: 0.5 * dist.log_pdf(t),
+                           centre, anchor)
     w = _lagrange_quadrature_weights(nodes, dist)
     return _freeze(nodes, w)
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .evalkit import Domain, _tensor_values, _value_matrix
 from .grid import ReducedGrid, SparseGrid, _tensor_product_columns
-from .knots import DistributionSpec, recurrence_coefficients
+from .knots import DistributionSpec, _native_to_standard, recurrence_coefficients
 from .midx import MultiIndexSet
 
 __all__ = [
@@ -29,22 +29,14 @@ __all__ = [
     "sobol_indices",
 ]
 
-PCE_FAMILIES = (
-    "legendre",
-    "hermite",
-    "laguerre",
-    "generalized_laguerre",
-    "jacobi_prob",
-    "chebyshev",
-)
-
-# family -> distribution kind it is orthonormal against
-_FAMILY_OF_KIND = {
-    "uniform": "legendre",
-    "normal": "hermite",
-    "exponential": "laguerre",
-    "gamma": "generalized_laguerre",
-    "beta": "jacobi_prob",
+# polynomial family -> the distribution kind it is orthonormal against
+PCE_FAMILIES = {
+    "legendre": "uniform",
+    "hermite": "normal",
+    "laguerre": "exponential",
+    "generalized_laguerre": "gamma",
+    "jacobi_prob": "beta",
+    "chebyshev": "beta",
 }
 
 
@@ -75,49 +67,24 @@ class PCExpansion:
         return self.lambda_set.dim
 
 
-def _standardize(family: str, params, y: np.ndarray) -> np.ndarray:
-    """Map points to the standard variable of the recurrence."""
-    if family in ("legendre", "jacobi_prob", "chebyshev"):
-        a, b = params[0], params[1]
-        return (2.0 * y - a - b) / (b - a)
-    if family == "hermite":
-        mu, sigma = params
-        return (y - mu) / sigma
-    if family == "laguerre":
-        return params[0] * y
-    if family == "generalized_laguerre":
-        return params[1] * y
-    raise ValueError(f"unknown polynomial family {family!r}")
-
-
-def _recurrence_for(family: str, params, n: int):
-    if family == "legendre":
-        dist = DistributionSpec.uniform(-1.0, 1.0)
-    elif family == "hermite":
-        dist = DistributionSpec.normal(0.0, 1.0)
-    elif family == "laguerre":
-        dist = DistributionSpec.exponential(1.0)
-    elif family == "generalized_laguerre":
-        dist = DistributionSpec.gamma(params[0], 1.0)
-    elif family == "jacobi_prob":
-        # orthonormal against the beta density; the (y-a) exponent plays
-        # the classical Jacobi beta role after mapping to [-1, 1]
-        dist = DistributionSpec.beta(-1.0, 1.0, params[2], params[3])
-    elif family == "chebyshev":
-        dist = DistributionSpec.beta(-1.0, 1.0, -0.5, -0.5)
-    else:
+def _family_dist(family: str, params) -> DistributionSpec:
+    """The distribution whose orthonormal polynomials ``family`` names;
+    chebyshev's ``params`` are the interval (a, b)."""
+    if family not in PCE_FAMILIES:
         raise ValueError(f"unknown polynomial family {family!r}")
-    return recurrence_coefficients(dist, n)
+    if family == "chebyshev":
+        return DistributionSpec.beta(params[0], params[1], -0.5, -0.5)
+    return DistributionSpec(PCE_FAMILIES[family], tuple(params))
 
 
-def _orthonormal_table(family: str, params, max_degree: int, y: np.ndarray) -> np.ndarray:
+def _orthonormal_table(dist: DistributionSpec, max_degree: int, y: np.ndarray) -> np.ndarray:
     """P_d(y) for d = 0..max_degree; shape (max_degree + 1, len(y)).
 
     Three-term recurrence in orthonormal normalization:
     sqrt(beta[d+1]) P_{d+1} = (x - alpha[d]) P_d - sqrt(beta[d]) P_{d-1}.
     """
-    x = _standardize(family, params, np.asarray(y, dtype=float))
-    alpha, beta = _recurrence_for(family, params, max_degree + 2)
+    x = _native_to_standard(dist, np.asarray(y, dtype=float))
+    alpha, beta = recurrence_coefficients(dist, max_degree + 2)
     out = np.empty((max_degree + 1, x.size))
     out[0] = 1.0
     if max_degree >= 1:
@@ -143,7 +110,7 @@ def eval_orthonormal(family: str, degrees, points, params) -> np.ndarray:
     points = np.atleast_2d(np.asarray(points, dtype=float))
     out = np.ones(points.shape[1])
     for n, d in enumerate(degrees):
-        table = _orthonormal_table(family, tuple(params[n]), d, points[n])
+        table = _orthonormal_table(_family_dist(family, params[n]), d, points[n])
         out = out * table[d]
     return out
 
@@ -156,7 +123,7 @@ def _params_from_grid(grid: SparseGrid, domain: Domain, family: str):
         if family == "chebyshev":
             params.append((float(domain.lower[n]), float(domain.upper[n])))
             continue
-        if dist is None or _FAMILY_OF_KIND.get(dist.kind) != family:
+        if dist is None or PCE_FAMILIES.get(family) != dist.kind:
             raise ValueError(
                 f"family {family!r} does not match the grid distribution in dimension {n}"
             )
@@ -175,13 +142,14 @@ def convert_to_modal(grid: SparseGrid, reduced: ReducedGrid, values, domain: Dom
     """
     tensor_values = _tensor_values(grid, reduced, values)
     params = _params_from_grid(grid, domain, family)
+    dists = [_family_dist(family, p) for p in params]
     coeff_map: dict[tuple[int, ...], np.ndarray] = {}
     for t, tv in tensor_values:
         n_out = tv.shape[0]
         block = tv.T.reshape(list(t.m) + [n_out], order="F")
         for n in range(grid.dim):
             nodes = t.knots_per_dim[n]
-            table = _orthonormal_table(family, params[n], t.m[n] - 1, nodes)
+            table = _orthonormal_table(dists[n], t.m[n] - 1, nodes)
             vander = table.T  # rows: nodes, cols: degrees
             if nodes.size != np.unique(nodes).size:
                 raise np.linalg.LinAlgError(
@@ -213,7 +181,8 @@ def evaluate_pce(expansion: PCExpansion, points) -> np.ndarray:
     degrees = expansion.lambda_set.rows
     max_deg = degrees.max(axis=0)
     tables = [
-        _orthonormal_table(expansion.family, expansion.params[n], int(max_deg[n]), points[n])
+        _orthonormal_table(_family_dist(expansion.family, expansion.params[n]),
+                           int(max_deg[n]), points[n])
         for n in range(expansion.dim)
     ]
     basis = np.ones((len(expansion.lambda_set), points.shape[1]))

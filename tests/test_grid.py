@@ -258,3 +258,25 @@ class TestAddOneIndexProperty:
             for a, b in zip(grown.tensors, cold.tensors):
                 assert np.array_equal(a.weights, b.weights)
                 assert np.array_equal(a.knots, b.knots)
+
+
+class TestAffineInvariance:
+    # the dedup tolerance grows with the coordinates' magnitude, so lattice
+    # keys of knots far from the origin stay within int64
+    @example(shift=1e5, scale=1.0, make=sg.cc_family)
+    @example(shift=-3e7, scale=1.0, make=sg.leja_family)
+    @given(
+        shift=st.floats(-1e7, 1e7),
+        scale=st.floats(1e-2, 1e2),
+        make=st.sampled_from([sg.cc_family, sg.leja_family]),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_reduced_size_and_linear_integral(self, shift, scale, make):
+        rule, lm = sg.preset("SM")
+        a, b = shift, shift + scale
+        unit = reduce_grid(sg.build_sparse_grid_from_rule(2, 3, make(0.0, 1.0), lm, rule))
+        reduced = reduce_grid(sg.build_sparse_grid_from_rule(2, 3, make(a, b), lm, rule))
+        assert reduced.size == unit.size
+        integral, _ = sg.quadrature(lambda y: np.sum((y - a) / (b - a)), reduced)
+        # the knots resolve the domain only to the float spacing at |shift|
+        assert integral[0] == pytest.approx(1.0, abs=1e-13 * (1.0 + abs(shift) / scale))

@@ -138,6 +138,11 @@ class TestClenshawCurtis:
         assert rule.nodes == pytest.approx([0.5])
         assert rule.weights == pytest.approx([1.0])
 
+    @pytest.mark.parametrize("a,b", [(0.1, 0.7), (-0.3, 1.1), (-2.2, 0.7)])
+    def test_single_point_nests_bitwise(self, a, b):
+        # (a+b)/2 differs in the last bit here; dedup must see one knot
+        assert cc_knots(1, a, b).nodes[0] == cc_knots(3, a, b).nodes[1]
+
     def test_domain_error(self):
         with pytest.raises(ParameterError):
             cc_knots(3, 1.0, 0.0)
@@ -209,6 +214,26 @@ class TestWeightedLeja:
         for deg in range(5):
             got = float(np.sum(rule.weights * rule.nodes**deg))
             assert got == pytest.approx(exact_moment(dist, deg), rel=1e-8, abs=1e-8)
+
+    def test_symmetric_starts_at_centre(self):
+        rule = weighted_leja_knots(1, DistributionSpec.normal(0.3, 2.0), "symmetric")
+        assert rule.nodes[0] == 0.3
+
+    @pytest.mark.parametrize("zero_exponent,same", [
+        (DistributionSpec.beta(-1.0, 1.0, 0.0, 0.0), DistributionSpec.uniform(-1.0, 1.0)),
+        (DistributionSpec.beta(0.5, 2.0, 0.0, 0.0), DistributionSpec.uniform(0.5, 2.0)),
+        (DistributionSpec.gamma(0.0, 1.5), DistributionSpec.exponential(1.5)),
+    ], ids=["beta-unit", "beta-shifted", "gamma"])
+    def test_zero_exponent_endpoint_is_in_the_support(self, zero_exponent, same):
+        # a zero exponent leaves a finite density at its endpoint
+        for n in range(1, 8):
+            assert np.array_equal(weighted_leja_knots(n, zero_exponent).nodes,
+                                  weighted_leja_knots(n, same).nodes), n
+
+    def test_symmetric_flat_beta(self):
+        rule = weighted_leja_knots(3, DistributionSpec.beta(-1.0, 1.0, 0.0, 0.0), "symmetric")
+        assert np.allclose(rule.nodes, [0.0, 1.0, -1.0], rtol=0, atol=1e-12)
+        assert np.allclose(rule.weights, [2 / 3, 1 / 6, 1 / 6], rtol=0, atol=1e-12)
 
     def test_symmetric_rejected_for_unsymmetric(self):
         with pytest.raises(UnsupportedVariantError):
@@ -293,6 +318,9 @@ ALL_RULES = [
     ("wleja-exp", lambda n: weighted_leja_knots(n, DistributionSpec.exponential(1.0)), range(1, 11)),
     ("wleja-gamma", lambda n: weighted_leja_knots(n, DistributionSpec.gamma(2.0, 1.0)), range(1, 11)),
     ("wleja-beta", lambda n: weighted_leja_knots(n, DISTS[4]), range(1, 11)),
+    ("wleja-sym-normal", lambda n: weighted_leja_knots(n, DistributionSpec.normal(0, 1), "symmetric"), range(1, 11)),
+    ("wleja-flat-beta", lambda n: weighted_leja_knots(n, DistributionSpec.beta(-1, 1, 0, 0)), range(1, 11)),
+    ("wleja-sym-flat-beta", lambda n: weighted_leja_knots(n, DistributionSpec.beta(-1, 1, 0, 0), "symmetric"), range(1, 11)),
     ("trap", lambda n: trap_knots(n, 0.0, 1.0), range(2, 11)),
     ("midpoint", lambda n: midpoint_knots(n, 0.0, 1.0), range(1, 11)),
     ("gk", gk_knots, (1, 3, 9)),
