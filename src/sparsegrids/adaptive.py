@@ -24,6 +24,7 @@ from .grid import (
     _kron_rows,
     _normalize_families,
     _tensor_product_columns,
+    _tensor_weights,
     build_sparse_grid,
     build_tensor_grid,
     dedup_tolerances,
@@ -127,6 +128,8 @@ class AdaptState:
     active_dims: int = 0
     tols: np.ndarray | None = None
     rules: dict = field(default_factory=dict, init=False, repr=False, compare=False)  # evalkit._rule_key
+    # multi-index -> value matrix of its tensor grid, from _tensor_values
+    tensor_values: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def nb_pts_visited(self) -> int:
@@ -212,10 +215,25 @@ def _tensor_rule(state: AdaptState, idx):
     return build_tensor_grid(idx, state.families, state.level_map, coeff=1)
 
 
+def _tensor_values(state: AdaptState, idx) -> np.ndarray:
+    """Values on the tensor grid of ``idx`` (outputs x knots), gathered once
+    per run.  The entry is committed only after every value arrived, so a
+    failing function leaves none for the tensor."""
+    vals = state.tensor_values.get(idx)
+    if vals is None:
+        vals = _values_at(state, _tensor_rule(state, idx).knots)
+        state.tensor_values[idx] = vals
+    return vals
+
+
 def _detail_terms(state: AdaptState, candidate):
-    """(sign, tensor) pairs of the candidate's hierarchical detail."""
-    return [(sign, _tensor_rule(state, neighbor))
-            for sign, neighbor in _signed_neighbours(candidate, lambda i: min(i) >= 1, -1)]
+    """(sign, 1D rules, values) of each tensor in the candidate's
+    hierarchical detail."""
+    # every rule first: a level beyond a tabulated family raises before f runs
+    terms = [(sign, idx, [fam(apply_level_map(state.level_map, v))
+                          for fam, v in zip(state.families, idx)])
+             for sign, idx in _signed_neighbours(candidate, lambda i: min(i) >= 1, -1)]
+    return [(sign, rules, _tensor_values(state, idx)) for sign, idx, rules in terms]
 
 
 def _new_knots_of(state: AdaptState, candidate) -> np.ndarray:
@@ -241,9 +259,8 @@ def error_indicator_quad(candidate, state: AdaptState) -> float:
     """
     candidate = tuple(int(v) for v in candidate)
     total = None
-    for sign, tensor in _detail_terms(state, candidate):
-        vals = _values_at(state, tensor.knots)
-        q = vals @ tensor.weights
+    for sign, rules, vals in _detail_terms(state, candidate):
+        q = vals @ _tensor_weights(rules, 1)
         total = sign * q if total is None else total + sign * q
     return float(np.max(np.abs(total)))
 
@@ -262,9 +279,8 @@ def error_indicator_point(candidate, state: AdaptState) -> float:
         test_pts = _tensor_rule(state, candidate).knots
     bases = {}  # the detail terms share two 1D rules per dimension
     delta = None
-    for sign, tensor in _detail_terms(state, candidate):
-        vals = _values_at(state, tensor.knots)
-        keys = [_rule_key(state.rules, n, nodes) for n, nodes in enumerate(tensor.knots_per_dim)]
+    for sign, rules, vals in _detail_terms(state, candidate):
+        keys = [_rule_key(state.rules, n, r.nodes) for n, r in enumerate(rules)]
         for key in keys:
             if key not in bases:
                 nodes, bw = state.rules[key]
@@ -429,7 +445,7 @@ def adapt(
     try:
         if not state.accepted:
             root = (1,) * dim
-            _values_at(state, _tensor_rule(state, root).knots)
+            _tensor_values(state, root)
             additions = _margin_additions(state, {root}, state.visible_dims(), [root])
             state.accepted.append(root)
             state.history.append(root)

@@ -109,8 +109,16 @@ def _normalize_families(families, dim: int) -> tuple[KnotFamily, ...]:
     return families
 
 
+# np.meshgrid broadcasts its arrays together, which numpy allows for at
+# most 32 arrays
+_MAX_TENSOR_DIM = 32
+
+
 def _tensor_product_columns(arrays: Sequence[np.ndarray]) -> np.ndarray:
     """Stack the cartesian product; first array varies fastest."""
+    if len(arrays) > _MAX_TENSOR_DIM:
+        raise ValueError(f"tensor grids are limited to {_MAX_TENSOR_DIM} dimensions, "
+                         f"requested dim={len(arrays)}")
     grids = np.meshgrid(*arrays, indexing="ij")
     return np.stack([g.reshape(-1, order="F") for g in grids], axis=0)
 

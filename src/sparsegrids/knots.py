@@ -13,6 +13,7 @@ the recurrence coefficients also serve the orthonormal polynomials of
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -432,9 +433,26 @@ def _next_leja_node(existing: np.ndarray, lo: float, hi: float, log_weight=None)
     return refined
 
 
-def _leja_sequence(count: int, start, lo: float, hi: float, log_weight=None,
+@dataclass
+class _LejaPrefix:
+    """The longest greedy Leja sequence computed so far for one set of
+    inputs, with the search interval where its anchor doubling stopped."""
+
+    nodes: list
+    lo: float
+    hi: float
+
+
+# one prefix per Leja sequence, shared by every family instance in the
+# process; extension holds the lock, so concurrent callers never search twice
+_LEJA_PREFIXES: dict[tuple, _LejaPrefix] = {}
+_LEJA_LOCK = threading.Lock()
+
+
+def _leja_sequence(key: tuple, count: int, start, lo: float, hi: float, log_weight=None,
                    centre: float | None = None, anchor: float | None = None) -> np.ndarray:
-    """Greedy Leja sequence of ``count`` nodes that begins with ``start``.
+    """First ``count`` nodes of the greedy Leja sequence that begins with
+    ``start``.
 
     Each further node maximizes the distance product to the nodes before
     it, times exp(log_weight), over [lo, hi]; with ``centre`` its mirror
@@ -442,21 +460,30 @@ def _leja_sequence(count: int, start, lo: float, hi: float, log_weight=None,
     interval truncates an unbounded support: a node within 1% of the
     interval's width from an end other than the anchor doubles the
     interval about the anchor, and the search repeats.
+
+    ``key`` names the sequence the other arguments define.  The longest
+    prefix computed so far is kept under it and extended, so every count
+    is a prefix of the same sequence and no node is searched for twice.
     """
-    nodes = list(start[:count])
-    while len(nodes) < count:
-        arr = np.asarray(nodes)
-        t = _next_leja_node(arr, lo, hi, log_weight)
-        while anchor is not None and (
-            (hi > anchor and hi - t <= 0.01 * (hi - lo))
-            or (lo < anchor and t - lo <= 0.01 * (hi - lo))
-        ):
-            lo, hi = anchor - 2 * (anchor - lo), anchor + 2 * (hi - anchor)
+    with _LEJA_LOCK:
+        prefix = _LEJA_PREFIXES.get(key)
+        if prefix is None:
+            prefix = _LEJA_PREFIXES[key] = _LejaPrefix([float(v) for v in start], lo, hi)
+        nodes, lo, hi = prefix.nodes, prefix.lo, prefix.hi
+        while len(nodes) < count:
+            arr = np.asarray(nodes)
             t = _next_leja_node(arr, lo, hi, log_weight)
-        nodes.append(t)
-        if centre is not None and len(nodes) < count:
-            nodes.append(centre - (t - centre))
-    return np.asarray(nodes)
+            while anchor is not None and (
+                (hi > anchor and hi - t <= 0.01 * (hi - lo))
+                or (lo < anchor and t - lo <= 0.01 * (hi - lo))
+            ):
+                lo, hi = anchor - 2 * (anchor - lo), anchor + 2 * (hi - anchor)
+                t = _next_leja_node(arr, lo, hi, log_weight)
+            nodes.append(t)
+            if centre is not None:
+                nodes.append(centre - (t - centre))
+            prefix.lo, prefix.hi = lo, hi
+        return np.asarray(nodes[:count])
 
 
 def _lagrange_quadrature_weights(nodes: np.ndarray, dist: DistributionSpec) -> np.ndarray:
@@ -492,7 +519,7 @@ def leja_knots(count: int, a: float, b: float, variant: str = "standard") -> Rul
     else:
         mid = (a + b) / 2.0
         centre = mid if variant == "symmetric" else None
-        nodes = _leja_sequence(count, [b, a, mid], a, b, centre=centre)
+        nodes = _leja_sequence(("leja", variant, a, b), count, [b, a, mid], a, b, centre=centre)
     w = _lagrange_quadrature_weights(nodes, DistributionSpec.uniform(a, b))
     return _freeze(nodes, w)
 
@@ -526,8 +553,8 @@ def weighted_leja_knots(count: int, dist: DistributionSpec, variant: str = "stan
     if variant == "symmetric":
         centre = p[0] if dist.kind == "normal" else (p[0] + p[1]) / 2.0
         start = [centre]
-    nodes = _leja_sequence(count, start, lo, hi, lambda t: 0.5 * dist.log_pdf(t),
-                           centre, anchor)
+    nodes = _leja_sequence(("weighted_leja", dist, variant), count, start, lo, hi,
+                           lambda t: 0.5 * dist.log_pdf(t), centre, anchor)
     w = _lagrange_quadrature_weights(nodes, dist)
     return _freeze(nodes, w)
 
@@ -557,8 +584,12 @@ def gk_knots(count: int) -> Rule1D:
 class KnotFamily:
     """A named univariate rule generator bound to a distribution.
 
-    Instances are immutable and memoize generated rules, so repeated grid
-    constructions never recompute nodes (important for Leja searches).
+    Instances are immutable and memoize the rules they generate, so grid
+    constructions that share an instance build each rule once.  An equal
+    instance built separately (one per dimension, or by
+    ``family_from_descriptor``) starts with an empty memo and builds its
+    rules again; only the Leja searches are shared across instances, by
+    the process-wide prefix store of ``_leja_sequence``.
     Equality is by (tag, params), which also drives grid recycling.
     """
 

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 import sparsegrids as sg
+from sparsegrids import adaptive
 from sparsegrids.adaptive import (
     AdaptControls,
+    AdaptEvaluationError,
     AdaptState,
     ConfigurationError,
     adapt,
@@ -287,3 +289,77 @@ class TestTabulatedFamilySaturation:
         assert max(i[0] for i in res.internal.accepted) <= 5
         assert all(i[0] <= 5 for i in res.internal.margin)
         assert res.nb_pts == 35  # the full table got used
+
+
+class TestTensorValueCache:
+    RUNS = {
+        "leja-point": (3, sg.leja_family(0, 1), sg.LevelMap.LINEAR,
+                       dict(nested=True, max_pts=120)),
+        "cc-quad": (3, sg.cc_family(0, 1), sg.LevelMap.DOUBLING,
+                    dict(nested=True, profit="deltaint", max_pts=150)),
+        "gauss-weighted": (2, sg.gauss_family(sg.DistributionSpec.uniform(0, 1)), sg.LevelMap.LINEAR,
+                           dict(nested=False, profit="weighted_Linf_per_new_points",
+                                pdf_weight=lambda y: 1.0 + y[0], max_pts=80)),
+    }
+
+    @staticmethod
+    def _run(monkeypatch, dim, family, level_map, controls, cleared):
+        calls, gathers = [], []
+
+        def counted_gather(state, knots, gather=adaptive._values_at):
+            gathers.append(knots.shape[1])
+            return gather(state, knots)
+
+        monkeypatch.setattr(adaptive, "_values_at", counted_gather)
+        if cleared:
+            for name in ("error_indicator_point", "error_indicator_quad"):
+                def clearing(candidate, state, indicator=getattr(adaptive, name)):
+                    state.tensor_values.clear()
+                    return indicator(candidate, state)
+                monkeypatch.setattr(adaptive, name, clearing)
+
+        def f(y):
+            calls.append(np.array(y))
+            return math.exp(float(y[0] + 0.6 * np.sum(y[1:])))
+
+        res = adapt(f, dim, family, level_map, controls=AdaptControls(**controls))
+        monkeypatch.undo()
+        return res, np.array(calls), sum(gathers)  # knots keyed
+
+    @pytest.mark.parametrize("run", RUNS)
+    def test_cache_changes_nothing_but_the_gathers(self, run, monkeypatch):
+        kept, kept_calls, kept_gathers = self._run(monkeypatch, *self.RUNS[run], cleared=False)
+        cold, cold_calls, cold_gathers = self._run(monkeypatch, *self.RUNS[run], cleared=True)
+        assert kept.internal.history == cold.internal.history
+        assert np.array_equal(kept.intf, cold.intf)
+        assert kept.num_evals == cold.num_evals
+        assert np.array_equal(kept_calls, cold_calls)
+        assert kept_gathers < cold_gathers
+
+    def test_failing_function_leaves_no_entry_for_its_tensor(self):
+        fam, lm = sg.cc_family(0, 1), sg.LevelMap.DOUBLING
+        controls = AdaptControls(nested=True, max_pts=200)
+        budget = {"left": 30}
+        failed = []
+
+        def flaky(y):
+            if budget["left"] <= 0:
+                failed.append(np.array(y))
+                raise RuntimeError("quota exhausted")
+            budget["left"] -= 1
+            return EXPSUM(y)
+
+        with pytest.raises(AdaptEvaluationError) as err:
+            adapt(flaky, 2, fam, lm, controls=controls)
+        state = err.value.state
+        assert state.tensor_values
+        for idx, vals in state.tensor_values.items():
+            knots = sg.build_tensor_grid(idx, fam, lm).knots
+            assert not np.all(knots == failed[-1][:, None], axis=0).any(), idx
+            assert np.array_equal(vals, adaptive._values_at(state, knots))
+        budget["left"] = 10_000
+        resumed = adapt(flaky, 2, fam, lm, previous=state, controls=controls)
+        single = adapt(EXPSUM, 2, fam, lm, controls=controls)
+        assert resumed.internal.history == single.internal.history
+        assert np.array_equal(resumed.intf, single.intf)
+        assert resumed.num_evals == single.num_evals

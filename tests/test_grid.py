@@ -37,6 +37,12 @@ class TestBuildTensorGrid:
         t = sg.build_tensor_grid([2, 3], sg.cc_family(0, 1), sg.LevelMap.DOUBLING, coeff=-2)
         assert t.weights.sum() == pytest.approx(-2.0, abs=1e-12)
 
+    def test_dimension_limit_names_itself(self):
+        t = sg.build_tensor_grid([1] * 32, sg.cc_family(0, 1), sg.LevelMap.DOUBLING)
+        assert t.knots.shape == (32, 1)
+        with pytest.raises(ValueError, match=r"limited to 32 dimensions, requested dim=33"):
+            sg.build_tensor_grid([1] * 33, sg.cc_family(0, 1), sg.LevelMap.DOUBLING)
+
 
 class TestBuildSparseGrid:
     def test_listing_grid_shape(self, smolyak_cc_unit_w3):

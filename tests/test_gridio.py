@@ -232,6 +232,13 @@ class TestCLI:
     def test_missing_file_is_user_error(self, capsys):
         assert cli_main(["quad", "--grid", "/nonexistent.json", "--fn", "expsum"]) == 1
 
+    def test_dimension_limit_is_user_error(self, tmp_path, capsys):
+        code = cli_main(["build", "--dim", "33", "--preset", "SM", "--w", "1",
+                         "--knots", "cc", "--domain", "0,1", "-o", str(tmp_path / "g.json")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "32 dimensions" in err and "dim=33" in err
+
 
 class TestCLIMore:
     def test_interp_subcommand(self, tmp_path, capsys):

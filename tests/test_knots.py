@@ -1,20 +1,30 @@
 import math
+import random
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sparsegrids as sg
+from sparsegrids import knots
 from sparsegrids.knots import (
     DistributionSpec,
+    KnotFamily,
     ParameterError,
     UnsupportedVariantError,
     cc_knots,
+    family_from_descriptor,
     gauss_knots,
     gk_knots,
+    leja_family,
     leja_knots,
     midpoint_knots,
+    trap_family,
     trap_knots,
+    weighted_leja_family,
     weighted_leja_knots,
 )
 
@@ -364,6 +374,115 @@ class TestCommonInvariants:
         for base, moved in pairs:
             assert np.allclose(moved.nodes, a + (b - a) * base.nodes, atol=2e-9 * (b - a))
             assert np.allclose(moved.weights, base.weights, atol=1e-9)
+
+    @pytest.mark.parametrize("name,maker,counts", ALL_RULES, ids=lambda v: v if isinstance(v, str) else "")
+    def test_sparse_grid_integrates_constants(self, name, maker, counts):
+        # a level map whose counts the rule supports; trap has no 1-node
+        # rule, so its grid uses trap_family's midpoint fallback
+        level_map = {"gk": sg.LevelMap.GK, "cc": sg.LevelMap.DOUBLING,
+                     "midpoint": sg.LevelMap.TRIPLING}.get(name, sg.LevelMap.LINEAR)
+        family = trap_family(0.0, 1.0) if name == "trap" else KnotFamily(name, (), None, True, maker)
+        rule = sg.preset("SM")[0]
+        for w in range(4):
+            grid = sg.build_sparse_grid_from_rule(2, w, family, level_map, rule)
+            integral, _ = sg.quadrature(lambda y: 1.0, sg.reduce_grid(grid))
+            assert abs(integral[0] - 1.0) <= 1e-12, (name, w)
+
+
+LEJA_RULES = [r for r in ALL_RULES if "leja" in r[0]]
+
+
+class TestLejaPrefixStore:
+    @staticmethod
+    def empty_store(monkeypatch):
+        monkeypatch.setattr(knots, "_LEJA_PREFIXES", {})
+
+    @pytest.fixture
+    def searches(self, monkeypatch):
+        """Greedy node searches run from here on, on an empty store."""
+        calls = []
+        search = knots._next_leja_node
+
+        def counted(*args):
+            calls.append(args)
+            return search(*args)
+
+        monkeypatch.setattr(knots, "_next_leja_node", counted)
+        self.empty_store(monkeypatch)
+        return calls
+
+    @pytest.mark.parametrize("name,maker,counts", LEJA_RULES, ids=lambda v: v if isinstance(v, str) else "")
+    def test_shuffled_counts_equal_an_empty_store(self, name, maker, counts, monkeypatch):
+        counts = list(range(1, 13))
+        cold = {}
+        for n in counts:
+            self.empty_store(monkeypatch)
+            cold[n] = maker(n)
+        self.empty_store(monkeypatch)
+        random.Random(name).shuffle(counts)
+        for n in counts:
+            rule = maker(n)
+            assert rule.nodes.tobytes() == cold[n].nodes.tobytes(), (name, n)
+            assert rule.weights.tobytes() == cold[n].weights.tobytes(), (name, n)
+
+    def test_search_interval_resumes_where_it_stopped(self, monkeypatch):
+        # exponential(1): the 14th node doubles the interval to [0, 80]
+        dist = DistributionSpec.exponential(1.0)
+        self.empty_store(monkeypatch)
+        cold = weighted_leja_knots(16, dist)
+        self.empty_store(monkeypatch)
+        weighted_leja_knots(14, dist)
+        assert knots._LEJA_PREFIXES[("weighted_leja", dist, "standard")].hi == 80.0
+        assert weighted_leja_knots(16, dist).nodes.tobytes() == cold.nodes.tobytes()
+
+    @pytest.mark.parametrize("make,expected", [
+        (lambda: leja_family(0.0, 1.0), 9),  # nodes 4..12
+        (lambda: leja_family(-1.3, 1.7, "symmetric"), 5),  # each search adds a mirrored pair
+        (lambda: weighted_leja_family(DistributionSpec.normal(0.3, 2.0)), None),
+        (lambda: weighted_leja_family(DistributionSpec.gamma(2.0, 1.0)), None),
+    ], ids=["leja", "leja-sym", "wleja-normal", "wleja-gamma"])
+    def test_equal_families_search_each_node_once(self, make, expected, searches, monkeypatch):
+        cold = make()(12)
+        if expected is None:  # the anchor doubling may repeat a node's search
+            expected = len(searches)
+        assert len(searches) == expected
+        self.empty_store(monkeypatch)
+        searches.clear()
+        first, second = make(), make()
+        families = (first, second, family_from_descriptor(first.descriptor()))
+        for n in (5, 2, 12, 8, 1, 11):
+            for fam in families:
+                fam(n)
+        assert len(searches) == expected
+        for fam in families:
+            assert fam(12).nodes.tobytes() == cold.nodes.tobytes()
+
+    def test_concurrent_requests_search_each_node_once(self, searches, monkeypatch):
+        cold = leja_knots(12, -1.0, 2.0).nodes
+        self.empty_store(monkeypatch)
+        searches.clear()
+        results = []
+
+        def request(counts):
+            for n in counts:
+                results.append((n, leja_knots(n, -1.0, 2.0).nodes))
+
+        orders = [list(range(4, 13)), list(range(12, 3, -1)), [8, 12, 5], [12], [6, 7, 11]]
+        threads = [threading.Thread(target=request, args=(o,)) for o in orders]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(results) == sum(map(len, orders))
+        assert len(searches) == 9
+        for n, nodes in results:
+            assert nodes.tobytes() == cold[:n].tobytes()
 
 
 class TestTrapFamilyFallback:
