@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .evalkit import EvaluationTable, _call_f, _rule_key, quadrature
+from .evalkit import EvaluationError, EvaluationTable, _call_f, _rule_key, quadrature
 from .grid import (
     ReducedGrid,
     SparseGrid,
@@ -474,8 +474,6 @@ def adapt(
             state.history.append(best_idx)
             state.active_dims = active
             state.margin.update(additions)
-    except (ConfigurationError, KeyboardInterrupt):
-        raise
-    except Exception as exc:
+    except EvaluationError as exc:
         raise AdaptEvaluationError(state, exc) from exc
     return _assemble_result(state)

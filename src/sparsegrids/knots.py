@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from ._bary import barycentric_weights, basis_matrix
 from ._nested_normal_table import NESTED_NORMAL_RULES
@@ -289,7 +288,8 @@ def gauss_knots(dist: DistributionSpec, count: int) -> Rule1D:
         x = alpha[:1].copy()
         w = np.array([1.0])
     else:
-        x, vecs = eigh_tridiagonal(alpha, np.sqrt(beta[1:]))
+        off = np.sqrt(beta[1:])
+        x, vecs = np.linalg.eigh(np.diag(alpha) + np.diag(off, 1) + np.diag(off, -1))
         w = vecs[0, :] ** 2
     return _freeze(_standard_to_native(dist, x), w / w.sum())
 

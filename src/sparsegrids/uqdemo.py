@@ -16,12 +16,11 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .evalkit import (Domain, EvaluationTable, Interpolant, evaluate_on_grid, gradient,
                       interpolate, quadrature)
 from .grid import ReducedGrid, SparseGrid, build_sparse_grid_from_rule, reduce_grid
-from .knots import cc_family, gauss_family, DistributionSpec
+from .knots import cc_family, gauss_family, leja_family, DistributionSpec
 from .levels import LevelMap
 from .midx import preset
 from .pce import sobol_indices
@@ -95,11 +94,28 @@ class DiffusionModel:
         return np.asarray(self.rhs(x), dtype=float)
 
 
+def _tridiagonal_solve(diag: list, off: list, load: list) -> list:
+    """Solution of the symmetric tridiagonal system with diagonal ``diag``
+    and off-diagonal ``off`` for ``load``: Gaussian elimination without
+    pivoting (the Thomas algorithm) in LAPACK ``gtsv``'s operation order.
+    Overwrites ``diag`` and ``load``."""
+    d, b = diag[0], load[0]
+    for i, e in enumerate(off, 1):
+        fact = e / d
+        diag[i] = d = diag[i] - fact * e
+        load[i] = b = load[i] - fact * b
+    load[-1] = x = b / d
+    for i in range(len(off) - 1, -1, -1):
+        load[i] = x = (load[i] - off[i] * x) / diag[i]
+    return load
+
+
 def fem_solve(model: DiffusionModel, y, query_points=None) -> np.ndarray:
     """Piecewise-linear FEM solution; nodal values or interpolated queries.
 
     The load vector uses trapezoid lumping, which keeps the nodal values
-    exact for constant forcing.
+    exact for constant forcing.  The stiffness system is solved by
+    Gaussian elimination without pivoting (the Thomas algorithm).
     """
     xs = model.nodes
     h = xs[1] - xs[0]
@@ -107,16 +123,11 @@ def fem_solve(model: DiffusionModel, y, query_points=None) -> np.ndarray:
     a_el = model.coefficient(mids, y)
     if np.any(a_el <= 0.0):
         raise ModelError(f"nonpositive diffusion coefficient for y = {np.asarray(y).ravel()}")
-    n_int = model.mesh - 1
     main = (a_el[:-1] + a_el[1:]) / h
     off = -a_el[1:-1] / h
-    ab = np.zeros((3, n_int))
-    ab[0, 1:] = off
-    ab[1, :] = main
-    ab[2, :-1] = off
     b = h * model._rhs_values(xs[1:-1])
-    u_int = solve_banded((1, 1), ab, b)
-    u = np.concatenate([[0.0], u_int, [0.0]])
+    # bitwise as LAPACK gtsv, which never pivots here: pivot i = a_i/h + 1/sum_{e<i} h/a_e > |off_i|
+    u = np.array([0.0, *_tridiagonal_solve(main.tolist(), off.tolist(), b.tolist()), 0.0])
     if query_points is None:
         return u
     return np.interp(np.asarray(query_points, dtype=float), xs, u)
@@ -169,8 +180,6 @@ def _input_box_grid(n_random: int, w: int, knots: str = "cc"):
     elif knots == "leja":
         rule, _ = preset("TD")
         level_map = LevelMap.TWO_STEP
-        from .knots import leja_family
-
         family = leja_family(-SQRT3, SQRT3, "symmetric")
     else:
         raise ValueError(f"unknown demo knot family {knots!r}")

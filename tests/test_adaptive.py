@@ -261,6 +261,14 @@ class TestFailureRecovery:
         assert resumed.internal.history == single.internal.history
         assert np.array_equal(resumed.intf, single.intf)
 
+    def test_dimension_limit_is_not_an_evaluation_failure(self):
+        calls = []
+        # a ValueError, not an AdaptEvaluationError (a RuntimeError)
+        with pytest.raises(ValueError, match="limited to 32 dimensions"):
+            adapt(lambda y: calls.append(y) or 1.0, 33, sg.cc_family(0, 1),
+                  sg.LevelMap.DOUBLING, controls=AdaptControls(nested=True))
+        assert calls == []
+
 
 class TestResumeMismatch:
     @pytest.mark.parametrize("dim, family, level_map", [

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -238,6 +241,23 @@ class TestCLI:
         assert code == 1
         err = capsys.readouterr().err
         assert "32 dimensions" in err and "dim=33" in err
+
+    def test_adapt_dimension_limit_is_user_error(self, tmp_path, capsys):
+        code = cli_main(["adapt", "--dim", "33", "--fn", "expsum", "--knots", "cc",
+                         "--domain", "0,1", "--nested", "-o", str(tmp_path / "a.json")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "32 dimensions" in err and "dim=33" in err
+        assert "function evaluation failed" not in err
+
+    def test_cli_import_leaves_scipy_unloaded(self):
+        src = os.path.dirname(os.path.dirname(sg.__file__))
+        code = ("import sys, sparsegrids.cli; "
+                "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])")
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out.strip() == "[]"
 
 
 class TestCLIMore:

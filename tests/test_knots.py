@@ -136,6 +136,22 @@ class TestGauss:
         with pytest.raises(ParameterError):
             gauss_knots(DistributionSpec.uniform(0.0, 1.0), 0)
 
+    @pytest.mark.parametrize("dist", DISTS + [DistributionSpec.beta(-1.0, 2.0, -0.5, -0.5)],
+                             ids=lambda d: f"{d.kind}{d.params}")
+    def test_matches_scipy_tridiagonal_eigensolver(self, dist):
+        # the dense symmetric eigensolver agrees with the tridiagonal one
+        # (Golub-Welsch); native intervals sit off zero, so no node is a
+        # rounding-level zero whose ulp distance would be meaningless
+        from scipy.linalg import eigh_tridiagonal
+
+        for count in range(1, 61):
+            alpha, beta = knots.recurrence_coefficients(dist, count)
+            x, vecs = eigh_tridiagonal(alpha, np.sqrt(beta[1:]))
+            w = vecs[0, :] ** 2
+            rule = gauss_knots(dist, count)
+            np.testing.assert_array_max_ulp(rule.nodes, knots._standard_to_native(dist, x), maxulp=4)
+            np.testing.assert_array_max_ulp(rule.weights, w / w.sum(), maxulp=4)
+
 
 class TestClenshawCurtis:
     def test_five_point_listing(self):

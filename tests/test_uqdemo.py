@@ -67,6 +67,24 @@ class TestFEM:
         assert abs(flux_left - flux_right) < 1e-8
         assert flux_left == pytest.approx(C - 0.5, abs=1e-8)
 
+    @pytest.mark.parametrize("mesh", [2, 3, 81, 200])
+    @pytest.mark.parametrize("rhs", [None, lambda x: np.sin(3.0 * x) + x**2], ids=["const", "sin"])
+    def test_matches_scipy_banded_solver(self, mesh, rhs):
+        from scipy.linalg import solve_banded
+
+        model = DiffusionModel(n_random=3, sigmas=(0.5, 0.1, 0.3), mesh=mesh, rhs=rhs)
+        rng = np.random.default_rng(mesh)
+        for y in rng.uniform(-SQRT3, SQRT3, (20, 3)):
+            xs = model.nodes
+            h = xs[1] - xs[0]
+            a_el = model.coefficient((xs[:-1] + xs[1:]) / 2.0, y)
+            ab = np.zeros((3, mesh - 1))
+            ab[0, 1:] = ab[2, :-1] = -a_el[1:-1] / h
+            ab[1, :] = (a_el[:-1] + a_el[1:]) / h
+            b = h * (np.ones(mesh - 1) if rhs is None else rhs(xs[1:-1]))
+            want = np.concatenate([[0.0], solve_banded((1, 1), ab, b), [0.0]])
+            np.testing.assert_array_max_ulp(fem_solve(model, y), want, maxulp=4)
+
     def test_query_points_interpolation(self):
         model = DiffusionModel(n_random=2, sigmas=(0.0, 0.0), mesh=100)
         got = fem_solve(model, [0.0, 0.0], np.array([0.25, 0.5]))
