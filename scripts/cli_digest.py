@@ -1,0 +1,79 @@
+"""Print the sha256 of the stdout and of every output file of a fixed list
+of CLI runs, so that two commits can be compared bitwise.
+
+Usage:
+
+    python scripts/cli_digest.py [SRC]
+
+SRC is the directory that holds the ``sparsegrids`` package (default: the
+``src`` directory next to this script), so the same list runs against any
+checkout, e.g. one made with ``git archive``.  Every CLI line runs in a
+fresh process inside one temporary directory, in the order listed; each
+output line reads ``<run> <stdout|file> <sha256>``.  Two commits are
+bitwise equal on these runs when the printed lines are identical.
+"""
+
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+_SIGMAS_D10 = ",".join(repr(round(0.4 * 0.7**k, 6)) for k in range(10))
+_ADAPT = ["adapt", "--dim", "3", "--fn", "expsum", "--knots", "leja", "--domain=-1.3,1.7",
+          "--lev2knots", "linear", "--nested"]
+
+# (run name, CLI arguments, output files it writes)
+RUNS = [
+    ("forward", ["demo", "forward", "-o", "forward.json", "--samples-csv", "forward.csv"],
+     ["forward.json", "forward.csv"]),
+    ("forward-d10", ["demo", "forward", "--N", "10", "--w", "4", "--samples", "1000",
+                     "--sigmas", _SIGMAS_D10, "-o", "d10.json", "--samples-csv", "d10.csv"],
+     ["d10.json", "d10.csv"]),
+    ("forward-leja", ["demo", "forward", "--N", "3", "--sigmas", "0.5,0.3,0.2", "--knots", "leja",
+                      "--samples", "1000", "-o", "leja.json"], ["leja.json"]),
+    ("inverse", ["demo", "inverse", "--N", "3", "--sigmas", "0.5,0.5,0.5",
+                 "--y-star", "0.9,-1.1,0.3", "-o", "inverse.json",
+                 "--samples-csv", "inverse.csv"],
+     ["inverse.json", "inverse.csv"]),
+    ("adapt", _ADAPT + ["--max-pts", "300", "-o", "A.json"], ["A.json"]),
+    ("adapt-resume", _ADAPT + ["--max-pts", "600", "--resume", "A.json", "-o", "B.json"],
+     ["B.json"]),
+    ("adapt-gauss", ["adapt", "--dim", "2", "--fn", "expsum", "--knots", "gauss-legendre",
+                     "--domain=0,1", "--max-pts", "200", "--prof", "Linf", "-o", "G.json"],
+     ["G.json"]),
+    ("build", ["build", "--dim", "3", "--preset", "SM", "--w", "4", "--knots", "cc",
+               "--domain=-1,1", "-o", "grid.json"], ["grid.json"]),
+    ("pce", ["pce", "--grid", "grid.json", "--fn", "expsum", "-o", "pce.csv"], ["pce.csv"]),
+    ("sobol", ["sobol", "--grid", "grid.json", "--fn", "expsum"], []),
+    ("interp", ["interp", "--grid", "grid.json", "--fn", "expsum", "--res", "7",
+                "-o", "interp.csv"], ["interp.csv"]),
+]
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def main(argv) -> int:
+    src = os.path.abspath(argv[0]) if argv else _SRC
+    env = dict(os.environ, PYTHONPATH=src)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, args, outputs in RUNS:
+            proc = subprocess.run([sys.executable, "-m", "sparsegrids.cli", *args], cwd=tmp,
+                                  env=env, capture_output=True)
+            if proc.returncode != 0:
+                sys.stderr.write(proc.stderr.decode())
+                print(f"{name} failed with exit code {proc.returncode}", file=sys.stderr)
+                return 1
+            print(f"{name} stdout {_sha256(proc.stdout)}")
+            for path in outputs:
+                with open(os.path.join(tmp, path), "rb") as fh:
+                    print(f"{name} {path} {_sha256(fh.read())}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

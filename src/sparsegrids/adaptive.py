@@ -17,11 +17,11 @@ from typing import Callable
 
 import numpy as np
 
-from .evalkit import EvaluationError, EvaluationTable, _call_f, _rule_key, quadrature
+from .evalkit import (EvaluationError, EvaluationTable, _active_keys, _call_f, _tensor_sum,
+                      quadrature)
 from .grid import (
     ReducedGrid,
     SparseGrid,
-    _kron_rows,
     _normalize_families,
     _tensor_product_columns,
     _tensor_weights,
@@ -34,7 +34,6 @@ from .grid import (
 from .knots import KnotFamily
 from .levels import LevelMap, UnsupportedLevelError, apply_level_map
 from .midx import MultiIndexSet, _backward_closed, _forward_neighbours, _signed_neighbours
-from ._bary import basis_matrix
 
 __all__ = [
     "AdaptControls",
@@ -127,18 +126,22 @@ class AdaptState:
     num_evals: int = 0
     active_dims: int = 0
     tols: np.ndarray | None = None
-    rules: dict = field(default_factory=dict, init=False, repr=False, compare=False)  # evalkit._rule_key
+    rules: dict = field(default_factory=dict, init=False, repr=False, compare=False)  # evalkit._active_keys
     # multi-index -> value matrix of its tensor grid, from _tensor_values
     tensor_values: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    new_nodes: dict = field(default_factory=dict, init=False, repr=False, compare=False)  # _new_knots_of
 
     @property
     def nb_pts_visited(self) -> int:
         return len(self.points)
 
-    def visible_dims(self) -> int:
+    def visible_dims(self, active: int | None = None) -> int:
+        """Dimensions that may refine once ``active`` (default: the run's
+        ``active_dims``) leading dimensions have refined."""
         if self.controls.var_buffer_size == 0:
             return self.dim
-        return min(self.dim, self.active_dims + self.controls.var_buffer_size)
+        active = self.active_dims if active is None else active
+        return min(self.dim, active + self.controls.var_buffer_size)
 
 
 @dataclass
@@ -165,14 +168,9 @@ def work_indicator(candidate, nested: bool, level_map: LevelMap) -> int:
     candidate = tuple(int(v) for v in candidate)
     if any(v < 1 for v in candidate):
         raise ValueError("candidate entries must be >= 1")
-    if nested:
-        out = 1
-        for v in candidate:
-            out *= apply_level_map(level_map, v) - apply_level_map(level_map, v - 1)
-        return out
     out = 1
     for v in candidate:
-        out *= apply_level_map(level_map, v)
+        out *= apply_level_map(level_map, v) - (apply_level_map(level_map, v - 1) if nested else 0)
     return out
 
 
@@ -238,18 +236,17 @@ def _detail_terms(state: AdaptState, candidate):
 
 def _new_knots_of(state: AdaptState, candidate) -> np.ndarray:
     """Hierarchy surplus points of a nested candidate: the tensor product
-    of per-dimension nodes new at each level."""
-    tols = _reference_tolerances(state)
-    per_dim = []
+    of per-dimension nodes new at each level, each found once per run."""
     for n, v in enumerate(candidate):
-        nodes = state.families[n](apply_level_map(state.level_map, v)).nodes
-        prev_count = apply_level_map(state.level_map, v - 1)
-        if prev_count:
-            tol = tols[n : n + 1]
-            old_keys = set(lattice_keys(state.families[n](prev_count).nodes[None, :], tol))
-            nodes = nodes[[key not in old_keys for key in lattice_keys(nodes[None, :], tol)]]
-        per_dim.append(nodes)
-    return _tensor_product_columns(per_dim)
+        if (n, v) not in state.new_nodes:
+            nodes = state.families[n](apply_level_map(state.level_map, v)).nodes
+            prev_count = apply_level_map(state.level_map, v - 1)
+            if prev_count:
+                tol = _reference_tolerances(state)[n : n + 1]
+                old_keys = set(lattice_keys(state.families[n](prev_count).nodes[None, :], tol))
+                nodes = nodes[[key not in old_keys for key in lattice_keys(nodes[None, :], tol)]]
+            state.new_nodes[n, v] = nodes
+    return _tensor_product_columns([state.new_nodes[n, v] for n, v in enumerate(candidate)])
 
 
 def error_indicator_quad(candidate, state: AdaptState) -> float:
@@ -277,17 +274,9 @@ def error_indicator_point(candidate, state: AdaptState) -> float:
         test_pts = _new_knots_of(state, candidate)
     else:
         test_pts = _tensor_rule(state, candidate).knots
-    bases = {}  # the detail terms share two 1D rules per dimension
-    delta = None
-    for sign, rules, vals in _detail_terms(state, candidate):
-        keys = [_rule_key(state.rules, n, r.nodes) for n, r in enumerate(rules)]
-        for key in keys:
-            if key not in bases:
-                nodes, bw = state.rules[key]
-                bases[key] = basis_matrix(nodes, bw, test_pts[key[0]])
-        term = sign * (vals @ _kron_rows([bases[key] for key in keys]).T)
-        delta = term if delta is None else delta + term
-    err = np.max(np.abs(delta), axis=0)  # max over outputs
+    terms = [(sign, vals, _active_keys(state.rules, [r.nodes for r in rules]))
+             for sign, rules, vals in _detail_terms(state, candidate)]
+    err = np.max(np.abs(_tensor_sum(state.rules, terms, test_pts)), axis=0)  # max over outputs
     if state.controls.profit.startswith("weighted"):
         xi = np.atleast_1d(
             np.asarray([state.controls.pdf_weight(test_pts[:, q]) for q in range(test_pts.shape[1])])
@@ -461,11 +450,8 @@ def adapt(
             # compute the margin extension before committing anything, so
             # a failing function evaluation leaves a resumable state
             accepted = set(state.accepted) | {best_idx}
-            active = state.active_dims
-            if any(v > 1 for v in best_idx):
-                active = max(active, max(n + 1 for n, v in enumerate(best_idx) if v > 1))
-            buffer_size = state.controls.var_buffer_size
-            visible = state.dim if buffer_size == 0 else min(state.dim, active + buffer_size)
+            active = max([state.active_dims] + [n + 1 for n, v in enumerate(best_idx) if v > 1])
+            visible = state.visible_dims(active)
             slid = visible > state.visible_dims()
             around = list(accepted) if slid else [best_idx]
             additions = _margin_additions(state, accepted, visible, around)

@@ -242,7 +242,8 @@ def _cmd_export(args) -> int:
     if args.what == "interp_samples" and bundle.values is None:
         if not args.fn:
             raise UsageError("interp_samples needs stored values or --fn")
-        bundle.values = evaluate_on_grid(get_test_function(args.fn), bundle.reduced)
+        bundle.values = evaluate_on_grid(get_test_function(args.fn), bundle.reduced,
+                                         workers=_threads(args))
     export_points(bundle, args.what, args.output, dims=dims, resolution=args.res,
                   cuts=_parse_cuts(args.cuts))
     print(f"wrote {args.output}")
@@ -396,9 +397,9 @@ def _build_parser() -> _Parser:
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(fn_impl=_cmd_demo)
 
-    for sp in sub.choices.values():
-        sp.add_argument("--threads", type=int, default=None,
-                        help="concurrent function evaluations")
+    for name in ("quad", "interp", "pce", "sobol", "export"):  # evaluate --fn on a whole grid
+        sub.choices[name].add_argument("--threads", type=int, default=None,
+                                       help="concurrent function evaluations")
     return parser
 
 

@@ -3,8 +3,9 @@
 Interpolation works tensor grid by tensor grid: values at each tensor's
 knots are gathered from the reduced table through the extended->reduced
 map, the tensor-product Lagrange interpolant is evaluated in barycentric
-form, and the results accumulate with the combination coefficients.  The
-1D bases are shared across tensors: an ``Interpolant`` computes the
+form over the tensor's active dimensions (those with more than one node),
+and the results accumulate with the combination coefficients.  The 1D
+bases are shared across tensors: an ``Interpolant`` computes the
 barycentric weights of each distinct 1D rule once when it is built, and
 each distinct rule's basis once per chunk of query points.
 """
@@ -183,43 +184,62 @@ def quadrature(values_or_f, grid_or_reduced):
     return vals @ reduced.weights
 
 
-def _tensor_values(grid: SparseGrid, reduced: ReducedGrid, values):
-    """(tensor, its values gathered from the reduced table) for each tensor
-    grid; the values are checked against the reduced grid up front."""
+def _active_keys(rules: dict, per_dim) -> list[tuple[int, bytes]]:
+    """Keys (dimension, node bytes) in ``rules`` of the 1D rules in
+    ``per_dim`` with more than one node; ``rules`` maps each key to (nodes,
+    barycentric weights), computed and checked for duplicate nodes once.
+    A one-node dimension drops out: its basis is exactly 1.0."""
+    keys = []
+    for n, nodes in enumerate(per_dim):
+        if nodes.size > 1:
+            key = (n, nodes.tobytes())
+            if key not in rules:
+                if len(set(nodes.tolist())) < nodes.size:
+                    raise np.linalg.LinAlgError(
+                        f"duplicate knots {nodes} make the dimension {n + 1} system singular")
+                rules[key] = (nodes, barycentric_weights(nodes))
+            keys.append(key)
+    return keys
+
+
+def _compile(grid: SparseGrid, reduced: ReducedGrid, values) -> tuple[dict, list]:
+    """The grid's signed sum of tensors: the rule table of ``_active_keys``
+    and, per tensor grid, (coefficient, value matrix gathered from the
+    reduced table, active rule keys); the values are checked up front."""
     vals = _value_matrix(values)
     if vals.shape[1] != reduced.size:
         raise ValueError("values do not conform to the reduced grid")
-    offsets = grid.tensor_offsets()
-    return ((t, vals[:, reduced.n[start : start + t.size]])
-            for t, start in zip(grid.tensors, offsets))
+    rules: dict[tuple[int, bytes], tuple[np.ndarray, np.ndarray]] = {}
+    return rules, [(t.coeff, vals[:, reduced.n[start : start + t.size]],
+                    _active_keys(rules, t.knots_per_dim))
+                   for t, start in zip(grid.tensors, grid.tensor_offsets())]
 
 
-def _rule_key(rules: dict, n: int, nodes: np.ndarray) -> tuple[int, bytes]:
-    """Key of the 1D rule ``nodes`` of dimension ``n`` in ``rules``, which maps
-    keys to (nodes, barycentric weights); the weights are computed once."""
-    key = (n, nodes.tobytes())
-    if key not in rules:
-        rules[key] = (nodes, barycentric_weights(nodes))
-    return key
+def _tensor_sum(rules: dict, tensors, points: np.ndarray) -> np.ndarray:
+    """Sum over compiled (coefficient, value matrix, active keys) tensors of
+    the coefficient times the tensor interpolant at ``points`` (dim x Q);
+    each 1D basis a tensor uses is evaluated once and shared."""
+    used = {key for _, _, keys in tensors for key in keys}
+    bases = {key: basis_matrix(*rules[key], points[key[0]]) for key in used}
+    out = np.zeros((tensors[0][1].shape[0], points.shape[1]))
+    for coeff, tv, keys in tensors:
+        basis = _kron_rows([bases[key] for key in keys]) if keys else np.ones((points.shape[1], 1))
+        out += coeff * (tv @ basis.T)
+    return out
 
 
 class Interpolant:
     """Sparse-grid interpolant, compiled once from (grid, reduced, values).
 
-    Holds the table of distinct 1D rules with their barycentric weights
-    and, per tensor, its combination coefficient, its gathered value
-    matrix and the rule it uses in each dimension.  Build it once and
-    call it many times: each call evaluates every distinct 1D basis once
-    per chunk of query points and shares it across the tensors.
+    Holds the table of distinct multi-node 1D rules with their barycentric
+    weights and the grid's compiled tensors (``_compile``).  Build it once
+    and call it many times: each call evaluates every distinct 1D basis
+    once per chunk of query points and shares it across the tensors.
     """
 
     def __init__(self, grid: SparseGrid, reduced: ReducedGrid, values):
         self.dim = grid.dim
-        self._rules: dict[tuple[int, bytes], tuple[np.ndarray, np.ndarray]] = {}
-        self._tensors = [
-            (t.coeff, tv, [_rule_key(self._rules, n, nodes) for n, nodes in enumerate(t.knots_per_dim)])
-            for t, tv in _tensor_values(grid, reduced, values)
-        ]
+        self._rules, self._tensors = _compile(grid, reduced, values)
         self.n_outputs = self._tensors[0][1].shape[0]
 
     def __call__(self, points) -> np.ndarray:
@@ -227,15 +247,10 @@ class Interpolant:
         points = np.atleast_2d(np.asarray(points, dtype=float))
         if points.shape[0] != self.dim:
             raise ValueError(f"points must be {self.dim} x Q")
-        Q = points.shape[1]
-        result = np.zeros((self.n_outputs, Q))
-        for lo in range(0, Q, _QUERY_CHUNK):
+        result = np.empty((self.n_outputs, points.shape[1]))
+        for lo in range(0, points.shape[1], _QUERY_CHUNK):
             chunk = points[:, lo : lo + _QUERY_CHUNK]
-            bases = {key: basis_matrix(nodes, bw, chunk[key[0]])
-                     for key, (nodes, bw) in self._rules.items()}
-            for coeff, tv, keys in self._tensors:
-                basis = _kron_rows([bases[key] for key in keys])
-                result[:, lo : lo + chunk.shape[1]] += coeff * (tv @ basis.T)
+            result[:, lo : lo + chunk.shape[1]] = _tensor_sum(self._rules, self._tensors, chunk)
         return result
 
 

@@ -9,6 +9,7 @@ the two formats.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -109,18 +110,16 @@ def _normalize_families(families, dim: int) -> tuple[KnotFamily, ...]:
     return families
 
 
-# np.meshgrid broadcasts its arrays together, which numpy allows for at
-# most 32 arrays
-_MAX_TENSOR_DIM = 32
-
-
 def _tensor_product_columns(arrays: Sequence[np.ndarray]) -> np.ndarray:
     """Stack the cartesian product; first array varies fastest."""
-    if len(arrays) > _MAX_TENSOR_DIM:
-        raise ValueError(f"tensor grids are limited to {_MAX_TENSOR_DIM} dimensions, "
-                         f"requested dim={len(arrays)}")
-    grids = np.meshgrid(*arrays, indexing="ij")
-    return np.stack([g.reshape(-1, order="F") for g in grids], axis=0)
+    total = math.prod(a.size for a in arrays)
+    out = np.empty((len(arrays), total), dtype=np.result_type(*arrays))
+    inner = 1
+    for row, a in zip(out, arrays):
+        if total:
+            row.reshape(-1, a.size, inner)[...] = a[:, None]
+        inner *= a.size
+    return out
 
 
 def _kron_rows(mats: Sequence[np.ndarray]) -> np.ndarray:
@@ -153,7 +152,7 @@ def build_tensor_grid(idx, families, level_map: LevelMap, coeff: int = 1) -> Ten
         idx=idx,
         knots=knots,
         weights=_tensor_weights(rules, coeff),
-        size=int(np.prod(m)),
+        size=math.prod(m),
         knots_per_dim=tuple(r.nodes for r in rules),
         m=m,
         coeff=coeff,

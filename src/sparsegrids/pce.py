@@ -3,11 +3,11 @@
 A sparse-grid interpolant is a polynomial; converting it to a modal
 expansion over density-orthonormal polynomials changes only the basis,
 not the function.  Conversion runs tensor grid by tensor grid: each
-tensor interpolant is expressed in the orthonormal basis by solving
-univariate Vandermonde-like systems dimension by dimension, and the
-resulting coefficient blocks accumulate with the combination
-coefficients.  Variance-based sensitivity indices then come from simple
-sums of squared coefficients.
+tensor interpolant is expressed in the orthonormal basis by solving one
+univariate Vandermonde-like system along each active dimension (one
+table per distinct 1D rule), and the resulting coefficient blocks
+accumulate with the combination coefficients.  Variance-based
+sensitivity indices then come from simple sums of squared coefficients.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evalkit import Domain, _tensor_values, _value_matrix
+from .evalkit import Domain, _compile, _value_matrix
 from .grid import ReducedGrid, SparseGrid, _tensor_product_columns
 from .knots import DistributionSpec, _native_to_standard, recurrence_coefficients
 from .midx import MultiIndexSet
@@ -140,34 +140,26 @@ def convert_to_modal(grid: SparseGrid, reduced: ReducedGrid, values, domain: Dom
     by the grid's multi-index set and level-to-knots map.  The expansion
     is the same polynomial as the interpolant.
     """
-    tensor_values = _tensor_values(grid, reduced, values)
     params = _params_from_grid(grid, domain, family)
-    dists = [_family_dist(family, p) for p in params]
+    rules, tensors = _compile(grid, reduced, values)
+    # rule key -> orthonormal Vandermonde matrix, rows: nodes, cols: degrees
+    vanders = {key: _orthonormal_table(_family_dist(family, params[key[0]]), nodes.size - 1, nodes).T
+               for key, (nodes, _) in rules.items()}
     coeff_map: dict[tuple[int, ...], np.ndarray] = {}
-    for t, tv in tensor_values:
+    for t, (coeff, tv, keys) in zip(grid.tensors, tensors):
         n_out = tv.shape[0]
-        block = tv.T.reshape(list(t.m) + [n_out], order="F")
-        for n in range(grid.dim):
-            nodes = t.knots_per_dim[n]
-            table = _orthonormal_table(dists[n], t.m[n] - 1, nodes)
-            vander = table.T  # rows: nodes, cols: degrees
-            if nodes.size != np.unique(nodes).size:
-                raise np.linalg.LinAlgError(
-                    f"duplicate knots make the tensor {t.idx} system singular"
-                )
-            moved = np.moveaxis(block, n, 0)
-            shape = moved.shape
-            solved = np.linalg.solve(vander, moved.reshape(shape[0], -1))
-            block = np.moveaxis(solved.reshape(shape), 0, n)
+        # one-node dimensions solve a 1x1 system [[1.0]] exactly; skip them
+        block = tv.T.reshape([len(vanders[key]) for key in keys] + [n_out], order="F")
+        for axis, key in enumerate(keys):
+            moved = np.moveaxis(block, axis, 0)
+            solved = np.linalg.solve(vanders[key], moved.reshape(moved.shape[0], -1))
+            block = np.moveaxis(solved.reshape(moved.shape), 0, axis)
         flat = block.reshape(-1, n_out, order="F").T  # degree index, first dim fastest
         # multi-degrees of the block in flat order, first dim fastest
         degrees = _tensor_product_columns([np.arange(v) for v in t.m]).T.tolist()
         for pos, degree in enumerate(map(tuple, degrees)):
-            acc = coeff_map.get(degree)
-            if acc is None:
-                coeff_map[degree] = t.coeff * flat[:, pos].copy()
-            else:
-                acc += t.coeff * flat[:, pos]
+            term = coeff * flat[:, pos]
+            coeff_map[degree] = coeff_map[degree] + term if degree in coeff_map else term
     lam = MultiIndexSet(coeff_map.keys(), dim=grid.dim, base=0)
     coeffs = np.stack([coeff_map[deg] for deg in lam], axis=1)
     return PCExpansion(family=family, params=params, lambda_set=lam, coeffs=coeffs)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -75,9 +76,12 @@ class DiffusionModel:
         if self.mu - SQRT3 * max(abs(s) for s in self.sigmas) <= 0.0:
             raise ModelError("coefficient can turn nonpositive on the input box")
 
-    @property
+    @cached_property
     def nodes(self) -> np.ndarray:
-        return np.linspace(0.0, 1.0, self.mesh + 1)
+        """The uniform mesh on [0, 1], built once per model."""
+        nodes = np.linspace(0.0, 1.0, self.mesh + 1)
+        nodes.flags.writeable = False
+        return nodes
 
     def domain(self) -> Domain:
         return Domain(np.array([[-SQRT3] * self.n_random, [SQRT3] * self.n_random]))

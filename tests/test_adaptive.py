@@ -261,13 +261,13 @@ class TestFailureRecovery:
         assert resumed.internal.history == single.internal.history
         assert np.array_equal(resumed.intf, single.intf)
 
-    def test_dimension_limit_is_not_an_evaluation_failure(self):
-        calls = []
-        # a ValueError, not an AdaptEvaluationError (a RuntimeError)
-        with pytest.raises(ValueError, match="limited to 32 dimensions"):
-            adapt(lambda y: calls.append(y) or 1.0, 33, sg.cc_family(0, 1),
-                  sg.LevelMap.DOUBLING, controls=AdaptControls(nested=True))
-        assert calls == []
+    def test_runs_past_32_dimensions(self):
+        f = lambda y: math.exp(float(np.sum(y)) / 33)
+        res = adapt(f, 33, sg.cc_family(0, 1), sg.LevelMap.DOUBLING,
+                    controls=AdaptControls(nested=True, max_pts=100))
+        # the root's 33 forward neighbours enter the margin at once
+        assert res.num_evals == res.nb_pts >= 1 + 2 * 33
+        assert res.intf[0] == pytest.approx((33 * math.expm1(1 / 33)) ** 33, rel=1e-6)
 
 
 class TestResumeMismatch:
@@ -308,6 +308,9 @@ class TestTensorValueCache:
         "gauss-weighted": (2, sg.gauss_family(sg.DistributionSpec.uniform(0, 1)), sg.LevelMap.LINEAR,
                            dict(nested=False, profit="weighted_Linf_per_new_points",
                                 pdf_weight=lambda y: 1.0 + y[0], max_pts=80)),
+        # a different interval per dimension, so no two dimensions share new nodes
+        "cc-mixed-point": (3, (sg.cc_family(0, 1), sg.cc_family(-2, 3), sg.cc_family(0.5, 4)),
+                           sg.LevelMap.DOUBLING, dict(nested=True, max_pts=150)),
     }
 
     @staticmethod
@@ -323,6 +326,7 @@ class TestTensorValueCache:
             for name in ("error_indicator_point", "error_indicator_quad"):
                 def clearing(candidate, state, indicator=getattr(adaptive, name)):
                     state.tensor_values.clear()
+                    state.new_nodes.clear()
                     return indicator(candidate, state)
                 monkeypatch.setattr(adaptive, name, clearing)
 

@@ -265,7 +265,9 @@ class TestInterpolant:
     def test_rules_are_shared_across_tensors(self):
         grid, reduced, table = interpolant_case("cc")
         interp = Interpolant(grid, reduced, table)
-        distinct = {(n, k.tobytes()) for t in grid.tensors for n, k in enumerate(t.knots_per_dim)}
+        # one-node rules have the basis 1.0 and never enter the table
+        distinct = {(n, k.tobytes()) for t in grid.tensors
+                    for n, k in enumerate(t.knots_per_dim) if k.size > 1}
         assert len(interp._rules) == len(distinct) < grid.dim * len(grid.tensors)
 
     def test_wrong_shapes_rejected(self):

@@ -5,7 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sparsegrids as sg
-from sparsegrids.grid import reduce_grid
+from sparsegrids.grid import _tensor_product_columns, reduce_grid
 from sparsegrids.midx import combination_coefficients, reduced_margin
 
 
@@ -37,11 +37,24 @@ class TestBuildTensorGrid:
         t = sg.build_tensor_grid([2, 3], sg.cc_family(0, 1), sg.LevelMap.DOUBLING, coeff=-2)
         assert t.weights.sum() == pytest.approx(-2.0, abs=1e-12)
 
-    def test_dimension_limit_names_itself(self):
-        t = sg.build_tensor_grid([1] * 32, sg.cc_family(0, 1), sg.LevelMap.DOUBLING)
-        assert t.knots.shape == (32, 1)
-        with pytest.raises(ValueError, match=r"limited to 32 dimensions, requested dim=33"):
-            sg.build_tensor_grid([1] * 33, sg.cc_family(0, 1), sg.LevelMap.DOUBLING)
+    def test_builds_past_32_dimensions(self):
+        # np.meshgrid takes at most 32 arrays; the cartesian product does not use it
+        t = sg.build_tensor_grid([1] * 32 + [2], sg.cc_family(0, 1), sg.LevelMap.DOUBLING)
+        assert t.m == (1,) * 32 + (3,) and t.knots.shape == (33, 3)
+        assert np.array_equal(t.knots[32], t.knots_per_dim[32])
+        assert np.all(t.knots[:32] == 0.5)
+        assert t.weights.sum() == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("sizes", [(1,), (3, 1, 2), (2, 0, 3), (1, 4, 1, 1, 2)])
+    def test_product_matches_meshgrid(self, sizes):
+        rng = np.random.default_rng(len(sizes))
+        arrays = [rng.standard_normal(m) for m in sizes]
+        grids = np.meshgrid(*arrays, indexing="ij")
+        want = np.stack([g.reshape(-1, order="F") for g in grids], axis=0)
+        got = _tensor_product_columns(arrays)
+        assert got.shape == want.shape and np.array_equal(got, want)
+        ints = _tensor_product_columns([np.arange(m) for m in sizes])
+        assert ints.dtype == np.arange(1).dtype
 
 
 class TestBuildSparseGrid:

@@ -235,20 +235,24 @@ class TestCLI:
     def test_missing_file_is_user_error(self, capsys):
         assert cli_main(["quad", "--grid", "/nonexistent.json", "--fn", "expsum"]) == 1
 
-    def test_dimension_limit_is_user_error(self, tmp_path, capsys):
-        code = cli_main(["build", "--dim", "33", "--preset", "SM", "--w", "1",
-                         "--knots", "cc", "--domain", "0,1", "-o", str(tmp_path / "g.json")])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert "32 dimensions" in err and "dim=33" in err
+    # the integral of testfunctions.linear over [0, 1]^33
+    LINEAR_33 = 1.0 + 33 * 34 / 4
 
-    def test_adapt_dimension_limit_is_user_error(self, tmp_path, capsys):
-        code = cli_main(["adapt", "--dim", "33", "--fn", "expsum", "--knots", "cc",
-                         "--domain", "0,1", "--nested", "-o", str(tmp_path / "a.json")])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert "32 dimensions" in err and "dim=33" in err
-        assert "function evaluation failed" not in err
+    def test_build_past_32_dimensions(self, tmp_path, capsys):
+        gpath = str(tmp_path / "g.json")
+        assert cli_main(["build", "--dim", "33", "--preset", "SM", "--w", "1",
+                         "--knots", "cc", "--domain", "0,1", "-o", gpath]) == 0
+        assert "dim=33 tensors=34" in capsys.readouterr().out
+        assert cli_main(["quad", "--grid", gpath, "--fn", "linear"]) == 0
+        assert float(capsys.readouterr().out) == pytest.approx(self.LINEAR_33, rel=1e-12)
+
+    def test_adapt_past_32_dimensions(self, tmp_path, capsys):
+        code = cli_main(["adapt", "--dim", "33", "--fn", "linear", "--knots", "cc",
+                         "--domain", "0,1", "--nested", "--max-pts", "100",
+                         "-o", str(tmp_path / "a.json")])
+        assert code == 0
+        integral = float(capsys.readouterr().out.split("integral:")[1])
+        assert integral == pytest.approx(self.LINEAR_33, rel=1e-12)
 
     def test_cli_import_leaves_scipy_unloaded(self):
         src = os.path.dirname(os.path.dirname(sg.__file__))
@@ -295,6 +299,26 @@ class TestCLIMore:
                          "--threads", "4"]) == 0
         value = float(capsys.readouterr().out.splitlines()[-1])
         assert abs(value - (math.e - 1) ** 2) <= 5e-4
+
+    @pytest.mark.parametrize("argv", [
+        ["build", "--dim", "2", "--w", "2", "-o", "g.json"],
+        ["reduce", "--grid", "g.json"],
+        ["adapt", "--dim", "2", "--fn", "expsum", "--nested", "-o", "a.json"],
+        ["demo", "forward"],
+    ])
+    def test_threads_rejected_where_nothing_is_evaluated(self, argv, capsys):
+        assert cli_main(argv + ["--threads", "2"]) == 1
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+
+    def test_export_threads_match_serial(self, tmp_path, capsys):
+        gpath = str(tmp_path / "g.json")
+        cli_main(["build", "--dim", "2", "--preset", "SM", "--w", "3",
+                  "--knots", "cc", "--domain", "0,1x0,1", "-o", gpath])
+        paths = [str(tmp_path / "serial.csv"), str(tmp_path / "threads.csv")]
+        for path, extra in zip(paths, ([], ["--threads", "2"])):
+            assert cli_main(["export", "--grid", gpath, "--what", "interp_samples",
+                             "--fn", "expsum", "--res", "5", "-o", path] + extra) == 0
+        assert open(paths[0], "rb").read() == open(paths[1], "rb").read()
 
     def test_pce_csv_values_are_plain_floats(self, tmp_path):
         gpath = str(tmp_path / "g.json")

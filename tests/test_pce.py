@@ -1,9 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import sparsegrids as sg
+from sparsegrids import pce
 from sparsegrids.evalkit import Domain, evaluate_on_grid, interpolate, quadrature
 from sparsegrids.pce import (
     DegenerateInputError,
@@ -119,6 +121,38 @@ class TestConvertToModal:
         # y^2 = 1 + sqrt(2) * P2(y) in the orthonormal basis
         assert coeffs[(0, 0)] == pytest.approx(1.0, abs=1e-12)
         assert coeffs[(2, 0)] == pytest.approx(math.sqrt(2.0), abs=1e-12)
+
+    def test_duplicate_knots_rejected(self, cc_grid_w4):
+        grid, reduced = cc_grid_w4
+        t = next(t for t in grid.tensors if t.m[0] == 3)
+        nodes = t.knots_per_dim[0].copy()
+        nodes[2] = nodes[1]
+        bad = replace(t, knots_per_dim=(nodes,) + t.knots_per_dim[1:])
+        grid = replace(grid, tensors=tuple(bad if s is t else s for s in grid.tensors))
+        ones = np.ones((1, reduced.size))
+        with pytest.raises(np.linalg.LinAlgError, match="duplicate knots"):
+            convert_to_modal(grid, reduced, ones, unit_domain(2), "legendre")
+        with pytest.raises(np.linalg.LinAlgError, match="duplicate knots"):
+            interpolate(grid, reduced, ones, reduced.knots)
+
+    def test_one_table_per_distinct_rule(self, monkeypatch, rng):
+        rule, lm = sg.preset("SM")
+        fams = (sg.cc_family(-1, 1), sg.leja_family(-1, 1, "symmetric"), sg.cc_family(-1, 1))
+        grid = sg.build_sparse_grid_from_rule(3, 4, fams, lm, rule)
+        reduced = sg.reduce_grid(grid)
+        table = evaluate_on_grid(lambda y: math.exp(y[0] - 0.5 * y[1] + 0.25 * y[2]), reduced)
+        want = convert_to_modal(grid, reduced, table, unit_domain(3), "legendre")
+        calls = []
+        real = pce._orthonormal_table
+        monkeypatch.setattr(pce, "_orthonormal_table",
+                            lambda dist, deg, y: calls.append(1) or real(dist, deg, y))
+        got = convert_to_modal(grid, reduced, table, unit_domain(3), "legendre")
+        distinct = {(n, k.tobytes()) for t in grid.tensors for n, k in enumerate(t.knots_per_dim)}
+        assert 0 < len(calls) <= len(distinct) < grid.dim * len(grid.tensors)
+        assert np.array_equal(got.coeffs, want.coeffs)
+        pts = rng.uniform(-1, 1, (3, 25))
+        assert np.allclose(evaluate_pce(got, pts), interpolate(grid, reduced, table, pts),
+                           rtol=0, atol=1e-12)
 
 
 class TestEvaluatePCE:
