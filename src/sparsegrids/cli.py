@@ -219,6 +219,8 @@ def _cmd_pce(args) -> int:
 
 def _cmd_sobol(args) -> int:
     if args.demo:
+        if args.family is not None or args.threads is not None:
+            raise UsageError("--family and --threads do not apply to sobol --demo")
         model = uqdemo.DiffusionModel(n_random=2, sigmas=(0.5, 0.1), mesh=args.mesh)
         report = uqdemo.forward_uq(model, uqdemo.ForwardConfig(w=args.w))
         principal, total = report.sobol_principal, report.sobol_total
@@ -230,7 +232,7 @@ def _cmd_sobol(args) -> int:
         table = evaluate_on_grid(f, bundle.reduced, workers=_threads(args))
         domain = Domain(gridio.default_domain(bundle.grid))
         principal, total = sobol_indices(bundle.grid, bundle.reduced, table, domain,
-                                         args.family)
+                                         args.family or "legendre")
     print("principal: " + " ".join(f"{v:.4f}" for v in principal))
     print("total:     " + " ".join(f"{v:.4f}" for v in total))
     return 0
@@ -363,7 +365,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("sobol", help="sensitivity indices")
     p.add_argument("--grid", default=None)
     p.add_argument("--fn", default=None)
-    p.add_argument("--family", default="legendre")
+    p.add_argument("--family", default=None, help="default: legendre")
     p.add_argument("--demo", action="store_true", help="use the diffusion demo model")
     p.add_argument("--mesh", type=int, default=200)
     p.add_argument("--w", type=int, default=4)

@@ -150,7 +150,10 @@ def evaluate_on_grid(f, reduced: ReducedGrid, old=None, workers: int = 1) -> Eva
         else:
             for p in todo:
                 results[p] = _call_f(f, knots[:, p])
-    n_out = next(iter(results.values())).size if results else next(iter(copied.values())).size
+    n_out = next(iter(results.values())).size if results else old_vals.shape[0]
+    if copied and n_out != old_vals.shape[0]:
+        raise ValueError(f"function returns {n_out} outputs, the old table has "
+                         f"{old_vals.shape[0]}")
     values = np.empty((n_out, count))
     for p, col in copied.items():
         values[:, p] = col

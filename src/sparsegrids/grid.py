@@ -277,10 +277,33 @@ def dedup_tolerances(knots: np.ndarray, tol: float | None = None) -> np.ndarray:
     return base * np.maximum(1.0, np.maximum(hi - lo, np.maximum(-lo, hi)))
 
 
+def _lattice(points: np.ndarray, tols: np.ndarray) -> np.ndarray:
+    """Integer matrix of ``points`` rounded onto the tolerance lattice."""
+    return np.rint(points / tols[:, None]).astype(np.int64)
+
+
 def lattice_keys(points: np.ndarray, tols: np.ndarray) -> list[tuple[int, ...]]:
     """Round each column of ``points`` onto the tolerance lattice."""
-    scaled = np.rint(points / tols[:, None]).astype(np.int64)
-    return list(map(tuple, scaled.T))
+    return list(map(tuple, _lattice(points, tols).T.tolist()))
+
+
+def _group_columns(keys: np.ndarray, values: np.ndarray):
+    """Group the equal columns of the integer matrix ``keys``; return ``m``
+    (``m[p]``: first column of group p, groups numbered by first occurrence),
+    ``n`` (``n[e]``: group of column e) and per group the sum of ``values``
+    over its columns (last axis), from the first column on in column order."""
+    order = np.lexsort(keys[::-1])  # stable: equal columns stay in order
+    ordered = keys[:, order]
+    start = np.ones(order.size, dtype=bool)
+    start[1:] = (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)
+    first = np.zeros(order.size, dtype=bool)
+    first[order[start]] = True
+    m = np.flatnonzero(first)
+    n = np.empty_like(order)
+    n[order] = (np.cumsum(first) - 1)[order[start]][np.cumsum(start) - 1]
+    sums = values[..., m]
+    np.add.at(sums, (..., n[~first]), values[..., ~first])
+    return m, n, sums
 
 
 def reduce_grid(grid: SparseGrid, tol: float | None = None) -> ReducedGrid:
@@ -290,25 +313,9 @@ def reduce_grid(grid: SparseGrid, tol: float | None = None) -> ReducedGrid:
     extended = np.concatenate([t.knots for t in grid.tensors], axis=1)
     ext_weights = np.concatenate([t.weights for t in grid.tensors])
     tols = dedup_tolerances(extended, tol)
-    keys = lattice_keys(extended, tols)
-    first: dict[tuple[int, ...], int] = {}
-    n_map = np.empty(extended.shape[1], dtype=np.int64)
-    m_list: list[int] = []
-    weights: list[float] = []
-    for e, key in enumerate(keys):
-        p = first.get(key)
-        if p is None:
-            p = len(m_list)
-            first[key] = p
-            m_list.append(e)
-            weights.append(ext_weights[e])
-        else:
-            weights[p] += ext_weights[e]
-        n_map[e] = p
-    m_arr = np.asarray(m_list, dtype=np.int64)
-    knots = extended[:, m_arr].copy()
-    w = np.asarray(weights)
+    m_arr, n_map, w = _group_columns(_lattice(extended, tols), ext_weights)
+    knots = extended[:, m_arr]
     for a in (knots, w, m_arr, n_map):
         a.flags.writeable = False
-    return ReducedGrid(knots=knots, weights=w, size=len(m_list), m=m_arr, n=n_map,
+    return ReducedGrid(knots=knots, weights=w, size=m_arr.size, m=m_arr, n=n_map,
                        tol=tols)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evalkit import Domain, _compile, _value_matrix
-from .grid import ReducedGrid, SparseGrid, _tensor_product_columns
+from .grid import ReducedGrid, SparseGrid, _group_columns, _tensor_product_columns
 from .knots import DistributionSpec, _native_to_standard, recurrence_coefficients
 from .midx import MultiIndexSet
 
@@ -145,7 +145,7 @@ def convert_to_modal(grid: SparseGrid, reduced: ReducedGrid, values, domain: Dom
     # rule key -> orthonormal Vandermonde matrix, rows: nodes, cols: degrees
     vanders = {key: _orthonormal_table(_family_dist(family, params[key[0]]), nodes.size - 1, nodes).T
                for key, (nodes, _) in rules.items()}
-    coeff_map: dict[tuple[int, ...], np.ndarray] = {}
+    terms, degrees = [], []
     for t, (coeff, tv, keys) in zip(grid.tensors, tensors):
         n_out = tv.shape[0]
         # one-node dimensions solve a 1x1 system [[1.0]] exactly; skip them
@@ -154,14 +154,13 @@ def convert_to_modal(grid: SparseGrid, reduced: ReducedGrid, values, domain: Dom
             moved = np.moveaxis(block, axis, 0)
             solved = np.linalg.solve(vanders[key], moved.reshape(moved.shape[0], -1))
             block = np.moveaxis(solved.reshape(moved.shape), 0, axis)
-        flat = block.reshape(-1, n_out, order="F").T  # degree index, first dim fastest
-        # multi-degrees of the block in flat order, first dim fastest
-        degrees = _tensor_product_columns([np.arange(v) for v in t.m]).T.tolist()
-        for pos, degree in enumerate(map(tuple, degrees)):
-            term = coeff * flat[:, pos]
-            coeff_map[degree] = coeff_map[degree] + term if degree in coeff_map else term
-    lam = MultiIndexSet(coeff_map.keys(), dim=grid.dim, base=0)
-    coeffs = np.stack([coeff_map[deg] for deg in lam], axis=1)
+        # one column per multi-degree of the block, first dim fastest
+        terms.append(coeff * block.reshape(-1, n_out, order="F").T)
+        degrees.append(_tensor_product_columns([np.arange(v) for v in t.m]))
+    degrees = np.concatenate(degrees, axis=1)
+    m, _, sums = _group_columns(degrees, np.concatenate(terms, axis=1))
+    lam = MultiIndexSet(degrees[:, m].T, dim=grid.dim, base=0)
+    coeffs = sums[:, np.lexsort(degrees[::-1, m])]  # lexicographic, as lam.rows
     return PCExpansion(family=family, params=params, lambda_set=lam, coeffs=coeffs)
 
 

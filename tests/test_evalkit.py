@@ -119,6 +119,26 @@ class TestEvaluateOnGrid:
         assert cumulative_new == prev[2].size  # nested chain reuses everything
         assert cumulative_new < total_without
 
+    @pytest.mark.parametrize("old_f, new_f", [
+        (lambda y: 1.0, lambda y: np.array([2.0, 3.0])),
+        (lambda y: np.array([2.0, 3.0]), lambda y: 1.0),
+    ], ids=["one-to-two", "two-to-one"])
+    def test_recycling_rejects_a_changed_output_count(self, old_f, new_f):
+        old_grid, old_reduced = sg.quick_preset(2, 2)
+        grid, reduced = sg.quick_preset(2, 3)
+        old = (evaluate_on_grid(old_f, old_reduced), old_grid, old_reduced)
+        n_old = old[0].values.shape[0]
+        with pytest.raises(ValueError, match=f"returns {3 - n_old} outputs, the old "
+                                             f"table has {n_old}"):
+            evaluate_on_grid(new_f, reduced, old=old)
+
+    def test_all_recycled_keeps_the_old_output_count(self):
+        grid, reduced = sg.quick_preset(2, 3)
+        first = evaluate_on_grid(lambda y: np.array([2.0, 3.0]), reduced)
+        again = evaluate_on_grid(lambda y: 1.0, reduced, old=(first, grid, reduced))
+        assert again.new_evaluations == 0
+        assert np.array_equal(again.values, first.values)
+
     def test_vector_outputs(self, smolyak_cc_unit_w3):
         _, reduced = smolyak_cc_unit_w3
         table = evaluate_on_grid(lambda y: np.array([y[0], y[1], 1.0]), reduced)

@@ -185,6 +185,14 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "0.9709" in out and "0.0244" in out
 
+    @pytest.mark.parametrize("extra", [["--family", "hermite"], ["--threads", "2"],
+                                       ["--threads", "2", "--family", "hermite"]])
+    def test_sobol_demo_rejects_family_and_threads(self, extra, capsys):
+        assert cli_main(["sobol", "--demo"] + extra) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--family and --threads do not apply to sobol --demo" in captured.err
+
     def test_demo_forward_json(self, tmp_path, capsys):
         rpath = str(tmp_path / "rep.json")
         spath = str(tmp_path / "pdf.csv")
