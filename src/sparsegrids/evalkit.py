@@ -143,17 +143,21 @@ def evaluate_on_grid(f, reduced: ReducedGrid, old=None, workers: int = 1) -> Eva
     todo = [p for p in range(count) if p not in copied]
     results: dict[int, np.ndarray] = {}
     if todo:
+        # the first new knot alone: an output count that differs from the
+        # old table's raises before any further call of f
+        results[todo[0]] = _call_f(f, knots[:, todo[0]])
+        if copied and results[todo[0]].size != old_vals.shape[0]:
+            raise ValueError(f"function returns {results[todo[0]].size} outputs, "
+                             f"the old table has {old_vals.shape[0]}")
+        rest = todo[1:]
         if workers > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                for p, col in zip(todo, pool.map(lambda p: _call_f(f, knots[:, p]), todo)):
+                for p, col in zip(rest, pool.map(lambda p: _call_f(f, knots[:, p]), rest)):
                     results[p] = col
         else:
-            for p in todo:
+            for p in rest:
                 results[p] = _call_f(f, knots[:, p])
-    n_out = next(iter(results.values())).size if results else old_vals.shape[0]
-    if copied and n_out != old_vals.shape[0]:
-        raise ValueError(f"function returns {n_out} outputs, the old table has "
-                         f"{old_vals.shape[0]}")
+    n_out = results[todo[0]].size if todo else old_vals.shape[0]
     values = np.empty((n_out, count))
     for p, col in copied.items():
         values[:, p] = col

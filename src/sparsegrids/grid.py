@@ -290,8 +290,9 @@ def lattice_keys(points: np.ndarray, tols: np.ndarray) -> list[tuple[int, ...]]:
 def _group_columns(keys: np.ndarray, values: np.ndarray):
     """Group the equal columns of the integer matrix ``keys``; return ``m``
     (``m[p]``: first column of group p, groups numbered by first occurrence),
-    ``n`` (``n[e]``: group of column e) and per group the sum of ``values``
-    over its columns (last axis), from the first column on in column order."""
+    ``n`` (``n[e]``: group of column e), per group the sum of ``values``
+    over its columns (last axis), from the first column on in column order,
+    and ``lex``, the groups in lexicographic order of their keys."""
     order = np.lexsort(keys[::-1])  # stable: equal columns stay in order
     ordered = keys[:, order]
     start = np.ones(order.size, dtype=bool)
@@ -299,11 +300,12 @@ def _group_columns(keys: np.ndarray, values: np.ndarray):
     first = np.zeros(order.size, dtype=bool)
     first[order[start]] = True
     m = np.flatnonzero(first)
+    lex = (np.cumsum(first) - 1)[order[start]]
     n = np.empty_like(order)
-    n[order] = (np.cumsum(first) - 1)[order[start]][np.cumsum(start) - 1]
+    n[order] = lex[np.cumsum(start) - 1]
     sums = values[..., m]
     np.add.at(sums, (..., n[~first]), values[..., ~first])
-    return m, n, sums
+    return m, n, sums, lex
 
 
 def reduce_grid(grid: SparseGrid, tol: float | None = None) -> ReducedGrid:
@@ -313,7 +315,7 @@ def reduce_grid(grid: SparseGrid, tol: float | None = None) -> ReducedGrid:
     extended = np.concatenate([t.knots for t in grid.tensors], axis=1)
     ext_weights = np.concatenate([t.weights for t in grid.tensors])
     tols = dedup_tolerances(extended, tol)
-    m_arr, n_map, w = _group_columns(_lattice(extended, tols), ext_weights)
+    m_arr, n_map, w, _ = _group_columns(_lattice(extended, tols), ext_weights)
     knots = extended[:, m_arr]
     for a in (knots, w, m_arr, n_map):
         a.flags.writeable = False

@@ -37,10 +37,7 @@ class MultiIndexSet:
     __slots__ = ("_rows", "_members", "dim", "base")
 
     def __init__(self, rows: Iterable, dim: int | None = None, base: int = 1):
-        if isinstance(rows, np.ndarray) and rows.dtype.kind in "iu":
-            rows = list(map(tuple, rows.tolist()))
-        else:
-            rows = [tuple(int(v) for v in r) for r in rows]
+        rows = [tuple(int(v) for v in r) for r in rows]
         if not rows:
             if dim is None:
                 raise ValueError("cannot infer dim of an empty set")

@@ -158,10 +158,12 @@ def convert_to_modal(grid: SparseGrid, reduced: ReducedGrid, values, domain: Dom
         terms.append(coeff * block.reshape(-1, n_out, order="F").T)
         degrees.append(_tensor_product_columns([np.arange(v) for v in t.m]))
     degrees = np.concatenate(degrees, axis=1)
-    m, _, sums = _group_columns(degrees, np.concatenate(terms, axis=1))
-    lam = MultiIndexSet(degrees[:, m].T, dim=grid.dim, base=0)
-    coeffs = sums[:, np.lexsort(degrees[::-1, m])]  # lexicographic, as lam.rows
-    return PCExpansion(family=family, params=params, lambda_set=lam, coeffs=coeffs)
+    m, _, sums, lex = _group_columns(degrees, np.concatenate(terms, axis=1))
+    rows = degrees[:, m[lex]].T
+    lam = MultiIndexSet(rows.tolist(), dim=grid.dim, base=0)
+    if not np.array_equal(lam.rows, rows):
+        raise AssertionError("MultiIndexSet rows are not in lexicographic order")
+    return PCExpansion(family=family, params=params, lambda_set=lam, coeffs=sums[:, lex])
 
 
 def evaluate_pce(expansion: PCExpansion, points) -> np.ndarray:

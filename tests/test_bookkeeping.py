@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import sparsegrids as sg
+import sparsegrids.pce
 from sparsegrids.evalkit import Domain, _compile
 from sparsegrids.grid import _tensor_product_columns, dedup_tolerances, lattice_keys
 from sparsegrids.pce import _family_dist, _orthonormal_table, convert_to_modal
@@ -102,6 +103,18 @@ def test_modal_coefficients_bitwise_equal_dict_loop(case):
     assert expansion.coeffs.tobytes() == coeffs.tobytes()
 
 
+def test_modal_rejects_a_set_that_reorders_its_rows(monkeypatch):
+    class Reversed(sg.MultiIndexSet):
+        rows = property(lambda self: self._rows[::-1])
+
+    monkeypatch.setattr(sparsegrids.pce, "MultiIndexSet", Reversed)
+    grid = CASES["td-cc"]()
+    reduced = sg.reduce_grid(grid)
+    domain = Domain(np.array([[-1.0] * 3, [1.0] * 3]))
+    with pytest.raises(AssertionError, match="lexicographic"):
+        convert_to_modal(grid, reduced, _values(reduced), domain, "legendre")
+
+
 def test_shifted_domain_has_negative_lattice_keys():
     reduced = sg.reduce_grid(CASES["shifted"]())
     keys = lattice_keys(reduced.knots, reduced.tol)
@@ -116,14 +129,3 @@ def test_lattice_keys_are_tuples_of_python_ints():
     scaled = np.rint(reduced.knots / reduced.tol[:, None]).astype(np.int64)
     assert keys == list(map(tuple, scaled.T))
     assert [hash(k) for k in keys] == [hash(tuple(r)) for r in scaled.T]
-
-
-def test_multi_index_set_from_integer_array():
-    rows = np.array([[2, 1], [1, 1], [1, 2]])
-    s = sg.MultiIndexSet(rows)
-    assert s == sg.MultiIndexSet(rows.tolist())
-    assert s.rows.tolist() == [[1, 1], [1, 2], [2, 1]]
-    with pytest.raises(ValueError, match="entries must be >= base"):
-        sg.MultiIndexSet(np.array([[0, 1]]))
-    with pytest.raises(ValueError, match="expected 3"):
-        sg.MultiIndexSet(rows, dim=3)

@@ -119,18 +119,26 @@ class TestEvaluateOnGrid:
         assert cumulative_new == prev[2].size  # nested chain reuses everything
         assert cumulative_new < total_without
 
-    @pytest.mark.parametrize("old_f, new_f", [
-        (lambda y: 1.0, lambda y: np.array([2.0, 3.0])),
-        (lambda y: np.array([2.0, 3.0]), lambda y: 1.0),
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("old_out, new_out", [
+        (1.0, np.array([2.0, 3.0])),
+        (np.array([2.0, 3.0]), 1.0),
     ], ids=["one-to-two", "two-to-one"])
-    def test_recycling_rejects_a_changed_output_count(self, old_f, new_f):
+    def test_recycling_rejects_a_changed_output_count(self, old_out, new_out, workers):
         old_grid, old_reduced = sg.quick_preset(2, 2)
         grid, reduced = sg.quick_preset(2, 3)
-        old = (evaluate_on_grid(old_f, old_reduced), old_grid, old_reduced)
+        old = (evaluate_on_grid(lambda y: old_out, old_reduced), old_grid, old_reduced)
         n_old = old[0].values.shape[0]
+        calls = []
+
+        def new_f(y):
+            calls.append(y)
+            return new_out
+
         with pytest.raises(ValueError, match=f"returns {3 - n_old} outputs, the old "
                                              f"table has {n_old}"):
-            evaluate_on_grid(new_f, reduced, old=old)
+            evaluate_on_grid(new_f, reduced, old=old, workers=workers)
+        assert len(calls) == 1  # raised before the other new knots were evaluated
 
     def test_all_recycled_keeps_the_old_output_count(self):
         grid, reduced = sg.quick_preset(2, 3)
