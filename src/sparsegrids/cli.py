@@ -221,6 +221,8 @@ def _cmd_sobol(args) -> int:
     if args.demo:
         if args.family is not None or args.threads is not None:
             raise UsageError("--family and --threads do not apply to sobol --demo")
+        if args.grid is not None or args.fn is not None:
+            raise UsageError("--grid and --fn do not apply to sobol --demo")
         model = uqdemo.DiffusionModel(n_random=2, sigmas=(0.5, 0.1), mesh=args.mesh)
         report = uqdemo.forward_uq(model, uqdemo.ForwardConfig(w=args.w))
         principal, total = report.sobol_principal, report.sobol_total

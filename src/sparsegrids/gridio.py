@@ -107,9 +107,9 @@ def save_grid(path, grid: SparseGrid, reduced: ReducedGrid | None = None,
         doc["values"] = values.values.tolist()
     if adapt_state is not None:
         doc["adapt_state"] = adapt_state
+    text = json.dumps(doc) + "\n"  # json.dump would run the pure-Python encoder
     with open(path, "w") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+        fh.write(text)
 
 
 def load_grid(path) -> GridBundle:

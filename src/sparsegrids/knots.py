@@ -406,9 +406,10 @@ def _argmax_rightmost(grid: np.ndarray, vals: np.ndarray) -> int:
     return j
 
 
-def _next_leja_node(existing: np.ndarray, lo: float, hi: float, log_weight=None) -> float:
-    """Greedy step: maximize sum(log|t - t_k|) (+ optional log weight)."""
-    grid = np.linspace(lo, hi, _LEJA_GRID)
+def _next_leja_node(prefix: "_LejaPrefix") -> float:
+    """Greedy step: maximize sum(log|t - t_k|) (+ optional log weight) on the
+    prefix's search grid, from its running sum, then refine the maximum."""
+    existing, grid, log_weight = np.asarray(prefix.nodes), prefix.grid, prefix.log_weight
 
     def objective(t):
         t = np.atleast_1d(np.asarray(t, dtype=float))
@@ -418,11 +419,11 @@ def _next_leja_node(existing: np.ndarray, lo: float, hi: float, log_weight=None)
             v = v + log_weight(t)
         return v
 
-    vals = objective(grid)
+    vals = prefix.logsum if prefix.logw is None else prefix.logsum + prefix.logw
     j = _argmax_rightmost(grid, vals)
     step = grid[1] - grid[0]
-    blo = max(lo, grid[j] - step)
-    bhi = min(hi, grid[j] + step)
+    blo = max(prefix.lo, grid[j] - step)
+    bhi = min(prefix.hi, grid[j] + step)
     refined = _golden_max(lambda t: objective(t)[0], blo, bhi)
     # the refinement cannot resolve differences below the float noise of
     # the objective; ties still break to the rightmost point
@@ -433,14 +434,32 @@ def _next_leja_node(existing: np.ndarray, lo: float, hi: float, log_weight=None)
     return refined
 
 
-@dataclass
 class _LejaPrefix:
-    """The longest greedy Leja sequence computed so far for one set of
-    inputs, with the search interval where its anchor doubling stopped."""
+    """The longest greedy Leja sequence computed so far for one set of inputs,
+    with the search interval where its anchor doubling stopped, its search
+    grid, and on it the running sum of log|grid - x_k| and the log weight."""
 
-    nodes: list
-    lo: float
-    hi: float
+    def __init__(self, nodes: list, lo: float, hi: float, log_weight):
+        self.nodes, self.log_weight = nodes, log_weight
+        self.move(lo, hi)
+
+    def move(self, lo: float, hi: float) -> None:
+        """Search on [lo, hi] from here on; the sum is rebuilt from the nodes."""
+        self.lo, self.hi = lo, hi
+        self.grid = np.linspace(lo, hi, _LEJA_GRID)
+        self.logw = None if self.log_weight is None else self.log_weight(self.grid)
+        self.logsum = np.zeros(_LEJA_GRID)
+        for x in self.nodes:
+            self.logsum += self._log_distances(x)
+
+    def append(self, x: float) -> None:
+        self.nodes.append(x)
+        self.logsum += self._log_distances(x)
+
+    def _log_distances(self, x: float) -> np.ndarray:
+        d = np.abs(self.grid - x)
+        with np.errstate(divide="ignore"):
+            return np.log(d, out=d)
 
 
 # one prefix per Leja sequence, shared by every family instance in the
@@ -468,21 +487,20 @@ def _leja_sequence(key: tuple, count: int, start, lo: float, hi: float, log_weig
     with _LEJA_LOCK:
         prefix = _LEJA_PREFIXES.get(key)
         if prefix is None:
-            prefix = _LEJA_PREFIXES[key] = _LejaPrefix([float(v) for v in start], lo, hi)
+            prefix = _LEJA_PREFIXES[key] = _LejaPrefix(list(map(float, start)), lo, hi, log_weight)
         nodes, lo, hi = prefix.nodes, prefix.lo, prefix.hi
         while len(nodes) < count:
-            arr = np.asarray(nodes)
-            t = _next_leja_node(arr, lo, hi, log_weight)
+            t = _next_leja_node(prefix)
             while anchor is not None and (
                 (hi > anchor and hi - t <= 0.01 * (hi - lo))
                 or (lo < anchor and t - lo <= 0.01 * (hi - lo))
             ):
                 lo, hi = anchor - 2 * (anchor - lo), anchor + 2 * (hi - anchor)
-                t = _next_leja_node(arr, lo, hi, log_weight)
-            nodes.append(t)
+                prefix.move(lo, hi)
+                t = _next_leja_node(prefix)
+            prefix.append(t)
             if centre is not None:
-                nodes.append(centre - (t - centre))
-            prefix.lo, prefix.hi = lo, hi
+                prefix.append(centre - (t - centre))
         return np.asarray(nodes[:count])
 
 
@@ -580,17 +598,18 @@ def gk_knots(count: int) -> Rule1D:
 # knot families (providers bound to a distribution, with caching)
 # ---------------------------------------------------------------------------
 
+# every rule a KnotFamily generated in this process, by (tag, params, count)
+_RULES: dict[tuple, Rule1D] = {}
+
 
 class KnotFamily:
     """A named univariate rule generator bound to a distribution.
 
-    Instances are immutable and memoize the rules they generate, so grid
-    constructions that share an instance build each rule once.  An equal
-    instance built separately (one per dimension, or by
-    ``family_from_descriptor``) starts with an empty memo and builds its
-    rules again; only the Leja searches are shared across instances, by
-    the process-wide prefix store of ``_leja_sequence``.
-    Equality is by (tag, params), which also drives grid recycling.
+    Equality is by (tag, params), which also drives grid recycling: equal
+    instances generate equal rules.  Instances are immutable, and every
+    rule they generate is kept in one process-wide store under
+    (tag, params, count), so equal instances (one per dimension, or one
+    rebuilt by ``family_from_descriptor``) build each rule once.
     """
 
     def __init__(self, tag: str, params: tuple, dist: DistributionSpec | None,
@@ -600,13 +619,12 @@ class KnotFamily:
         self.dist = dist
         self.nested = nested
         self._maker = maker
-        self._cache: dict[int, Rule1D] = {}
 
     def __call__(self, count: int) -> Rule1D:
-        rule = self._cache.get(count)
+        key = (self.tag, self.params, count)
+        rule = _RULES.get(key)
         if rule is None:
-            rule = self._maker(count)
-            self._cache[count] = rule
+            rule = _RULES[key] = self._maker(count)
         return rule
 
     def __eq__(self, other):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import operator
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -25,6 +26,16 @@ class ClosureError(ValueError):
     """Operation requires a downward-closed multi-index set."""
 
 
+def _index_row(r) -> tuple[int, ...]:
+    """One multi-index as ints; a non-integer entry (1.7, nan, inf) raises."""
+    try:
+        return tuple(map(operator.index, r))
+    except TypeError:
+        if not all(float(v).is_integer() for v in r):
+            raise ValueError(f"multi-index {list(r)} has a non-integer entry") from None
+        return tuple(int(v) for v in r)
+
+
 class MultiIndexSet:
     """A lexicographically sorted set of integer multi-indices.
 
@@ -37,7 +48,7 @@ class MultiIndexSet:
     __slots__ = ("_rows", "_members", "dim", "base")
 
     def __init__(self, rows: Iterable, dim: int | None = None, base: int = 1):
-        rows = [tuple(int(v) for v in r) for r in rows]
+        rows = [_index_row(r) for r in rows]
         if not rows:
             if dim is None:
                 raise ValueError("cannot infer dim of an empty set")
@@ -86,8 +97,7 @@ class MultiIndexSet:
         return f"MultiIndexSet({self._rows.tolist()}, base={self.base})"
 
     def union(self, indices: Iterable) -> "MultiIndexSet":
-        extra = [tuple(int(v) for v in r) for r in indices]
-        return MultiIndexSet(list(self._members) + extra, dim=self.dim, base=self.base)
+        return MultiIndexSet(list(self._members) + list(indices), dim=self.dim, base=self.base)
 
 
 def generate_rule_set(

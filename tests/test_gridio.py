@@ -193,6 +193,14 @@ class TestCLI:
         assert captured.out == ""
         assert "--family and --threads do not apply to sobol --demo" in captured.err
 
+    @pytest.mark.parametrize("extra", [["--grid", "nonexistent.json"], ["--fn", "nosuchfn"],
+                                       ["--grid", "nonexistent.json", "--fn", "nosuchfn"]])
+    def test_sobol_demo_rejects_grid_and_fn(self, extra, capsys):
+        assert cli_main(["sobol", "--demo"] + extra) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--grid and --fn do not apply to sobol --demo" in captured.err
+
     def test_demo_forward_json(self, tmp_path, capsys):
         rpath = str(tmp_path / "rep.json")
         spath = str(tmp_path / "pdf.csv")
@@ -405,6 +413,14 @@ class TestCLIMore:
 
 
 class TestStructuralValidation:
+    def test_non_integer_multi_index_reported(self, saved_bundle):
+        path = saved_bundle[0]
+        doc = json.loads(path.read_text())
+        doc["multi_index_set"][-1][0] = 1.5
+        path.write_text(json.dumps(doc))
+        with pytest.raises(GridFileError, match=r"structurally invalid: multi-index \[1\.5, "):
+            load_grid(path)
+
     def test_missing_sections_reported(self, tmp_path):
         path = tmp_path / "partial.json"
         path.write_text('{"format_version": 1, "dim": 2}')

@@ -2,6 +2,7 @@ import math
 import random
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -412,6 +413,7 @@ class TestLejaPrefixStore:
     @staticmethod
     def empty_store(monkeypatch):
         monkeypatch.setattr(knots, "_LEJA_PREFIXES", {})
+        monkeypatch.setattr(knots, "_RULES", {})
 
     @pytest.fixture
     def searches(self, monkeypatch):
@@ -499,6 +501,101 @@ class TestLejaPrefixStore:
         assert len(searches) == 9
         for n, nodes in results:
             assert nodes.tobytes() == cold[:n].tobytes()
+
+
+def _direct_leja_sequence(key, count, start, lo, hi, log_weight=None, centre=None, anchor=None):
+    """Reference: the greedy search that sums the (grid x nodes) matrix of
+    log-distances afresh for every node, with no prefix store."""
+
+    def objective(t, existing):
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        with np.errstate(divide="ignore"):
+            v = np.sum(np.log(np.abs(t[:, None] - existing[None, :])), axis=1)
+        return v if log_weight is None else v + log_weight(t)
+
+    def next_node(existing, lo, hi):
+        grid = np.linspace(lo, hi, knots._LEJA_GRID)
+        j = knots._argmax_rightmost(grid, objective(grid, existing))
+        step = grid[1] - grid[0]
+        blo, bhi = max(lo, grid[j] - step), min(hi, grid[j] + step)
+        refined = knots._golden_max(lambda t: objective(t, existing)[0], blo, bhi)
+        pair = objective(np.array([refined, grid[j]]), existing)
+        noise = 1e-13 * max(1.0, float(np.max(np.abs(pair))))
+        if grid[j] > refined and pair[1] >= pair[0] - noise:
+            return float(grid[j])
+        return refined
+
+    nodes = [float(v) for v in start]
+    while len(nodes) < count:
+        arr = np.asarray(nodes)
+        t = next_node(arr, lo, hi)
+        while anchor is not None and (
+            (hi > anchor and hi - t <= 0.01 * (hi - lo))
+            or (lo < anchor and t - lo <= 0.01 * (hi - lo))
+        ):
+            lo, hi = anchor - 2 * (anchor - lo), anchor + 2 * (hi - anchor)
+            t = next_node(arr, lo, hi)
+        nodes.append(t)
+        if centre is not None:
+            nodes.append(centre - (t - centre))
+    return np.asarray(nodes[:count])
+
+
+def _adapt_leja_intervals(n):
+    """Seeded domains [a, b] drawn as the adapt-leja benchmark draws them."""
+    rng = random.Random("adapt-leja:running-sum")
+    return [(round(rng.uniform(-2.0, -0.5), 6), round(rng.uniform(0.5, 2.0), 6))
+            for _ in range(n)]
+
+
+class TestRunningLogSum:
+    """The Leja search keeps a running sum of log-distances over its grid
+    instead of summing a (grid x nodes) matrix for every node."""
+
+    @pytest.mark.parametrize("make", [
+        *(lambda n, a=a, b=b, v=v: leja_knots(n, a, b, v)
+          for a, b in _adapt_leja_intervals(6) for v in ("standard", "symmetric")),
+        lambda n: weighted_leja_knots(n, DistributionSpec.normal(0.3, 2.0)),
+        lambda n: weighted_leja_knots(n, DistributionSpec.normal(0.3, 2.0), "symmetric"),
+        lambda n: weighted_leja_knots(n, DistributionSpec.gamma(2.0, 1.0)),
+        lambda n: weighted_leja_knots(n, DistributionSpec.exponential(1.0)),  # doubles at node 14
+    ])
+    def test_nodes_bitwise_equal_the_direct_search(self, make, monkeypatch):
+        TestLejaPrefixStore.empty_store(monkeypatch)
+        fast = make(16).nodes
+        with monkeypatch.context() as m:
+            m.setattr(knots, "_leja_sequence", _direct_leja_sequence)
+            direct = make(16).nodes
+        assert fast.tobytes() == direct.tobytes()
+
+    def test_extension_keeps_no_node_matrix(self, monkeypatch):
+        TestLejaPrefixStore.empty_store(monkeypatch)
+        leja_knots(3, -1.3, 1.7)
+        tracemalloc.start()
+        try:
+            leja_knots(13, -1.3, 1.7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one (grid x 10) float matrix alone would be 8 MB
+        assert peak < 5e6
+
+    def test_equal_families_build_each_rule_once(self, monkeypatch):
+        TestLejaPrefixStore.empty_store(monkeypatch)
+        built = []
+        make = knots.leja_knots
+
+        def counted(n, *args):
+            built.append(n)
+            return make(n, *args)
+
+        monkeypatch.setattr(knots, "leja_knots", counted)
+        first, second = leja_family(-0.7, 1.2), leja_family(-0.7, 1.2)
+        families = (first, second, family_from_descriptor(first.descriptor()))
+        for n in (5, 2, 12, 8, 1, 11, 5):
+            rules = [fam(n) for fam in families]
+            assert all(rule is rules[0] for rule in rules)
+        assert sorted(built) == [1, 2, 5, 8, 11, 12]
 
 
 class TestTrapFamilyFallback:

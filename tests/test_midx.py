@@ -62,6 +62,19 @@ class TestMultiIndexSet:
         with pytest.raises(ValueError):
             s.rows[0, 0] = 5
 
+    @pytest.mark.parametrize("bad", [1.7, math.nan, math.inf, np.float64(2.5)])
+    def test_non_integer_entries_rejected(self, bad):
+        with pytest.raises(ValueError, match=r"multi-index \[1, .*\] has a non-integer entry"):
+            MultiIndexSet([[1, 1], [1, bad]])
+        with pytest.raises(ValueError, match="non-integer entry"):
+            MultiIndexSet([[1, 1]]).union([(bad, 1)])
+
+    def test_integral_entries_of_any_type_accepted(self):
+        rows = [[1, 2.0], np.array([2, 1]), np.array([1.0, 1.0]), (np.int32(3), True)]
+        s = MultiIndexSet(rows)
+        assert s.rows.tolist() == [[1, 1], [1, 2], [2, 1], [3, 1]]
+        assert all(type(v) is int for idx in s for v in idx)
+
 
 class TestGenerateRuleSet:
     def test_td_level_three(self):
