@@ -34,6 +34,8 @@ RUNS = [
      ["d10.json", "d10.csv"]),
     ("forward-leja", ["demo", "forward", "--N", "3", "--sigmas", "0.5,0.3,0.2", "--knots", "leja",
                       "--samples", "1000", "-o", "leja.json"], ["leja.json"]),
+    ("forward-mesh37", ["demo", "forward", "--N", "3", "--sigmas", "0.5,0.3,0.2", "--mesh", "37",
+                        "--knots", "gauss-legendre", "-o", "mesh37.json"], ["mesh37.json"]),
     ("inverse", ["demo", "inverse", "--N", "3", "--sigmas", "0.5,0.5,0.5",
                  "--y-star", "0.9,-1.1,0.3", "-o", "inverse.json",
                  "--samples-csv", "inverse.csv"],

@@ -264,8 +264,10 @@ def _write_samples_csv(path, samples: np.ndarray) -> None:
 def _cmd_demo(args) -> int:
     default = "0.5,0.1" if args.mode == "forward" else "0.5,0.5"
     sigmas = tuple(float(v) for v in (args.sigmas or default).split(","))
+    if args.N is not None and args.N != len(sigmas):
+        raise UsageError(f"--N {args.N} does not match the {len(sigmas)} --sigmas")
     if args.mode == "forward":
-        model = uqdemo.DiffusionModel(n_random=args.N, sigmas=sigmas, mesh=args.mesh)
+        model = uqdemo.DiffusionModel(n_random=len(sigmas), sigmas=sigmas, mesh=args.mesh)
         report = uqdemo.forward_uq(
             model, uqdemo.ForwardConfig(w=args.w, samples=args.samples, seed=args.seed,
                                         knots=args.knots)
@@ -285,6 +287,9 @@ def _cmd_demo(args) -> int:
             _write_samples_csv(args.samples_csv, report.pdf_samples)
         return 0
     y_star = tuple(float(v) for v in args.y_star.split(","))
+    if len(y_star) != len(sigmas):
+        raise UsageError(f"--y-star has {len(y_star)} entries, "
+                         f"but there are {len(sigmas)} --sigmas")
     report = uqdemo.run_inverse_pipeline(
         sigmas=sigmas, y_star=y_star, sigma_eps=args.noise, n_data=args.K,
         surrogate_w=args.w, seed=args.seed, knots=args.knots,
@@ -386,7 +391,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("demo", help="diffusion forward/inverse analysis")
     p.add_argument("mode", choices=("forward", "inverse"))
-    p.add_argument("--N", type=int, default=2)
+    p.add_argument("--N", type=int, default=None,
+                   help="number of random variables (default: the number of --sigmas)")
     p.add_argument("--sigmas", default=None,
                    help="defaults: 0.5,0.1 (forward), 0.5,0.5 (inverse)")
     p.add_argument("--knots", default="cc", choices=("cc", "gauss-legendre", "leja"))

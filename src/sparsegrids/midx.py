@@ -81,7 +81,7 @@ class MultiIndexSet:
         return (tuple(int(v) for v in r) for r in self._rows)
 
     def __contains__(self, idx) -> bool:
-        return tuple(int(v) for v in idx) in self._members
+        return _index_row(idx) in self._members
 
     def __eq__(self, other) -> bool:
         return (

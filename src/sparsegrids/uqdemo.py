@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -58,7 +58,10 @@ class DiffusionModel:
 
     The coefficient is mu + sum_n sigmas[n] * y_n on the n-th of
     ``n_random`` equal subintervals; it must stay positive over the whole
-    input box [-sqrt(3), sqrt(3)]^n_random.
+    input box [-sqrt(3), sqrt(3)]^n_random.  The sample-independent part
+    of the FEM system (mesh, element midpoints, lumped load) is assembled
+    once per model, so a custom ``rhs`` is evaluated once and must be a
+    pure function of x.
     """
 
     n_random: int
@@ -83,6 +86,18 @@ class DiffusionModel:
         nodes.flags.writeable = False
         return nodes
 
+    @cached_property
+    def _assembly(self) -> _Assembly:
+        xs = self.nodes
+        h = xs[1] - xs[0]
+        mids, dx = (xs[:-1] + xs[1:]) / 2.0, np.diff(xs)
+        mids.flags.writeable = dx.flags.writeable = False
+        return _Assembly(h, mids, tuple((h * self._rhs_values(xs[1:-1])).tolist()), dx)
+
+    @cached_property
+    def _sigma_array(self) -> np.ndarray:
+        return np.asarray(self.sigmas)
+
     def domain(self) -> Domain:
         return Domain(np.array([[-SQRT3] * self.n_random, [SQRT3] * self.n_random]))
 
@@ -90,12 +105,21 @@ class DiffusionModel:
         """Diffusivity a(x, y) on the subinterval decomposition."""
         y = np.asarray(y, dtype=float).ravel()
         cell = np.minimum((np.asarray(x) * self.n_random).astype(int), self.n_random - 1)
-        return self.mu + np.asarray(self.sigmas)[cell] * y[cell]
+        return self.mu + self._sigma_array[cell] * y[cell]
 
     def _rhs_values(self, x: np.ndarray) -> np.ndarray:
         if self.rhs is None:
             return np.ones_like(x)
         return np.asarray(self.rhs(x), dtype=float)
+
+
+class _Assembly(NamedTuple):
+    """The sample-independent FEM data of one model."""
+
+    h: float  # mesh width
+    mids: np.ndarray  # element midpoints, where the coefficient is sampled
+    load: tuple[float, ...]  # lumped load at the interior nodes
+    dx: np.ndarray  # node spacings of the trapezoid rule
 
 
 def _tridiagonal_solve(diag: list, off: list, load: list) -> list:
@@ -119,28 +143,34 @@ def fem_solve(model: DiffusionModel, y, query_points=None) -> np.ndarray:
 
     The load vector uses trapezoid lumping, which keeps the nodal values
     exact for constant forcing.  The stiffness system is solved by
-    Gaussian elimination without pivoting (the Thomas algorithm).
+    Gaussian elimination without pivoting (the Thomas algorithm).  Only
+    the coefficient and the solve depend on ``y``: the mesh and the lumped
+    load are assembled once per model, so a custom ``rhs`` is evaluated
+    once and must be a pure function of x.
     """
-    xs = model.nodes
-    h = xs[1] - xs[0]
-    mids = (xs[:-1] + xs[1:]) / 2.0
+    y = np.asarray(y, dtype=float).ravel()
+    if y.size != model.n_random:
+        raise ModelError(f"y has {y.size} entries, but the model has {model.n_random} "
+                         "random variables")
+    h, mids, load, _ = model._assembly
     a_el = model.coefficient(mids, y)
-    if np.any(a_el <= 0.0):
-        raise ModelError(f"nonpositive diffusion coefficient for y = {np.asarray(y).ravel()}")
+    if (a_el <= 0.0).any():
+        raise ModelError(f"nonpositive diffusion coefficient for y = {y}")
     main = (a_el[:-1] + a_el[1:]) / h
     off = -a_el[1:-1] / h
-    b = h * model._rhs_values(xs[1:-1])
     # bitwise as LAPACK gtsv, which never pivots here: pivot i = a_i/h + 1/sum_{e<i} h/a_e > |off_i|
-    u = np.array([0.0, *_tridiagonal_solve(main.tolist(), off.tolist(), b.tolist()), 0.0])
+    u = np.fromiter([0.0, *_tridiagonal_solve(main.tolist(), off.tolist(), list(load)), 0.0],
+                    float, model.mesh + 1)
     if query_points is None:
         return u
-    return np.interp(np.asarray(query_points, dtype=float), xs, u)
+    return np.interp(np.asarray(query_points, dtype=float), model.nodes, u)
 
 
 def qoi_integral(model: DiffusionModel, y) -> float:
     """Spatial integral of the solution, by the trapezoid rule on the mesh."""
     u = fem_solve(model, y)
-    return float(np.trapezoid(u, model.nodes))
+    # np.trapezoid(u, model.nodes) with the node spacings taken from the model
+    return float((model._assembly.dx * (u[1:] + u[:-1]) / 2.0).sum())
 
 
 # ---------------------------------------------------------------------------

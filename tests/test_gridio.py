@@ -218,6 +218,33 @@ class TestCLI:
         assert np.max(np.abs(np.array(doc["y_map"]) - [0.9, -1.1])) < 0.3
         assert 0.005 <= doc["sigma_eps_estimate"] <= 0.02
 
+    @pytest.mark.parametrize("argv,message", [
+        (["inverse", "--sigmas", "0.5,0.5", "--y-star", "0.9,-1.1,0.3"],
+         "--y-star has 3 entries, but there are 2 --sigmas"),
+        (["inverse", "--N", "3", "--sigmas", "0.5,0.5,0.5"],
+         "--y-star has 2 entries, but there are 3 --sigmas"),
+        (["inverse", "--N", "3"], "--N 3 does not match the 2 --sigmas"),
+        (["inverse", "--N", "2", "--sigmas", "0.5,0.5,0.5", "--y-star", "0.9,-1.1,0.3"],
+         "--N 2 does not match the 3 --sigmas"),
+        (["forward", "--N", "3"], "--N 3 does not match the 2 --sigmas"),
+    ])
+    def test_demo_length_mismatch_is_a_usage_error(self, argv, message, monkeypatch, capsys):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the pipeline ran")
+
+        monkeypatch.setattr("sparsegrids.uqdemo.run_inverse_pipeline", no_work)
+        monkeypatch.setattr("sparsegrids.uqdemo.forward_uq", no_work)
+        assert cli_main(["demo", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {message}" in captured.err
+        assert "usage:" in captured.err
+
+    def test_demo_n_defaults_to_the_number_of_sigmas(self, capsys):
+        assert cli_main(["demo", "forward", "--sigmas", "0.5,0.3,0.2", "--w", "2",
+                         "--samples", "10"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["sobol_total"]) == 3
+
     def test_pce_export(self, tmp_path, capsys):
         gpath = str(tmp_path / "g.json")
         cli_main(["build", "--dim", "2", "--preset", "SM", "--w", "2",

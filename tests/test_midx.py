@@ -75,6 +75,18 @@ class TestMultiIndexSet:
         assert s.rows.tolist() == [[1, 1], [1, 2], [2, 1], [3, 1]]
         assert all(type(v) is int for idx in s for v in idx)
 
+    @pytest.mark.parametrize("bad", [(1.7, 2.9), (1, 2.5), (np.float64(1.5), 2), (1, math.nan)])
+    def test_membership_rejects_non_integer_queries(self, bad):
+        s = MultiIndexSet([[1, 2]])
+        with pytest.raises(ValueError, match="non-integer entry"):
+            bad in s
+
+    def test_membership_of_integral_queries(self):
+        s = MultiIndexSet([[1, 2]])
+        assert (1, 2) in s and [1.0, 2.0] in s and np.array([1, 2]) in s
+        assert (np.int64(1), np.float64(2.0)) in s
+        assert (2, 1) not in s and (1,) not in s and (1, 2, 1) not in s
+
 
 class TestGenerateRuleSet:
     def test_td_level_three(self):

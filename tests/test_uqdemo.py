@@ -1,4 +1,6 @@
+import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +11,8 @@ from sparsegrids.uqdemo import (
     ForwardConfig,
     ModelError,
     SQRT3,
+    _input_box_grid,
+    _tridiagonal_solve,
     build_solution_surrogate,
     fem_solve,
     forward_uq,
@@ -115,6 +119,103 @@ class TestFEM:
             errors.append(np.max(np.abs(u - u_ref)))
         rates = [math.log2(errors[i] / errors[i + 1]) for i in range(3)]
         assert min(rates) > 1.6
+
+
+def per_call_reference(model, y, query_points=None):
+    """The FEM solve with every part of the system assembled in the call,
+    and its trapezoid-rule integral by np.trapezoid."""
+    xs = model.nodes
+    h = xs[1] - xs[0]
+    a_el = model.coefficient((xs[:-1] + xs[1:]) / 2.0, y)
+    main = (a_el[:-1] + a_el[1:]) / h
+    off = -a_el[1:-1] / h
+    rhs = np.ones_like(xs[1:-1]) if model.rhs is None else model.rhs(xs[1:-1])
+    b = h * np.asarray(rhs, dtype=float)
+    u = np.array([0.0, *_tridiagonal_solve(main.tolist(), off.tolist(), b.tolist()), 0.0])
+    values = u if query_points is None else np.interp(query_points, xs, u)
+    return values, float(np.trapezoid(u, xs))
+
+
+def assert_bitwise(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def sin_rhs(x):
+    return np.sin(3.0 * x) + x**2
+
+
+class TestAssemblyOncePerModel:
+    """The sample-independent assembly is built once per model; every
+    solve must equal, bit for bit, one that assembles everything itself."""
+
+    @pytest.mark.parametrize("mesh", [2, 3, 37, 200])
+    @pytest.mark.parametrize("rhs", [None, sin_rhs], ids=["const", "sin"])
+    def test_bitwise_equal_to_per_call_assembly(self, mesh, rhs):
+        model = DiffusionModel(n_random=3, sigmas=(0.5, 0.1, 0.3), mesh=mesh, rhs=rhs)
+        corners = [list(c) for c in itertools.product((-SQRT3, SQRT3), repeat=3)]
+        draws = np.random.default_rng(mesh).uniform(-SQRT3, SQRT3, (10, 3))
+        queries = np.array([0.0, 1.0 / 3.0, 0.5, 2.0 / 3.0, 0.99])
+        for y in [[0.0, 0.0, 0.0], *corners, *draws]:
+            want_u, want_q = per_call_reference(model, y)
+            assert_bitwise(fem_solve(model, y), want_u)
+            assert_bitwise(qoi_integral(model, y), want_q)
+            assert_bitwise(fem_solve(model, y, queries), per_call_reference(model, y, queries)[0])
+
+    def test_models_never_share_assembly(self):
+        models = [DiffusionModel(3, (0.5, 0.1, 0.3), mesh=37),
+                  DiffusionModel(3, (0.5, 0.1, 0.3), mesh=38),
+                  DiffusionModel(3, (0.5, 0.1, 0.3), mesh=37, rhs=sin_rhs),
+                  DiffusionModel(3, (0.5, 0.1, 0.3), mesh=37, rhs=lambda x: 2.0 * x)]
+        y = [0.4, -1.2, 1.5]
+        for _ in range(2):  # interleaved, after every model has built its assembly
+            values = []
+            for model in models:
+                want_u, want_q = per_call_reference(model, y)
+                assert_bitwise(fem_solve(model, y), want_u)
+                assert_bitwise(qoi_integral(model, y), want_q)
+                values.append(want_q)
+            assert len(set(values)) == len(models)
+
+    def test_threaded_evaluation_equals_serial(self):
+        # the threads share one model, and with it the cached load vector
+        # the solver must not write into
+        _, reduced = _input_box_grid(3, 4, "cc")
+        tables = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in (1, 2, 4):  # a fresh model each time: its first calls build the assembly
+                model = DiffusionModel(n_random=3, sigmas=(0.5, 0.3, 0.2), mesh=37, rhs=sin_rhs)
+                tables.append(sg.evaluate_on_grid(lambda y: qoi_integral(model, y), reduced,
+                                                  workers=workers))
+        finally:
+            sys.setswitchinterval(interval)
+        want = np.array([per_call_reference(model, y)[1] for y in reduced.knots.T])
+        for table in tables:
+            assert_bitwise(table.values[0], want)
+
+    def test_overridden_coefficient_is_used(self):
+        class Graded(DiffusionModel):
+            def coefficient(self, x, y):
+                return 1.0 + 0.5 * np.asarray(x) + 0.1 * float(np.sum(y))
+
+        graded = Graded(n_random=2, sigmas=(0.5, 0.1), mesh=37)
+        plain = DiffusionModel(n_random=2, sigmas=(0.5, 0.1), mesh=37)
+        for y in ([0.0, 0.0], [1.0, -0.5]):
+            want_u, want_q = per_call_reference(graded, y)
+            assert_bitwise(fem_solve(graded, y), want_u)
+            assert_bitwise(qoi_integral(graded, y), want_q)
+            assert not np.array_equal(fem_solve(plain, y), want_u)
+
+    @pytest.mark.parametrize("y", [[0.1], [0.1, 0.2, 0.9], []])
+    def test_length_of_y_checked(self, y):
+        model = DiffusionModel(n_random=2, sigmas=(0.5, 0.5))
+        with pytest.raises(ModelError, match=rf"y has {len(y)} entries, but the model has 2 "):
+            qoi_integral(model, y)
+        with pytest.raises(ModelError, match=rf"y has {len(y)} entries"):
+            make_synthetic_data(model, np.array(y), 0.01)
 
 
 class TestQoI:
