@@ -40,6 +40,9 @@ RUNS = [
                  "--y-star", "0.9,-1.1,0.3", "-o", "inverse.json",
                  "--samples-csv", "inverse.csv"],
      ["inverse.json", "inverse.csv"]),
+    ("inverse-leja", ["demo", "inverse", "--N", "3", "--sigmas", "0.5,0.5,0.5",
+                      "--y-star", "0.9,-1.1,0.3", "--knots", "leja", "-o", "inverse-leja.json"],
+     ["inverse-leja.json"]),
     ("adapt", _ADAPT + ["--max-pts", "300", "-o", "A.json"], ["A.json"]),
     ("adapt-resume", _ADAPT + ["--max-pts", "600", "--resume", "A.json", "-o", "B.json"],
      ["B.json"]),

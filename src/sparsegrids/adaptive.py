@@ -33,7 +33,8 @@ from .grid import (
 )
 from .knots import KnotFamily
 from .levels import LevelMap, UnsupportedLevelError, apply_level_map
-from .midx import MultiIndexSet, _backward_closed, _forward_neighbours, _signed_neighbours
+from .midx import (MultiIndexSet, _backward_closed, _forward_neighbours, _index_row,
+                   _signed_neighbours)
 
 __all__ = [
     "AdaptControls",
@@ -165,7 +166,7 @@ def work_indicator(candidate, nested: bool, level_map: LevelMap) -> int:
 
     Exact for nested families; a worst-case upper bound otherwise.
     """
-    candidate = tuple(int(v) for v in candidate)
+    candidate = _index_row(candidate)
     if any(v < 1 for v in candidate):
         raise ValueError("candidate entries must be >= 1")
     out = 1
@@ -254,7 +255,7 @@ def error_indicator_quad(candidate, state: AdaptState) -> float:
 
     Vector-valued outputs reduce with the max norm.
     """
-    candidate = tuple(int(v) for v in candidate)
+    candidate = _index_row(candidate)
     total = None
     for sign, rules, vals in _detail_terms(state, candidate):
         q = vals @ _tensor_weights(rules, 1)
@@ -269,7 +270,7 @@ def error_indicator_point(candidate, state: AdaptState) -> float:
     The testing set is the candidate's genuinely new knots for nested
     families and its full tensor grid otherwise.
     """
-    candidate = tuple(int(v) for v in candidate)
+    candidate = _index_row(candidate)
     if state.controls.nested:
         test_pts = _new_knots_of(state, candidate)
     else:

@@ -1,13 +1,31 @@
 """Evaluation, quadrature, interpolation, and surrogate derivatives.
 
-Interpolation works tensor grid by tensor grid: values at each tensor's
-knots are gathered from the reduced table through the extended->reduced
-map, the tensor-product Lagrange interpolant is evaluated in barycentric
-form over the tensor's active dimensions (those with more than one node),
-and the results accumulate with the combination coefficients.  The 1D
-bases are shared across tensors: an ``Interpolant`` computes the
-barycentric weights of each distinct 1D rule once when it is built, and
-each distinct rule's basis once per chunk of query points.
+An ``Interpolant`` evaluates the sparse-grid interpolant along one of two
+paths, chosen per chunk of query points.  Both start from the table of
+distinct 1D rules with more than one node and their barycentric weights,
+computed once when the interpolant is built.
+
+* Per tensor (``_tensor_sum``), for large chunks: each distinct rule's
+  basis is evaluated once per chunk; each tensor gathers its values from
+  the reduced table through the extended->reduced map, forms the row-wise
+  Kronecker product of its active dimensions' bases (those with more than
+  one node) and adds its share with the combination coefficient.  The
+  Kronecker products share partial products across a tensor's knots.
+* Reduced weights (``_ReducedWeights``), for small chunks: the
+  interpolant at Q points is ``V @ W`` with V the reduced value table and
+  W (reduced knots x Q) the reduced-knot weights.  Each extended knot's
+  weight is its coefficient times the product of its active dimensions'
+  basis values; the weights of extended knots that reduce to the same
+  knot are summed.  All rules of one dimension are evaluated in one
+  barycentric pass, then W takes one gather-product per dimension and one
+  segment sum, whatever the number of tensors.
+
+The per-tensor path costs a fixed amount per tensor, the reduced-weight
+path about one product per extended knot and query point; a chunk of Q
+points takes the reduced weights when E * Q <= _REDUCED_WEIGHTS_PER_TENSOR * T
+for E extended knots and T tensors.  Their tables are built on the first
+chunk that takes them, so an interpolant that only sees large chunks
+never builds them.  Both paths agree to round-off.
 """
 
 from __future__ import annotations
@@ -33,6 +51,11 @@ __all__ = [
 ]
 
 _QUERY_CHUNK = 512
+# a chunk of Q query points on a grid of E extended knots and T tensors
+# takes the reduced weights when E * Q <= _REDUCED_WEIGHTS_PER_TENSOR * T
+# (module docstring); about where both paths took equal time on a d=10
+# Smolyak grid, while smaller grids cross over at larger E * Q / T
+_REDUCED_WEIGHTS_PER_TENSOR = 400
 
 
 class EvaluationError(RuntimeError):
@@ -235,19 +258,92 @@ def _tensor_sum(rules: dict, tensors, points: np.ndarray) -> np.ndarray:
     return out
 
 
+class _ReducedWeights:
+    """The reduced-weight path of an ``Interpolant`` (module docstring).
+
+    Per dimension with a multi-node rule: the nodes and barycentric weights
+    of all its rules end to end, each rule's first slot, the rule of each
+    slot, and each extended knot's slot, where the extra last slot stands
+    for a one-node rule (basis 1.0).  Extended knots are sorted by their
+    reduced knot, so reduced knot p owns the segment from ``starts[p]``.
+    """
+
+    def __init__(self, grid: SparseGrid, reduced: ReducedGrid, rules: dict):
+        order = np.argsort(reduced.n, kind="stable")
+        sorted_n = reduced.n[order]
+        self.starts = np.flatnonzero(np.r_[True, sorted_n[1:] != sorted_n[:-1]])
+        sizes = [t.size for t in grid.tensors]
+        self.coeff = np.repeat([float(t.coeff) for t in grid.tensors], sizes)[order]
+        # each extended knot's position in its tensor, and then in each dimension
+        local = (np.arange(reduced.n.size) - np.repeat(grid.tensor_offsets()[:-1], sizes))[order]
+        self.dims = []
+        for n in range(grid.dim):
+            count = np.repeat([t.knots_per_dim[n].size for t in grid.tensors], sizes)[order]
+            pos, local = local % count, local // count
+            keys = [key for key in rules if key[0] == n]
+            if not keys:
+                continue
+            counts = [rules[key][0].size for key in keys]
+            rule_starts = np.cumsum([0, *counts[:-1]])
+            first = dict(zip(keys, rule_starts.tolist()))
+            one = sum(counts)  # the slot of a one-node rule
+            base = [first.get((n, t.knots_per_dim[n].tobytes()), one) for t in grid.tensors]
+            self.dims.append((n, np.concatenate([rules[key][0] for key in keys]),
+                              np.concatenate([rules[key][1] for key in keys]), rule_starts,
+                              np.repeat(np.arange(len(keys)), counts),
+                              np.repeat(base, sizes)[order] + pos))
+
+    def __call__(self, values: np.ndarray, points: np.ndarray) -> np.ndarray:
+        w = np.repeat(self.coeff[:, None], points.shape[1], axis=1)
+        for n, nodes, bw, rule_starts, seg, slot in self.dims:
+            w *= _stacked_basis(nodes, bw, rule_starts, seg, points[n])[slot]
+        return values @ np.add.reduceat(w, self.starts, axis=0)
+
+
+def _stacked_basis(nodes, bw, rule_starts, seg, pts) -> np.ndarray:
+    """Barycentric bases of several 1D rules stored end to end, at ``pts``:
+    row s is node s's basis function, the extra last row is 1.0.  As in
+    ``basis_matrix``, a point on a node gets the exact unit row of each rule
+    holding that node."""
+    out = np.empty((nodes.size + 1, pts.size))
+    out[-1] = 1.0
+    d = pts[None, :] - nodes[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = bw[:, None] / d
+        np.divide(r, np.add.reduceat(r, rule_starts, axis=0)[seg], out=out[:-1])
+    hit_s, hit_q = np.nonzero(d == 0.0)
+    if hit_s.size:
+        # the rest of the hit rule's column is finite / inf = 0 already
+        out[hit_s, hit_q] = 1.0
+    return out
+
+
 class Interpolant:
     """Sparse-grid interpolant, compiled once from (grid, reduced, values).
 
     Holds the table of distinct multi-node 1D rules with their barycentric
     weights and the grid's compiled tensors (``_compile``).  Build it once
-    and call it many times: each call evaluates every distinct 1D basis
-    once per chunk of query points and shares it across the tensors.
+    and call it many times: each chunk of query points takes the per-tensor
+    or the reduced-weight path by its size (module docstring).
     """
 
     def __init__(self, grid: SparseGrid, reduced: ReducedGrid, values):
         self.dim = grid.dim
         self._rules, self._tensors = _compile(grid, reduced, values)
         self.n_outputs = self._tensors[0][1].shape[0]
+        self._values = _value_matrix(values)
+        self._grid, self._reduced = grid, reduced
+        # the most query points a chunk may hold to take the reduced weights
+        self._reduced_chunk = _REDUCED_WEIGHTS_PER_TENSOR * len(self._tensors) // reduced.n.size
+        self._reduced_weights = None
+
+    def _chunk(self, points: np.ndarray) -> np.ndarray:
+        """Interpolant values at one chunk of query points."""
+        if points.shape[1] > self._reduced_chunk:
+            return _tensor_sum(self._rules, self._tensors, points)
+        if self._reduced_weights is None:
+            self._reduced_weights = _ReducedWeights(self._grid, self._reduced, self._rules)
+        return self._reduced_weights(self._values, points)
 
     def __call__(self, points) -> np.ndarray:
         """Interpolant values at query points (dim x Q); shape (V, Q)."""
@@ -257,7 +353,7 @@ class Interpolant:
         result = np.empty((self.n_outputs, points.shape[1]))
         for lo in range(0, points.shape[1], _QUERY_CHUNK):
             chunk = points[:, lo : lo + _QUERY_CHUNK]
-            result[:, lo : lo + chunk.shape[1]] = _tensor_sum(self._rules, self._tensors, chunk)
+            result[:, lo : lo + chunk.shape[1]] = self._chunk(chunk)
         return result
 
 

@@ -19,6 +19,7 @@ from .knots import KnotFamily, cc_family
 from .levels import LevelMap, apply_level_map
 from .midx import (
     MultiIndexSet,
+    _index_row,
     _signed_neighbours,
     combination_coefficients,
     generate_rule_set,
@@ -139,7 +140,7 @@ def _tensor_weights(rules, coeff: int) -> np.ndarray:
 
 def build_tensor_grid(idx, families, level_map: LevelMap, coeff: int = 1) -> TensorGrid:
     """Materialize the tensor grid of multi-index ``idx``."""
-    idx = tuple(int(v) for v in idx)
+    idx = _index_row(idx)
     if any(v < 1 for v in idx):
         raise ValueError("tensor grid indices must be >= 1")
     dim = len(idx)
@@ -248,7 +249,7 @@ def add_one_index(
     nonzero (the new index, and occasionally a neighbor that previously
     cancelled out).
     """
-    new_idx = tuple(int(v) for v in new_idx)
+    new_idx = _index_row(new_idx)
     if new_idx in index_set:
         raise ValueError(f"index {new_idx} is already in the set")
     new_set = index_set.union([new_idx])

@@ -59,9 +59,9 @@ class DiffusionModel:
     The coefficient is mu + sum_n sigmas[n] * y_n on the n-th of
     ``n_random`` equal subintervals; it must stay positive over the whole
     input box [-sqrt(3), sqrt(3)]^n_random.  The sample-independent part
-    of the FEM system (mesh, element midpoints, lumped load) is assembled
-    once per model, so a custom ``rhs`` is evaluated once and must be a
-    pure function of x.
+    of the FEM system (mesh, element midpoints and their subintervals,
+    lumped load) is assembled once per model, so a custom ``rhs`` is
+    evaluated once and must be a pure function of x.
     """
 
     n_random: int
@@ -91,8 +91,9 @@ class DiffusionModel:
         xs = self.nodes
         h = xs[1] - xs[0]
         mids, dx = (xs[:-1] + xs[1:]) / 2.0, np.diff(xs)
-        mids.flags.writeable = dx.flags.writeable = False
-        return _Assembly(h, mids, tuple((h * self._rhs_values(xs[1:-1])).tolist()), dx)
+        cells = self._cells(mids)
+        mids.flags.writeable = dx.flags.writeable = cells.flags.writeable = False
+        return _Assembly(h, mids, cells, tuple((h * self._rhs_values(xs[1:-1])).tolist()), dx)
 
     @cached_property
     def _sigma_array(self) -> np.ndarray:
@@ -104,8 +105,13 @@ class DiffusionModel:
     def coefficient(self, x: np.ndarray, y) -> np.ndarray:
         """Diffusivity a(x, y) on the subinterval decomposition."""
         y = np.asarray(y, dtype=float).ravel()
-        cell = np.minimum((np.asarray(x) * self.n_random).astype(int), self.n_random - 1)
+        assembly = self._assembly
+        cell = assembly.cells if x is assembly.mids else self._cells(x)
         return self.mu + self._sigma_array[cell] * y[cell]
+
+    def _cells(self, x) -> np.ndarray:
+        """The subinterval of each point of ``x``."""
+        return np.minimum((np.asarray(x) * self.n_random).astype(int), self.n_random - 1)
 
     def _rhs_values(self, x: np.ndarray) -> np.ndarray:
         if self.rhs is None:
@@ -118,6 +124,7 @@ class _Assembly(NamedTuple):
 
     h: float  # mesh width
     mids: np.ndarray  # element midpoints, where the coefficient is sampled
+    cells: np.ndarray  # the subinterval of each midpoint
     load: tuple[float, ...]  # lumped load at the interior nodes
     dx: np.ndarray  # node spacings of the trapezoid rule
 
@@ -152,7 +159,7 @@ def fem_solve(model: DiffusionModel, y, query_points=None) -> np.ndarray:
     if y.size != model.n_random:
         raise ModelError(f"y has {y.size} entries, but the model has {model.n_random} "
                          "random variables")
-    h, mids, load, _ = model._assembly
+    h, mids, _, load, _ = model._assembly
     a_el = model.coefficient(mids, y)
     if (a_el <= 0.0).any():
         raise ModelError(f"nonpositive diffusion coefficient for y = {y}")

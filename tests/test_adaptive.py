@@ -63,6 +63,26 @@ class TestWorkIndicator:
             assert gained <= work_indicator(idx, False, sg.LevelMap.LINEAR)
 
 
+class TestNonIntegerCandidates:
+    """A non-integer candidate raises instead of being truncated; integer
+    entries of any type give the integer candidate's result."""
+
+    def test_work_indicator(self):
+        with pytest.raises(ValueError, match="non-integer"):
+            work_indicator((2.7, 1.2), True, sg.LevelMap.DOUBLING)
+        for cand in [(np.int64(2), np.int32(2)), np.array([2, 2]), (2.0, 2.0)]:
+            assert work_indicator(cand, True, sg.LevelMap.DOUBLING) == 4
+
+    @pytest.mark.parametrize("indicator", [error_indicator_quad, error_indicator_point])
+    def test_error_indicators(self, indicator):
+        state = make_state(EXPSUM)
+        with pytest.raises(ValueError, match="non-integer"):
+            indicator((2.7, 1.2), state)
+        want = indicator((2, 1), state)
+        for cand in [(np.int64(2), np.int32(1)), np.array([2, 1], dtype=np.uint8), (2.0, 1.0)]:
+            assert indicator(cand, state) == want
+
+
 class TestErrorIndicators:
     def test_constant_function_zero(self):
         state = make_state(lambda y: 1.0)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import sparsegrids as sg
+from sparsegrids import evalkit
 from sparsegrids._bary import barycentric_weights, basis_matrix
 from sparsegrids.evalkit import (
     Domain,
@@ -16,7 +17,8 @@ from sparsegrids.evalkit import (
     interpolate,
     quadrature,
 )
-from sparsegrids.uqdemo import DiffusionModel, build_solution_surrogate, make_synthetic_data
+from sparsegrids.uqdemo import (DiffusionModel, _input_box_grid, build_solution_surrogate,
+                                make_synthetic_data)
 
 EXPSUM = lambda y: math.exp(float(np.sum(y)))
 EXACT_2D = (math.e - 1.0) ** 2
@@ -44,9 +46,12 @@ def product_lagrange_interpolate(knots_per_dim, values_fd, point):
     return total
 
 
-def loop_interpolate(grid, reduced, values, points):
-    """Reference: every tensor computes its own 1D weights and bases."""
+def loop_interpolate(grid, reduced, values, points, magnitude=False):
+    """Reference: every tensor computes its own 1D weights and bases.  With
+    ``magnitude``, the same sum over the absolute values of its terms."""
     vals = np.atleast_2d(np.asarray(values, dtype=float))
+    if magnitude:
+        vals = np.abs(vals)
     points = np.atleast_2d(np.asarray(points, dtype=float))
     result = np.zeros((vals.shape[0], points.shape[1]))
     offsets = grid.tensor_offsets()
@@ -58,11 +63,14 @@ def loop_interpolate(grid, reduced, values, points):
             for n in range(grid.dim):
                 nodes = t.knots_per_dim[n]
                 B = basis_matrix(nodes, barycentric_weights(nodes), chunk[n])
+                if magnitude:
+                    B = np.abs(B)
                 if basis is None:
                     basis = B
                 else:
                     basis = (B[:, :, None] * basis[:, None, :]).reshape(chunk.shape[1], -1)
-            result[:, lo : lo + chunk.shape[1]] += t.coeff * (tv @ basis.T)
+            coeff = abs(t.coeff) if magnitude else t.coeff
+            result[:, lo : lo + chunk.shape[1]] += coeff * (tv @ basis.T)
     return result
 
 
@@ -289,6 +297,82 @@ class TestInterpolant:
         assert got.shape == want.shape == (table.n_outputs, pts.shape[1])
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
         assert np.array_equal(interpolate(grid, reduced, table, pts), got)
+
+    @staticmethod
+    def largest_reduced_weight_chunk(grid, reduced):
+        """The most query points one chunk may hold and still take the
+        reduced-weight path."""
+        return evalkit._REDUCED_WEIGHTS_PER_TENSOR * len(grid.tensors) // reduced.n.size
+
+    def assert_matches_loop(self, grid, reduced, table, pts, path):
+        interp = Interpolant(grid, reduced, table)
+        got = interp(pts)
+        want = loop_interpolate(grid, reduced, table.values, pts)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        assert (interp._reduced_weights is not None) == (path == "reduced")
+
+    @pytest.mark.parametrize("kind", ["cc", "gauss", "three-outputs"])
+    def test_one_point_on_a_knot(self, kind, rng):
+        grid, reduced, table = interpolant_case(kind)
+        for p in rng.choice(reduced.size, 12, replace=False):
+            knot = reduced.knots[:, p]
+            self.assert_matches_loop(grid, reduced, table, knot[:, None], "reduced")
+            for n in range(grid.dim):  # on the knot in dimension n only
+                pt = rng.uniform(0, 1, grid.dim)
+                pt[n] = knot[n]
+                self.assert_matches_loop(grid, reduced, table, pt[:, None], "reduced")
+
+    @pytest.mark.parametrize("kind", ["cc", "gauss", "three-outputs"])
+    def test_queries_outside_the_domain(self, kind, rng):
+        # outside the box the terms of the signed sum grow and cancel, so
+        # the two summation orders differ by a rounding of the sum of the
+        # terms' magnitudes, not of the result
+        grid, reduced, table = interpolant_case(kind)
+        for q in (1, 6):
+            pts = rng.uniform(-0.6, 1.6, (grid.dim, q))
+            pts[:, 0] = np.where(pts[:, 0] < 0.5, -0.3, 1.3)  # outside in every dimension
+            interp = Interpolant(grid, reduced, table)
+            got = interp(pts)
+            assert interp._reduced_weights is not None
+            want = loop_interpolate(grid, reduced, table.values, pts)
+            magnitude = loop_interpolate(grid, reduced, table.values, pts, magnitude=True)
+            assert np.all(np.abs(got - want) <= 16 * np.finfo(float).eps * magnitude)
+
+    @pytest.mark.parametrize("kind", ["cc", "gauss", "three-outputs"])
+    def test_both_sides_of_the_path_boundary(self, kind, rng):
+        grid, reduced, table = interpolant_case(kind)
+        largest = self.largest_reduced_weight_chunk(grid, reduced)
+        assert 1 <= largest < 512
+        pts = rng.uniform(0, 1, (grid.dim, largest + 1))
+        self.assert_matches_loop(grid, reduced, table, pts[:, :largest], "reduced")
+        self.assert_matches_loop(grid, reduced, table, pts, "tensor")
+
+    def test_nested_knots_reproduce_the_table_one_at_a_time(self):
+        grid, reduced, table = interpolant_case("three-outputs")
+        interp = Interpolant(grid, reduced, table)
+        got = np.concatenate([interp(reduced.knots[:, [p]]) for p in range(reduced.size)], axis=1)
+        assert interp._reduced_weights is not None
+        assert np.max(np.abs(got - table.values)) <= 1e-14 * np.max(np.abs(table.values))
+
+    @pytest.mark.parametrize("case", ["forward-d10", "posterior"])
+    def test_full_chunks_take_the_per_tensor_path(self, case, rng):
+        if case == "forward-d10":
+            grid, reduced = _input_box_grid(10, 4)
+        else:
+            rule, _ = sg.preset("TD")
+            grid = sg.build_sparse_grid_from_rule(
+                3, 4, sg.gauss_family(sg.DistributionSpec.normal(0.0, 1.0)), sg.LevelMap.LINEAR,
+                rule)
+            reduced = sg.reduce_grid(grid)
+        assert self.largest_reduced_weight_chunk(grid, reduced) < 488
+        values = rng.standard_normal((1, reduced.size))
+        interp = Interpolant(grid, reduced, values)
+        pts = rng.uniform(-1.0, 1.0, (grid.dim, 1000))  # chunks of 512 and 488
+        want = np.concatenate([evalkit._tensor_sum(interp._rules, interp._tensors, pts[:, :512]),
+                               evalkit._tensor_sum(interp._rules, interp._tensors, pts[:, 512:])],
+                              axis=1)
+        assert np.array_equal(interp(pts), want)
+        assert interp._reduced_weights is None  # never built
 
     def test_rules_are_shared_across_tensors(self):
         grid, reduced, table = interpolant_case("cc")

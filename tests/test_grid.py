@@ -45,6 +45,19 @@ class TestBuildTensorGrid:
         assert np.all(t.knots[:32] == 0.5)
         assert t.weights.sum() == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("idx", [(2.7, 1.2), (2, 1.5), (np.nan, 1), (np.inf, 1)])
+    def test_non_integer_index_rejected(self, idx):
+        with pytest.raises(ValueError, match="non-integer"):
+            sg.build_tensor_grid(idx, sg.cc_family(0, 1), sg.LevelMap.DOUBLING)
+
+    @pytest.mark.parametrize("idx", [[2, 1], (np.int32(2), np.int64(1)),
+                                     np.array([2, 1], dtype=np.uint8), (2.0, 1.0)])
+    def test_integer_index_of_any_type(self, idx):
+        t = sg.build_tensor_grid(idx, sg.cc_family(0, 1), sg.LevelMap.DOUBLING)
+        want = sg.build_tensor_grid((2, 1), sg.cc_family(0, 1), sg.LevelMap.DOUBLING)
+        assert t.idx == (2, 1) and all(type(v) is int for v in t.idx)
+        assert np.array_equal(t.knots, want.knots) and np.array_equal(t.weights, want.weights)
+
     @pytest.mark.parametrize("sizes", [(1,), (3, 1, 2), (2, 0, 3), (1, 4, 1, 1, 2)])
     def test_product_matches_meshgrid(self, sizes):
         rng = np.random.default_rng(len(sizes))
@@ -167,6 +180,17 @@ class TestAddOneIndex:
         new = sg.add_one_index([2, 1], grid, s, combination_coefficients(s), fam,
                                sg.LevelMap.LINEAR)
         assert {t.idx: t.coeff for t in new.tensors} == {(2, 1): 1}
+
+    def test_non_integer_index_rejected(self):
+        s = sg.MultiIndexSet([[1, 1], [1, 2]])
+        fam = self._family()
+        grid = sg.build_sparse_grid(s, fam, sg.LevelMap.LINEAR)
+        coeffs = combination_coefficients(s)
+        with pytest.raises(ValueError, match="non-integer"):
+            sg.add_one_index((2.7, 1.0), grid, s, coeffs, fam, sg.LevelMap.LINEAR)
+        for idx in [(np.int64(2), np.int32(1)), np.array([2, 1]), (2.0, 1.0)]:
+            new = sg.add_one_index(idx, grid, s, coeffs, fam, sg.LevelMap.LINEAR)
+            assert new.index_set == s.union([(2, 1)])
 
     def test_rejects_duplicate_and_closure_violation(self):
         s = sg.MultiIndexSet([[1, 1]])
@@ -299,3 +323,37 @@ class TestAffineInvariance:
         integral, _ = sg.quadrature(lambda y: np.sum((y - a) / (b - a)), reduced)
         # the knots resolve the domain only to the float spacing at |shift|
         assert integral[0] == pytest.approx(1.0, abs=1e-13 * (1.0 + abs(shift) / scale))
+
+
+class TestCellBoundaryStraddle:
+    """Shifted Gauss grids far from the origin: knots that agree to
+    rounding never straddle a lattice cell boundary of ``reduce_grid`` and
+    stay apart, and distinct knots are never merged."""
+
+    @pytest.mark.parametrize("family", ["legendre", "hermite"])
+    def test_shifted_total_degree_grids(self, family):
+        rng = np.random.default_rng(0 if family == "legendre" else 1)
+        rule, _ = sg.preset("TD")
+        for _ in range(300):
+            centre, scale = rng.uniform(-1e3, 1e3, 2), 10.0 ** rng.uniform(-2, 2, 2)
+            if family == "legendre":
+                dists = [sg.DistributionSpec.uniform(c - s, c + s) for c, s in zip(centre, scale)]
+            else:
+                dists = [sg.DistributionSpec.normal(c, s) for c, s in zip(centre, scale)]
+            grid = sg.build_sparse_grid_from_rule(2, 4, [sg.gauss_family(d) for d in dists],
+                                                  sg.LevelMap.LINEAR, rule)
+            reduced = reduce_grid(grid)
+            knots = reduced.knots
+            size = np.maximum(1.0, np.abs(knots))
+            near = (np.abs(knots[:, :, None] - knots[:, None, :])
+                    <= 1e-10 * np.maximum(size[:, :, None], size[:, None, :])).all(axis=0)
+            np.fill_diagonal(near, False)
+            assert not near.any()
+            extended = np.concatenate([t.knots for t in grid.tensors], axis=1)
+            if family == "legendre":
+                assert np.array_equal(extended, knots[:, reduced.n])
+            else:
+                # the middle node of an odd Hermite rule from the eigensolver
+                # lies a few ulps off the mean, the one-node rule: a merge
+                # of the same point within one lattice cell
+                assert np.all(np.abs(extended - knots[:, reduced.n]) <= reduced.tol[:, None])
