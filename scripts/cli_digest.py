@@ -55,6 +55,11 @@ RUNS = [
     ("sobol", ["sobol", "--grid", "grid.json", "--fn", "expsum"], []),
     ("interp", ["interp", "--grid", "grid.json", "--fn", "expsum", "--res", "7",
                 "-o", "interp.csv"], ["interp.csv"]),
+    # d > 32: a high-dimensional coefficient walk and grid file under the same check
+    ("build-d40", ["build", "--dim", "40", "--preset", "SM", "--w", "2", "--knots", "cc",
+                   "--domain=-1,1", "-o", "hd.json"], ["hd.json"]),
+    ("quad-d40", ["quad", "--grid", "hd.json", "--fn", "expsum", "-o", "hdq.json"],
+     ["hdq.json"]),
 ]
 
 

@@ -26,15 +26,14 @@ from .grid import (
     _tensor_product_columns,
     _tensor_weights,
     build_sparse_grid,
-    build_tensor_grid,
     dedup_tolerances,
     lattice_keys,
     reduce_grid,
 )
 from .knots import KnotFamily
 from .levels import LevelMap, UnsupportedLevelError, apply_level_map
-from .midx import (MultiIndexSet, _backward_closed, _forward_neighbours, _index_row,
-                   _signed_neighbours)
+from .midx import (MultiIndexSet, _backward_closed, _backward_neighbours, _forward_neighbours,
+                   _index_row)
 
 __all__ = [
     "AdaptControls",
@@ -210,29 +209,25 @@ def _values_at(state: AdaptState, knots: np.ndarray) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
-def _tensor_rule(state: AdaptState, idx):
-    return build_tensor_grid(idx, state.families, state.level_map, coeff=1)
-
-
-def _tensor_values(state: AdaptState, idx) -> np.ndarray:
-    """Values on the tensor grid of ``idx`` (outputs x knots), gathered once
-    per run.  The entry is committed only after every value arrived, so a
-    failing function leaves none for the tensor."""
+def _tensor_values(state: AdaptState, idx, rules) -> np.ndarray:
+    """Values on the tensor grid of ``idx`` with 1D ``rules`` (outputs x
+    knots), gathered once per run.  The entry is committed only after every
+    value arrived, so a failing function leaves none for the tensor."""
     vals = state.tensor_values.get(idx)
     if vals is None:
-        vals = _values_at(state, _tensor_rule(state, idx).knots)
+        vals = _values_at(state, _tensor_product_columns([r.nodes for r in rules]))
         state.tensor_values[idx] = vals
     return vals
 
 
 def _detail_terms(state: AdaptState, candidate):
     """(sign, 1D rules, values) of each tensor in the candidate's
-    hierarchical detail."""
+    hierarchical detail, the candidate's own tensor first."""
     # every rule first: a level beyond a tabulated family raises before f runs
     terms = [(sign, idx, [fam(apply_level_map(state.level_map, v))
                           for fam, v in zip(state.families, idx)])
-             for sign, idx in _signed_neighbours(candidate, lambda i: min(i) >= 1, -1)]
-    return [(sign, rules, _tensor_values(state, idx)) for sign, idx, rules in terms]
+             for sign, idx in _backward_neighbours(candidate, 1)]
+    return [(sign, rules, _tensor_values(state, idx, rules)) for sign, idx, rules in terms]
 
 
 def _new_knots_of(state: AdaptState, candidate) -> np.ndarray:
@@ -271,12 +266,13 @@ def error_indicator_point(candidate, state: AdaptState) -> float:
     families and its full tensor grid otherwise.
     """
     candidate = _index_row(candidate)
+    detail = _detail_terms(state, candidate)
     if state.controls.nested:
         test_pts = _new_knots_of(state, candidate)
     else:
-        test_pts = _tensor_rule(state, candidate).knots
+        test_pts = _tensor_product_columns([r.nodes for r in detail[0][1]])
     terms = [(sign, vals, _active_keys(state.rules, [r.nodes for r in rules]))
-             for sign, rules, vals in _detail_terms(state, candidate)]
+             for sign, rules, vals in detail]
     err = np.max(np.abs(_tensor_sum(state.rules, terms, test_pts)), axis=0)  # max over outputs
     if state.controls.profit.startswith("weighted"):
         xi = np.atleast_1d(
@@ -435,7 +431,7 @@ def adapt(
     try:
         if not state.accepted:
             root = (1,) * dim
-            _tensor_values(state, root)
+            _detail_terms(state, root)  # the root's detail is its own tensor
             additions = _margin_additions(state, {root}, state.visible_dims(), [root])
             state.accepted.append(root)
             state.history.append(root)

@@ -111,6 +111,8 @@ def _threads(args) -> int:
 
 
 def _cmd_build(args) -> int:
+    if args.g is not None and len(args.g) != args.dim:
+        raise UsageError(f"--g has {len(args.g)} weights, but --dim is {args.dim}")
     rule, level_map = preset(args.preset, args.g)
     if args.lev2knots:
         level_map = LevelMap(args.lev2knots)

@@ -19,8 +19,8 @@ from .knots import KnotFamily, cc_family
 from .levels import LevelMap, apply_level_map
 from .midx import (
     MultiIndexSet,
+    _add_backward_terms,
     _index_row,
-    _signed_neighbours,
     combination_coefficients,
     generate_rule_set,
     is_downward_closed,
@@ -175,6 +175,8 @@ def build_sparse_grid(
     """
     if index_set.base != 1:
         raise ValueError("sparse grids require a base-1 multi-index set")
+    if not len(index_set):
+        raise ValueError("cannot build a sparse grid over an empty multi-index set")
     coeffs = combination_coefficients(index_set)
     return _assemble(index_set, coeffs, families, level_map, previous)
 
@@ -257,8 +259,7 @@ def add_one_index(
         raise ValueError(f"adding {new_idx} violates downward closedness")
     new_coeffs = dict(coeffs)
     new_coeffs[new_idx] = 0
-    for sign, neighbor in _signed_neighbours(new_idx, new_set._members.__contains__, -1):
-        new_coeffs[neighbor] += sign
+    _add_backward_terms(new_coeffs, new_idx, new_set.base)
     return _assemble(new_set, new_coeffs, families, level_map, grid)
 
 

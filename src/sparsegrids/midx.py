@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from typing import Callable, Iterable, Iterator
 
@@ -78,7 +79,7 @@ class MultiIndexSet:
         return self._rows.shape[0]
 
     def __iter__(self) -> Iterator[tuple[int, ...]]:
-        return (tuple(int(v) for v in r) for r in self._rows)
+        return map(tuple, self._rows.tolist())
 
     def __contains__(self, idx) -> bool:
         return _index_row(idx) in self._members
@@ -182,6 +183,10 @@ def preset(name: str, weights=None):
         raise ValueError(f"unknown preset {name!r}; choose from {_PRESETS}")
     if weights is not None:
         g = np.asarray(weights, dtype=float)
+        for n, v in enumerate(g.tolist()):
+            if not 0 < v < math.inf:  # others give the rule no usable level bound
+                raise ValueError(f"anisotropy weight {n + 1} is {v!r}; weights must be "
+                                 f"finite and > 0")
 
         def wof(idx):
             return g[: len(idx)]
@@ -215,27 +220,26 @@ def _backward_closed(idx: tuple[int, ...], members, base: int = 1) -> bool:
     )
 
 
-def _signed_neighbours(idx: tuple[int, ...], contains: Callable[[tuple], bool],
-                       step: int) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """(-1)**|j| and idx + step * j for each j in {0, 1}^d, in
-    itertools.product order, skipping neighbours that fail ``contains``
-    (idx itself, j = 0, is always yielded).
+def _backward_neighbours(idx: tuple[int, ...], base: int) -> list[tuple[int, tuple[int, ...]]]:
+    """(-1)**|j| and idx - j for each j in {0, 1}^d that keeps every entry
+    >= base, in itertools.product order (idx itself, j = 0, first).
 
-    Depth-first, dimension 0 first, 0 branch before 1 branch; a branch is
-    pruned at its first failing partial neighbour, which is exact for
-    membership in a downward-closed set that contains idx.
+    Only dimensions with idx[n] > base can move, so a downward-closed set
+    that holds idx holds every index yielded.  Each moving dimension, last
+    first, doubles the list: its bumped copy goes after the unbumped one.
     """
-    dim = len(idx)
-    stack = [(0, 1, idx)]
-    while stack:
-        n, sign, current = stack.pop()
-        if n == dim:
-            yield sign, current
-            continue
-        bumped = current[:n] + (current[n] + step,) + current[n + 1 :]
-        if contains(bumped):
-            stack.append((n + 1, -sign, bumped))
-        stack.append((n + 1, sign, current))
+    out = [(1, idx)]
+    for n in reversed(range(len(idx))):
+        if idx[n] > base:
+            out += [(-sign, i[:n] + (i[n] - 1,) + i[n + 1 :]) for sign, i in out]
+    return out
+
+
+def _add_backward_terms(coeffs: dict, idx: tuple[int, ...], base: int) -> None:
+    """Add the terms of ``idx`` to the combination coefficients ``coeffs``
+    of a downward-closed set that holds it: (-1)**|j| at every idx - j."""
+    for sign, neighbour in _backward_neighbours(idx, base):
+        coeffs[neighbour] += sign
 
 
 def is_downward_closed(index_set: MultiIndexSet) -> bool:
@@ -267,8 +271,9 @@ def combination_coefficients(index_set: MultiIndexSet) -> dict[tuple[int, ...], 
     """
     if not is_downward_closed(index_set):
         raise ClosureError("combination coefficients require a downward-closed set")
-    contains = index_set._members.__contains__
-    return {
-        idx: sum(sign for sign, _ in _signed_neighbours(idx, contains, 1))
-        for idx in index_set
-    }
+    # i + j and i are both in the set exactly when the walk back from i + j
+    # reaches i, so each index adds its own terms and no membership is tested
+    coeffs = dict.fromkeys(index_set, 0)
+    for idx in coeffs:
+        _add_backward_terms(coeffs, idx, index_set.base)
+    return coeffs

@@ -266,6 +266,33 @@ class TestCLI:
         assert cli_main(["export", "--grid", gpath, "--what", "knots", "-o", out]) == 0
         assert len(open(out).read().splitlines()) == 30
 
+    @pytest.mark.parametrize("g, shown", [("0,1", "weight 1 is 0.0"), ("1,nan", "weight 2 is nan"),
+                                          ("-2,1", "weight 1 is -2.0"),
+                                          ("1,inf", "weight 2 is inf")])
+    def test_build_rejects_unbounded_weights(self, g, shown, tmp_path, capsys):
+        gpath = tmp_path / "g.json"
+        assert cli_main(["build", "--dim", "2", "--w", "2", "--preset", "TD", f"--g={g}",
+                         "-o", str(gpath)]) == 1
+        assert f"error: anisotropy {shown}; weights must be finite and > 0" in \
+            capsys.readouterr().err
+        assert not gpath.exists()
+
+    @pytest.mark.parametrize("g, dim", [("1,2,3", "2"), ("1,2", "3")])
+    def test_build_weight_count_must_match_dim(self, g, dim, tmp_path, capsys):
+        gpath = tmp_path / "g.json"
+        assert cli_main(["build", "--dim", dim, "--w", "2", "--g", g, "-o", str(gpath)]) == 1
+        captured = capsys.readouterr()
+        assert f"error: --g has {len(g.split(','))} weights, but --dim is {dim}" in captured.err
+        assert "usage:" in captured.err
+        assert not gpath.exists()
+
+    def test_build_rejects_an_empty_index_set(self, tmp_path, capsys):
+        gpath = tmp_path / "g.json"
+        assert cli_main(["build", "--dim", "2", "--w", "-1", "-o", str(gpath)]) == 1
+        assert "error: cannot build a sparse grid over an empty multi-index set" in \
+            capsys.readouterr().err
+        assert not gpath.exists()
+
     def test_unknown_function_is_user_error(self, tmp_path, capsys):
         gpath = str(tmp_path / "g.json")
         cli_main(["build", "--dim", "2", "--preset", "SM", "--w", "2",

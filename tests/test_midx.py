@@ -11,7 +11,7 @@ from sparsegrids.levels import LevelMap
 from sparsegrids.midx import (
     ClosureError,
     MultiIndexSet,
-    _signed_neighbours,
+    _backward_neighbours,
     box_set,
     combination_coefficients,
     fast_td_set,
@@ -286,9 +286,8 @@ class TestSignedNeighbours:
     def test_walk_equals_product_order(self, s):
         members = s._members
         for idx in s:
-            for step in (1, -1):
-                walked = list(_signed_neighbours(idx, members.__contains__, step))
-                assert walked == product_order_neighbours(idx, members, step)
+            walked = _backward_neighbours(idx, s.base)
+            assert walked == product_order_neighbours(idx, members, -1)
 
     @given(downward_closed_sets())
     @settings(max_examples=60, deadline=None)
@@ -297,3 +296,25 @@ class TestSignedNeighbours:
         for idx in s:
             assert coeffs[idx] == sum(sign for sign, _ in product_order_neighbours(idx, s, 1))
         assert sum(coeffs.values()) == 1
+
+    @given(downward_closed_sets())
+    @settings(max_examples=60, deadline=None)
+    def test_base0_coefficients_equal_brute_force_sum(self, s):
+        # the walk must stop at the set's base, not at 1
+        s0 = MultiIndexSet([[v - 1 for v in idx] for idx in s], dim=s.dim, base=0)
+        coeffs = combination_coefficients(s0)
+        for idx in s0:
+            assert coeffs[idx] == sum(sign for sign, _ in product_order_neighbours(idx, s0, 1))
+
+    def test_base0_corner(self):
+        s0 = MultiIndexSet([[0, 0], [0, 1], [1, 0]], base=0)
+        assert combination_coefficients(s0) == {(0, 0): -1, (0, 1): 1, (1, 0): 1}
+
+    @pytest.mark.parametrize("dim, level", [(2, 5), (10, 4), (60, 2)])
+    def test_total_degree_equals_smolyak_closed_form(self, dim, level):
+        def closed_form(idx):
+            k = level - sum(v - 1 for v in idx)
+            return (-1) ** k * math.comb(dim - 1, k) if 0 <= k <= dim - 1 else 0
+
+        s = fast_td_set(dim, level)
+        assert combination_coefficients(s) == {idx: closed_form(idx) for idx in s}
