@@ -46,6 +46,13 @@ RUNS = [
     ("adapt", _ADAPT + ["--max-pts", "300", "-o", "A.json"], ["A.json"]),
     ("adapt-resume", _ADAPT + ["--max-pts", "600", "--resume", "A.json", "-o", "B.json"],
      ["B.json"]),
+    ("adapt-cc", ["adapt", "--dim", "3", "--fn", "expsum", "--knots", "cc", "--domain=-1,1",
+                  "--lev2knots", "doubling", "--nested", "--prof", "deltaint", "--max-pts", "300",
+                  "-o", "C.json"], ["C.json"]),
+    # dimension buffering: the margin slides to each newly visible dimension
+    ("adapt-buffer", ["adapt", "--dim", "4", "--fn", "runge", "--knots", "leja",
+                      "--domain=0,1", "--lev2knots", "linear", "--nested", "--buffer", "1",
+                      "--max-pts", "300", "-o", "U.json"], ["U.json"]),
     ("adapt-gauss", ["adapt", "--dim", "2", "--fn", "expsum", "--knots", "gauss-legendre",
                      "--domain=0,1", "--max-pts", "200", "--prof", "Linf", "-o", "G.json"],
      ["G.json"]),

@@ -17,7 +17,8 @@ from typing import Callable
 
 import numpy as np
 
-from .evalkit import (EvaluationError, EvaluationTable, _active_keys, _call_f, _tensor_sum,
+from ._bary import basis_matrix
+from .evalkit import (EvaluationError, EvaluationTable, _active_key, _call_f, _signed_sum,
                       quadrature)
 from .grid import (
     ReducedGrid,
@@ -30,7 +31,7 @@ from .grid import (
     lattice_keys,
     reduce_grid,
 )
-from .knots import KnotFamily
+from .knots import KnotFamily, Rule1D
 from .levels import LevelMap, UnsupportedLevelError, apply_level_map
 from .midx import (MultiIndexSet, _backward_closed, _backward_neighbours, _forward_neighbours,
                    _index_row)
@@ -110,6 +111,16 @@ class _Candidate:
 
 
 @dataclass
+class _Level:
+    """One (dimension, level) entry of a run's rule table."""
+
+    rule: Rule1D
+    key: tuple[int, bytes] | None  # in AdaptState.rules; None for a one-node rule
+    test_nodes: np.ndarray  # the nodes new at the level if nested, else all nodes
+    bases: dict  # active key of the dimension -> its basis at test_nodes
+
+
+@dataclass
 class AdaptState:
     """Mutable internals of one adaptive run; reusable for resuming."""
 
@@ -126,10 +137,11 @@ class AdaptState:
     num_evals: int = 0
     active_dims: int = 0
     tols: np.ndarray | None = None
-    rules: dict = field(default_factory=dict, init=False, repr=False, compare=False)  # evalkit._active_keys
+    rules: dict = field(default_factory=dict, init=False, repr=False, compare=False)  # evalkit._active_key
     # multi-index -> value matrix of its tensor grid, from _tensor_values
     tensor_values: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    new_nodes: dict = field(default_factory=dict, init=False, repr=False, compare=False)  # _new_knots_of
+    # (dimension, level) -> _Level, from _level
+    new_nodes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def nb_pts_visited(self) -> int:
@@ -199,50 +211,51 @@ def _values_at(state: AdaptState, knots: np.ndarray) -> np.ndarray:
     The cache entry is committed only after a successful evaluation, so a
     failing function leaves the state resumable.
     """
-    cols = []
-    for key, col in zip(lattice_keys(knots, _reference_tolerances(state)), knots.T):
+    keys = lattice_keys(knots, _reference_tolerances(state))
+    for key, col in zip(keys, knots.T):
         if key not in state.values:
             state.values[key] = _call_f(state.f, col)
             state.points[key] = col.copy()
             state.num_evals += 1
-        cols.append(state.values[key])
-    return np.stack(cols, axis=1)
+    # knots x outputs in Fortran order, so its transpose is C-contiguous
+    return np.array([state.values[key] for key in keys], order="F").T
 
 
-def _tensor_values(state: AdaptState, idx, rules) -> np.ndarray:
-    """Values on the tensor grid of ``idx`` with 1D ``rules`` (outputs x
-    knots), gathered once per run.  The entry is committed only after every
-    value arrived, so a failing function leaves none for the tensor."""
+def _level(state: AdaptState, n: int, v: int) -> _Level:
+    """The run's rule table entry of dimension ``n`` at level ``v``, made on
+    first use."""
+    entry = state.new_nodes.get((n, v))
+    if entry is None:
+        rule = state.families[n](apply_level_map(state.level_map, v))
+        nodes = rule.nodes
+        if state.controls.nested and v > 1:
+            tol = _reference_tolerances(state)[n : n + 1]
+            old_keys = set(lattice_keys(_level(state, n, v - 1).rule.nodes[None, :], tol))
+            nodes = nodes[[key not in old_keys for key in lattice_keys(nodes[None, :], tol)]]
+        entry = _Level(rule, _active_key(state.rules, n, rule.nodes), nodes, {})
+        state.new_nodes[n, v] = entry
+    return entry
+
+
+def _tensor_values(state: AdaptState, idx, levels) -> np.ndarray:
+    """Values on the tensor grid of ``idx`` with table entries ``levels``
+    (outputs x knots), gathered once per run.  The entry is committed only
+    after every value arrived, so a failing function leaves none for the
+    tensor."""
     vals = state.tensor_values.get(idx)
     if vals is None:
-        vals = _values_at(state, _tensor_product_columns([r.nodes for r in rules]))
+        vals = _values_at(state, _tensor_product_columns([e.rule.nodes for e in levels]))
         state.tensor_values[idx] = vals
     return vals
 
 
 def _detail_terms(state: AdaptState, candidate):
-    """(sign, 1D rules, values) of each tensor in the candidate's
+    """(sign, table entries, values) of each tensor in the candidate's
     hierarchical detail, the candidate's own tensor first."""
     # every rule first: a level beyond a tabulated family raises before f runs
-    terms = [(sign, idx, [fam(apply_level_map(state.level_map, v))
-                          for fam, v in zip(state.families, idx)])
+    terms = [(sign, idx, [_level(state, n, v) for n, v in enumerate(idx)])
              for sign, idx in _backward_neighbours(candidate, 1)]
-    return [(sign, rules, _tensor_values(state, idx, rules)) for sign, idx, rules in terms]
-
-
-def _new_knots_of(state: AdaptState, candidate) -> np.ndarray:
-    """Hierarchy surplus points of a nested candidate: the tensor product
-    of per-dimension nodes new at each level, each found once per run."""
-    for n, v in enumerate(candidate):
-        if (n, v) not in state.new_nodes:
-            nodes = state.families[n](apply_level_map(state.level_map, v)).nodes
-            prev_count = apply_level_map(state.level_map, v - 1)
-            if prev_count:
-                tol = _reference_tolerances(state)[n : n + 1]
-                old_keys = set(lattice_keys(state.families[n](prev_count).nodes[None, :], tol))
-                nodes = nodes[[key not in old_keys for key in lattice_keys(nodes[None, :], tol)]]
-            state.new_nodes[n, v] = nodes
-    return _tensor_product_columns([state.new_nodes[n, v] for n, v in enumerate(candidate)])
+    return [(sign, levels, _tensor_values(state, idx, levels)) for sign, idx, levels in terms]
 
 
 def error_indicator_quad(candidate, state: AdaptState) -> float:
@@ -252,8 +265,8 @@ def error_indicator_quad(candidate, state: AdaptState) -> float:
     """
     candidate = _index_row(candidate)
     total = None
-    for sign, rules, vals in _detail_terms(state, candidate):
-        q = vals @ _tensor_weights(rules, 1)
+    for sign, levels, vals in _detail_terms(state, candidate):
+        q = vals @ _tensor_weights([e.rule for e in levels], 1)
         total = sign * q if total is None else total + sign * q
     return float(np.max(np.abs(total)))
 
@@ -263,18 +276,28 @@ def error_indicator_point(candidate, state: AdaptState) -> float:
     pdf-weighted.
 
     The testing set is the candidate's genuinely new knots for nested
-    families and its full tensor grid otherwise.
+    families and its full tensor grid otherwise: the tensor product of its
+    table entries' test nodes.  Each rule's basis at an entry's test nodes
+    is computed once per run; the testing points gather its rows.
     """
     candidate = _index_row(candidate)
     detail = _detail_terms(state, candidate)
-    if state.controls.nested:
-        test_pts = _new_knots_of(state, candidate)
-    else:
-        test_pts = _tensor_product_columns([r.nodes for r in detail[0][1]])
-    terms = [(sign, vals, _active_keys(state.rules, [r.nodes for r in rules]))
-             for sign, rules, vals in detail]
-    err = np.max(np.abs(_tensor_sum(state.rules, terms, test_pts)), axis=0)  # max over outputs
+    own = detail[0][1]
+    rows = _tensor_product_columns([np.arange(e.test_nodes.size) for e in own])
+    terms, bases = [], {}
+    for sign, levels, vals in detail:
+        keys = [e.key for e in levels if e.key is not None]
+        for key in keys:
+            if key not in bases:
+                entry = own[key[0]]
+                basis = entry.bases.get(key)
+                if basis is None:
+                    basis = entry.bases[key] = basis_matrix(*state.rules[key], entry.test_nodes)
+                bases[key] = basis[rows[key[0]]]
+        terms.append((sign, vals, keys))
+    err = np.max(np.abs(_signed_sum(terms, bases, rows.shape[1])), axis=0)  # max over outputs
     if state.controls.profit.startswith("weighted"):
+        test_pts = _tensor_product_columns([e.test_nodes for e in own])
         xi = np.atleast_1d(
             np.asarray([state.controls.pdf_weight(test_pts[:, q]) for q in range(test_pts.shape[1])])
         )
@@ -316,12 +339,8 @@ def _margin_additions(state: AdaptState, accepted: set, visible: int, around_lis
 
 def _select_best(state: AdaptState):
     """Margin candidate with maximal profit; ties break lexicographically."""
-    best_idx, best = None, None
-    for idx in sorted(state.margin):
-        cand = state.margin[idx]
-        if best is None or cand.profit > best.profit:
-            best_idx, best = idx, cand
-    return best_idx, best
+    best_idx = min(state.margin, key=lambda idx: (-state.margin[idx].profit, idx))
+    return best_idx, state.margin[best_idx]
 
 
 def _assemble_result(state: AdaptState) -> AdaptResult:
@@ -422,6 +441,8 @@ def adapt(
         state.f = f
         old_controls = state.controls
         state.controls = controls
+        if controls.nested != old_controls.nested:
+            state.new_nodes.clear()  # test nodes depend on the nested flag
         if controls.profit != old_controls.profit:
             for cand in state.margin:
                 state.margin[cand] = _profit_of(state, cand)
@@ -436,21 +457,23 @@ def adapt(
             state.accepted.append(root)
             state.history.append(root)
             state.margin.update(additions)
-        while True:
-            if not state.margin:
-                break
+        # this call's own set: a resume rebuilds it from state.accepted
+        accepted = set(state.accepted)
+        while state.margin:
             best_idx, best = _select_best(state)
             if best.profit <= state.controls.prof_tol:
                 break
             if state.nb_pts_visited > state.controls.max_pts:
                 break
-            # compute the margin extension before committing anything, so
-            # a failing function evaluation leaves a resumable state
-            accepted = set(state.accepted) | {best_idx}
+            # compute the margin extension before committing anything to the
+            # state, so a failing function evaluation leaves it resumable
+            accepted.add(best_idx)
             active = max([state.active_dims] + [n + 1 for n, v in enumerate(best_idx) if v > 1])
             visible = state.visible_dims(active)
             slid = visible > state.visible_dims()
-            around = list(accepted) if slid else [best_idx]
+            # a fresh set's iteration order, which fixes the order of the
+            # margin and of the points in the grid file
+            around = list(set(state.accepted) | {best_idx}) if slid else [best_idx]
             additions = _margin_additions(state, accepted, visible, around)
             del state.margin[best_idx]
             state.accepted.append(best_idx)

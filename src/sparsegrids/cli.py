@@ -99,7 +99,9 @@ def _families(args, dim: int):
 
 def _add_knot_args(p):
     p.add_argument("--knots", default="cc", help="knot family (default cc)")
-    p.add_argument("--domain", default="-1,1", help="per-dim intervals, e.g. 0,1x0,1")
+    p.add_argument("--domain", default="-1,1",
+                   help="per-dim intervals, e.g. 0,1x0,1; write --domain=-2,1 when the "
+                        "first value is negative")
     p.add_argument("--mu", type=float, default=0.0, help="normal mean (hermite/wleja)")
     p.add_argument("--sigma", type=float, default=1.0, help="normal std (hermite/wleja)")
 
@@ -323,7 +325,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--preset", default="SM", choices=("TP", "TD", "HC", "SM"))
     p.add_argument("--w", type=int, required=True)
     p.add_argument("--g", type=lambda s: [float(v) for v in s.split(",")], default=None,
-                   help="anisotropy weights, comma separated")
+                   help="anisotropy weights, comma separated, one per dimension; write "
+                        "--g=-2,1 when the first value is negative")
     p.add_argument("--lev2knots", default=None, choices=[m.value for m in LevelMap],
                    help="override the preset's level-to-knots map")
     _add_knot_args(p)

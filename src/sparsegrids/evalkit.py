@@ -214,22 +214,26 @@ def quadrature(values_or_f, grid_or_reduced):
     return vals @ reduced.weights
 
 
+def _active_key(rules: dict, n: int, nodes: np.ndarray) -> tuple[int, bytes] | None:
+    """Key (dimension, node bytes) in ``rules`` of the dimension-``n`` rule
+    with ``nodes``, or None for a one-node rule, which drops out: its basis
+    is exactly 1.0.  ``rules`` maps each key to (nodes, barycentric
+    weights), computed and checked for duplicate nodes once."""
+    if nodes.size == 1:
+        return None
+    key = (n, nodes.tobytes())
+    if key not in rules:
+        if len(set(nodes.tolist())) < nodes.size:
+            raise np.linalg.LinAlgError(
+                f"duplicate knots {nodes} make the dimension {n + 1} system singular")
+        rules[key] = (nodes, barycentric_weights(nodes))
+    return key
+
+
 def _active_keys(rules: dict, per_dim) -> list[tuple[int, bytes]]:
-    """Keys (dimension, node bytes) in ``rules`` of the 1D rules in
-    ``per_dim`` with more than one node; ``rules`` maps each key to (nodes,
-    barycentric weights), computed and checked for duplicate nodes once.
-    A one-node dimension drops out: its basis is exactly 1.0."""
-    keys = []
-    for n, nodes in enumerate(per_dim):
-        if nodes.size > 1:
-            key = (n, nodes.tobytes())
-            if key not in rules:
-                if len(set(nodes.tolist())) < nodes.size:
-                    raise np.linalg.LinAlgError(
-                        f"duplicate knots {nodes} make the dimension {n + 1} system singular")
-                rules[key] = (nodes, barycentric_weights(nodes))
-            keys.append(key)
-    return keys
+    """``_active_key`` of each dimension's nodes in ``per_dim``, one-node
+    dimensions left out."""
+    return [_active_key(rules, n, nodes) for n, nodes in enumerate(per_dim) if nodes.size > 1]
 
 
 def _compile(grid: SparseGrid, reduced: ReducedGrid, values) -> tuple[dict, list]:
@@ -245,17 +249,23 @@ def _compile(grid: SparseGrid, reduced: ReducedGrid, values) -> tuple[dict, list
                    for t, start in zip(grid.tensors, grid.tensor_offsets())]
 
 
-def _tensor_sum(rules: dict, tensors, points: np.ndarray) -> np.ndarray:
+def _signed_sum(tensors, bases: dict, count: int) -> np.ndarray:
     """Sum over compiled (coefficient, value matrix, active keys) tensors of
-    the coefficient times the tensor interpolant at ``points`` (dim x Q);
-    each 1D basis a tensor uses is evaluated once and shared."""
-    used = {key for _, _, keys in tensors for key in keys}
-    bases = {key: basis_matrix(*rules[key], points[key[0]]) for key in used}
-    out = np.zeros((tensors[0][1].shape[0], points.shape[1]))
+    the coefficient times the tensor interpolant at ``count`` points, given
+    ``bases``: each active key's 1D basis matrix at those points."""
+    out = np.zeros((tensors[0][1].shape[0], count))
     for coeff, tv, keys in tensors:
-        basis = _kron_rows([bases[key] for key in keys]) if keys else np.ones((points.shape[1], 1))
+        basis = _kron_rows([bases[key] for key in keys]) if keys else np.ones((count, 1))
         out += coeff * (tv @ basis.T)
     return out
+
+
+def _tensor_sum(rules: dict, tensors, points: np.ndarray) -> np.ndarray:
+    """``_signed_sum`` at ``points`` (dim x Q); each 1D basis the tensors use
+    is evaluated once and shared."""
+    used = {key for _, _, keys in tensors for key in keys}
+    bases = {key: basis_matrix(*rules[key], points[key[0]]) for key in used}
+    return _signed_sum(tensors, bases, points.shape[1])
 
 
 class _ReducedWeights:

@@ -33,7 +33,7 @@ def apply_level_map(level_map: LevelMap, level: int) -> int:
         raise UnsupportedLevelError("level must be >= 0")
     if level == 0:
         return 0
-    m = LevelMap(level_map)
+    m = level_map if isinstance(level_map, LevelMap) else LevelMap(level_map)
     if m is LevelMap.LINEAR:
         return level
     if m is LevelMap.TWO_STEP:

@@ -116,6 +116,7 @@ def generate_rule_set(
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
+    rule((base,) * dim)  # a rule that cannot take dim entries fails here, not on a prefix
     rows: list[tuple[int, ...]] = []
     prefix: list[int] = []
 
@@ -176,8 +177,9 @@ def preset(name: str, weights=None):
     TP: per-dimension maximum with linear map; TD: weighted sum of
     (i - 1) with linear map; HC: weighted product of i with linear map;
     SM: the TD rule with the doubling map.  ``weights`` are the
-    anisotropy weights, defaulting to 1 in every dimension; only the
-    leading entries are consulted for partial prefixes.
+    anisotropy weights, one per dimension, defaulting to 1 in every
+    dimension; only the leading entries are consulted for partial prefixes,
+    and an index longer than the weight list raises a ValueError.
     """
     if name not in _PRESETS:
         raise ValueError(f"unknown preset {name!r}; choose from {_PRESETS}")
@@ -189,6 +191,9 @@ def preset(name: str, weights=None):
                                  f"finite and > 0")
 
         def wof(idx):
+            if len(idx) > g.size:
+                raise ValueError(f"{g.size} anisotropy weights for a {len(idx)}-dimensional "
+                                 f"index; give one weight per dimension")
             return g[: len(idx)]
 
     else:

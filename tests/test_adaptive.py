@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -17,7 +18,9 @@ from sparsegrids.adaptive import (
     serialize_state,
     work_indicator,
 )
-from sparsegrids.evalkit import EvaluationError, evaluate_on_grid, quadrature
+from sparsegrids.evalkit import (EvaluationError, _active_keys, _tensor_sum, evaluate_on_grid,
+                                 quadrature)
+from sparsegrids.grid import _tensor_product_columns
 from sparsegrids.midx import is_downward_closed, reduced_margin
 
 EXPSUM = lambda y: math.exp(float(np.sum(y)))
@@ -317,6 +320,98 @@ class TestTabulatedFamilySaturation:
         assert max(i[0] for i in res.internal.accepted) <= 5
         assert all(i[0] <= 5 for i in res.internal.margin)
         assert res.nb_pts == 35  # the full table got used
+
+
+class TestSelectBest:
+    @staticmethod
+    def _state_with_margin(profits):
+        state = make_state(EXPSUM, dim=3)
+        for idx, profit in profits.items():
+            state.margin[idx] = adaptive._Candidate(error=profit, work=1, profit=profit)
+        return state
+
+    def test_equal_profits_pick_the_smallest_index(self):
+        profits = {(2, 1, 3): 0.5, (1, 3, 1): 0.5, (3, 1, 1): 0.25, (1, 2, 2): 0.5,
+                   (2, 2, 1): 0.5, (1, 1, 4): 0.125}
+        state = self._state_with_margin(profits)
+        assert adaptive._select_best(state) == ((1, 2, 2), state.margin[1, 2, 2])
+
+    def test_equals_the_first_maximum_in_sorted_order(self):
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            idxs = {tuple(int(v) for v in rng.integers(1, 5, size=3)) for _ in range(12)}
+            # few distinct profits, so most draws hold ties
+            profits = {idx: float(rng.integers(0, 3)) / 4 for idx in idxs}
+            state = self._state_with_margin(profits)
+            best = max(profits.values())
+            want = next(idx for idx in sorted(profits) if profits[idx] == best)
+            assert adaptive._select_best(state)[0] == want
+
+
+def _new_nodes_by_tolerance(fine, coarse):
+    """Nodes of ``fine`` not within 1e-10 of a node of ``coarse``."""
+    return np.array([x for x in fine if not np.any(np.abs(coarse - x) <= 1e-10)])
+
+
+def _direct_point_indicator(state, candidate):
+    """error_indicator_point from its definition: the signed per-tensor sum
+    over the candidate's backward neighbours (product order, the candidate
+    first) on a fresh rule table, at the candidate's test points."""
+    fams, lm = state.families, state.level_map
+    rules, terms = {}, []
+    moving = [n for n, v in enumerate(candidate) if v > 1]
+    for j in itertools.product((0, 1), repeat=len(moving)):
+        idx = list(candidate)
+        for n, step in zip(moving, j):
+            idx[n] -= step
+        tensor = sg.build_tensor_grid(idx, fams, lm)
+        terms.append(((-1) ** sum(j), adaptive._values_at(state, tensor.knots),
+                      _active_keys(rules, tensor.knots_per_dim)))
+    per_dim = []
+    for n, v in enumerate(candidate):
+        nodes = fams[n](sg.apply_level_map(lm, v)).nodes
+        if state.controls.nested and v > 1:
+            nodes = _new_nodes_by_tolerance(nodes, fams[n](sg.apply_level_map(lm, v - 1)).nodes)
+        per_dim.append(nodes)
+    pts = _tensor_product_columns(per_dim)
+    err = np.max(np.abs(_tensor_sum(rules, terms, pts)), axis=0)
+    if state.controls.profit.startswith("weighted"):
+        err = err * np.array([state.controls.pdf_weight(pts[:, q]) for q in range(pts.shape[1])])
+    return float(np.max(err))
+
+
+class TestRuleTablePath:
+    RUNS = {
+        # several test points per candidate
+        "cc-doubling": (3, sg.cc_family(-1, 2), sg.LevelMap.DOUBLING,
+                        dict(nested=True, max_pts=200), 1),
+        # two outputs, so the value matrices hold more than one row
+        "leja-two-step": (3, sg.leja_family(0, 1), sg.LevelMap.TWO_STEP,
+                          dict(nested=True, max_pts=150), 2),
+        "gauss-weighted": (2, sg.gauss_family(sg.DistributionSpec.uniform(0, 1)),
+                           sg.LevelMap.LINEAR,
+                           dict(nested=False, profit="weighted_Linf_per_new_points",
+                                pdf_weight=lambda y: 1.0 + y[0], max_pts=80), 1),
+    }
+
+    @pytest.mark.parametrize("run", RUNS)
+    def test_indicator_equals_the_direct_sum_bitwise(self, run):
+        dim, family, level_map, controls, outputs = self.RUNS[run]
+
+        def f(y):
+            s = float(y[0] + 0.6 * np.sum(y[1:]))
+            return [math.exp(s), math.sin(3.0 * s)][:outputs]
+
+        state = adapt(f, dim, family, level_map, controls=AdaptControls(**controls)).internal
+        assert len(state.margin) >= 4
+        assert any(max(c) > 2 for c in state.margin)
+        evals = state.num_evals
+        for cand, rec in state.margin.items():
+            got = error_indicator_point(cand, state)
+            assert got == rec.error, cand
+            assert got == _direct_point_indicator(state, cand), cand
+        assert state.num_evals == evals
+        assert all(v.flags.c_contiguous for v in state.tensor_values.values())
 
 
 class TestTensorValueCache:

@@ -173,6 +173,18 @@ class TestPresets:
         with pytest.raises(ValueError):
             preset("XX")
 
+    @pytest.mark.parametrize("name", ["TP", "TD", "HC", "SM"])
+    @pytest.mark.parametrize("dim", [3, 5])
+    def test_too_few_weights_name_both_counts(self, name, dim):
+        rule, _ = preset(name, weights=[1.0, 2.0])
+        with pytest.raises(ValueError, match=f"2 anisotropy weights for a {dim}-dimensional index"):
+            generate_rule_set(dim, rule, 2)
+
+    def test_one_weight_per_dimension_is_enough(self):
+        rule, _ = preset("TD", weights=[1.0, 2.0, 3.0])
+        assert generate_rule_set(3, rule, 2) == generate_rule_set(3, lambda i: sum(
+            w * (v - 1) for w, v in zip([1.0, 2.0, 3.0], i)), 2)
+
 
 class TestDownwardClosed:
     def test_example_true(self):
