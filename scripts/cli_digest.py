@@ -67,6 +67,22 @@ RUNS = [
                    "--domain=-1,1", "-o", "hd.json"], ["hd.json"]),
     ("quad-d40", ["quad", "--grid", "hd.json", "--fn", "expsum", "-o", "hdq.json"],
      ["hdq.json"]),
+    ("quad-csv", ["quad", "--grid", "grid.json", "--fn", "runge", "--csv", "quad.csv",
+                  "-o", "gq.json"], ["quad.csv", "gq.json"]),
+    ("export-knots", ["export", "--grid", "grid.json", "--what", "knots", "-o", "knots.csv"],
+     ["knots.csv"]),
+    # interp_samples from the values quad stored, then from --fn
+    ("export-stored", ["export", "--grid", "gq.json", "--what", "interp_samples", "--res", "5",
+                       "--cuts", "1,3", "-o", "stored.csv"], ["stored.csv"]),
+    ("export-fn", ["export", "--grid", "grid.json", "--what", "interp_samples", "--fn", "linear",
+                   "--res", "5", "-o", "fn.csv"], ["fn.csv"]),
+    ("sobol-demo", ["sobol", "--demo"], []),
+    ("build-leja-sym", ["build", "--dim", "2", "--preset", "TD", "--w", "3", "--knots",
+                        "leja-sym", "--domain=-1,1x0,2.5", "-o", "ls.json"], ["ls.json"]),
+    ("build-wleja-sym", ["build", "--dim", "2", "--preset", "TD", "--w", "3", "--knots",
+                         "wleja-normal-sym", "--mu", "0.5", "--sigma", "2", "-o", "wl.json"],
+     ["wl.json"]),
+    ("quad-wleja-sym", ["quad", "--grid", "wl.json", "--fn", "expsum"], []),
 ]
 
 
