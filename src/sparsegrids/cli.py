@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -18,7 +18,7 @@ from . import adaptive, gridio, uqdemo
 from .adaptive import AdaptControls, adapt
 from .evalkit import Domain, evaluate_on_grid, quadrature
 from .grid import build_sparse_grid_from_rule, reduce_grid
-from .gridio import GridBundle, export_points, load_grid, save_grid
+from .gridio import GridBundle, _write_csv, export_points, load_grid, save_grid
 from .knots import (
     DistributionSpec,
     cc_family,
@@ -62,54 +62,40 @@ def _parse_domain(text: str, dim: int) -> list[tuple[float, float]]:
     return out
 
 
+# --knots name -> (family factory, True if it takes each --domain interval
+# (a, b), False if it takes the normal distribution of --mu and --sigma)
+_KNOTS = {
+    "cc": (cc_family, True),
+    "leja": (partial(leja_family, variant="standard"), True),
+    "leja-sym": (partial(leja_family, variant="symmetric"), True),
+    "leja-pdisk": (partial(leja_family, variant="p_disk"), True),
+    "trap": (trap_family, True),
+    "midpoint": (midpoint_family, True),
+    "gauss-legendre": (lambda a, b: gauss_family(DistributionSpec.uniform(a, b)), True),
+    "gauss-hermite": (gauss_family, False),
+    "gk": (lambda dist: gk_family(), False),
+    "wleja-normal": (partial(weighted_leja_family, variant="standard"), False),
+    "wleja-normal-sym": (partial(weighted_leja_family, variant="symmetric"), False),
+}
+
+
 def _families(args, dim: int):
-    tag = args.knots
-    if tag in ("cc", "leja", "leja-sym", "leja-pdisk", "trap", "midpoint", "gauss-legendre"):
-        domain = _parse_domain(args.domain, dim)
-        fams = []
-        for a, b in domain:
-            if tag == "cc":
-                fams.append(cc_family(a, b))
-            elif tag == "leja":
-                fams.append(leja_family(a, b, "standard"))
-            elif tag == "leja-sym":
-                fams.append(leja_family(a, b, "symmetric"))
-            elif tag == "leja-pdisk":
-                fams.append(leja_family(a, b, "p_disk"))
-            elif tag == "trap":
-                fams.append(trap_family(a, b))
-            elif tag == "midpoint":
-                fams.append(midpoint_family(a, b))
-            else:
-                fams.append(gauss_family(DistributionSpec.uniform(a, b)))
-        return tuple(fams)
+    factory, on_domain = _KNOTS[args.knots]
+    if on_domain:
+        return tuple(factory(a, b) for a, b in _parse_domain(args.domain, dim))
     dist = DistributionSpec.normal(args.mu, args.sigma)
-    if tag == "gauss-hermite":
-        return (gauss_family(dist),) * dim
-    if tag == "gk":
-        if (args.mu, args.sigma) != (0.0, 1.0):
-            raise UsageError("gk knots are tabulated for the standard normal only")
-        return (gk_family(),) * dim
-    if tag == "wleja-normal":
-        return (weighted_leja_family(dist, "standard"),) * dim
-    if tag == "wleja-normal-sym":
-        return (weighted_leja_family(dist, "symmetric"),) * dim
-    raise UsageError(f"unknown knot family {args.knots!r}")
+    if args.knots == "gk" and (args.mu, args.sigma) != (0.0, 1.0):
+        raise UsageError("gk knots are tabulated for the standard normal only")
+    return (factory(dist),) * dim
 
 
 def _add_knot_args(p):
-    p.add_argument("--knots", default="cc", help="knot family (default cc)")
+    p.add_argument("--knots", default="cc", choices=_KNOTS, help="knot family (default cc)")
     p.add_argument("--domain", default="-1,1",
                    help="per-dim intervals, e.g. 0,1x0,1; write --domain=-2,1 when the "
                         "first value is negative")
     p.add_argument("--mu", type=float, default=0.0, help="normal mean (hermite/wleja)")
     p.add_argument("--sigma", type=float, default=1.0, help="normal std (hermite/wleja)")
-
-
-def _threads(args) -> int:
-    if args.threads is not None:
-        return args.threads
-    return int(os.environ.get("SPARSEGRIDS_THREADS", "1"))
 
 
 def _cmd_build(args) -> int:
@@ -134,35 +120,33 @@ def _cmd_reduce(args) -> int:
     return 0
 
 
-def _bundle_with_reduced(path) -> GridBundle:
-    bundle = load_grid(path)
+def _grid(args, evaluate=True) -> GridBundle:
+    """Load --grid, reduce it unless the file holds the reduced form, and put
+    the values of --fn on the reduced knots into ``bundle.values``: always
+    if ``evaluate`` is True, only when the file stores none if it is None."""
+    bundle = load_grid(args.grid)
     if bundle.reduced is None:
         bundle.reduced = reduce_grid(bundle.grid)
+    if evaluate or (evaluate is None and bundle.values is None):
+        if not args.fn:
+            raise UsageError("interp_samples needs stored values or --fn")
+        bundle.values = evaluate_on_grid(get_test_function(args.fn), bundle.reduced)
     return bundle
 
 
 def _cmd_quad(args) -> int:
-    bundle = _bundle_with_reduced(args.grid)
-    f = get_test_function(args.fn)
-    table = evaluate_on_grid(f, bundle.reduced, workers=_threads(args))
-    q = quadrature(table, bundle.reduced)
+    bundle = _grid(args)
+    q = quadrature(bundle.values, bundle.reduced)
     print(" ".join(repr(float(v)) for v in q))
     if args.output:
-        save_grid(args.output, bundle.grid, bundle.reduced, table)
+        save_grid(args.output, bundle.grid, bundle.reduced, bundle.values)
     if args.csv:
-        with open(args.csv, "w", newline="") as fh:
-            fh.write("component,value\n")
-            for k, v in enumerate(q):
-                fh.write(f"{k + 1},{float(v)!r}\n")
+        _write_csv(args.csv, ["component", "value"], enumerate(q, start=1))
     return 0
 
 
 def _cmd_interp(args) -> int:
-    bundle = _bundle_with_reduced(args.grid)
-    f = get_test_function(args.fn)
-    table = evaluate_on_grid(f, bundle.reduced, workers=_threads(args))
-    bundle.values = table
-    export_points(bundle, "interp_samples", args.output, resolution=args.res,
+    export_points(_grid(args), "interp_samples", args.output, resolution=args.res,
                   cuts=_parse_cuts(args.cuts))
     print(f"wrote {args.output}")
     return 0
@@ -205,26 +189,22 @@ def _cmd_adapt(args) -> int:
 
 
 def _cmd_pce(args) -> int:
-    bundle = _bundle_with_reduced(args.grid)
-    f = get_test_function(args.fn)
-    table = evaluate_on_grid(f, bundle.reduced, workers=_threads(args))
+    bundle = _grid(args)
     domain = Domain(gridio.default_domain(bundle.grid))
-    expansion = convert_to_modal(bundle.grid, bundle.reduced, table, domain, args.family)
+    expansion = convert_to_modal(bundle.grid, bundle.reduced, bundle.values, domain, args.family)
     degrees = expansion.lambda_set.rows
     order = np.lexsort(tuple(degrees[:, n] for n in reversed(range(degrees.shape[1]))) + (degrees.sum(axis=1),))
-    with open(args.output, "w", newline="") as fh:
-        fh.write(",".join(f"p{n + 1}" for n in range(degrees.shape[1])) + ",coeff\n")
-        for i in order:
-            row = ",".join(str(v) for v in degrees[i])
-            fh.write(f"{row},{float(expansion.coeffs[0, i])!r}\n")
+    header = [f"p{n + 1}" for n in range(degrees.shape[1])] + ["coeff"]
+    _write_csv(args.output, header,
+               (list(degrees[i]) + [expansion.coeffs[0, i]] for i in order))
     print(f"wrote {len(order)} coefficients to {args.output}")
     return 0
 
 
 def _cmd_sobol(args) -> int:
     if args.demo:
-        if args.family is not None or args.threads is not None:
-            raise UsageError("--family and --threads do not apply to sobol --demo")
+        if args.family is not None:
+            raise UsageError("--family does not apply to sobol --demo")
         if args.grid is not None or args.fn is not None:
             raise UsageError("--grid and --fn do not apply to sobol --demo")
         model = uqdemo.DiffusionModel(n_random=2, sigmas=(0.5, 0.1), mesh=args.mesh)
@@ -233,11 +213,9 @@ def _cmd_sobol(args) -> int:
     else:
         if not args.grid or not args.fn:
             raise UsageError("sobol needs --grid and --fn (or --demo)")
-        bundle = _bundle_with_reduced(args.grid)
-        f = get_test_function(args.fn)
-        table = evaluate_on_grid(f, bundle.reduced, workers=_threads(args))
+        bundle = _grid(args)
         domain = Domain(gridio.default_domain(bundle.grid))
-        principal, total = sobol_indices(bundle.grid, bundle.reduced, table, domain,
+        principal, total = sobol_indices(bundle.grid, bundle.reduced, bundle.values, domain,
                                          args.family or "legendre")
     print("principal: " + " ".join(f"{v:.4f}" for v in principal))
     print("total:     " + " ".join(f"{v:.4f}" for v in total))
@@ -245,24 +223,23 @@ def _cmd_sobol(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    bundle = _bundle_with_reduced(args.grid)
+    bundle = _grid(args, evaluate=None if args.what == "interp_samples" else False)
     dims = tuple(int(v) for v in args.dims.split(",")) if args.dims else None
-    if args.what == "interp_samples" and bundle.values is None:
-        if not args.fn:
-            raise UsageError("interp_samples needs stored values or --fn")
-        bundle.values = evaluate_on_grid(get_test_function(args.fn), bundle.reduced,
-                                         workers=_threads(args))
     export_points(bundle, args.what, args.output, dims=dims, resolution=args.res,
                   cuts=_parse_cuts(args.cuts))
     print(f"wrote {args.output}")
     return 0
 
 
-def _write_samples_csv(path, samples: np.ndarray) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("sample\n")
-        for v in samples:
-            fh.write(f"{float(v)!r}\n")
+def _emit(args, doc: dict, samples) -> int:
+    """Print a demo report as JSON; write it to -o and its samples to --samples-csv."""
+    print(json.dumps(doc, indent=2))
+    if args.output:
+        with open(args.output, "w") as fh:
+            json.dump(doc, fh, indent=2)
+    if args.samples_csv:
+        _write_csv(args.samples_csv, ["sample"], ((v,) for v in samples))
+    return 0
 
 
 def _cmd_demo(args) -> int:
@@ -276,20 +253,13 @@ def _cmd_demo(args) -> int:
             model, uqdemo.ForwardConfig(w=args.w, samples=args.samples, seed=args.seed,
                                         knots=args.knots)
         )
-        doc = {
+        return _emit(args, {
             "mean": report.mean,
             "variance": report.variance,
             "sobol_principal": report.sobol_principal.tolist(),
             "sobol_total": report.sobol_total.tolist(),
             "grid_points": report.n_grid_points,
-        }
-        print(json.dumps(doc, indent=2))
-        if args.output:
-            with open(args.output, "w") as fh:
-                json.dump(doc, fh, indent=2)
-        if args.samples_csv:
-            _write_samples_csv(args.samples_csv, report.pdf_samples)
-        return 0
+        }, report.pdf_samples)
     y_star = tuple(float(v) for v in args.y_star.split(","))
     if len(y_star) != len(sigmas):
         raise UsageError(f"--y-star has {len(y_star)} entries, "
@@ -299,20 +269,13 @@ def _cmd_demo(args) -> int:
         surrogate_w=args.w, seed=args.seed, knots=args.knots,
         posterior_config=uqdemo.ForwardConfig(w=4, samples=args.samples, seed=args.seed),
     )
-    doc = {
+    return _emit(args, {
         "y_map": report.y_map.tolist(),
         "sigma_eps_estimate": report.sigma_eps_estimate,
         "posterior_covariance": report.cov.tolist(),
         "posterior_mean": report.posterior.mean,
         "posterior_variance": report.posterior.variance,
-    }
-    print(json.dumps(doc, indent=2))
-    if args.output:
-        with open(args.output, "w") as fh:
-            json.dump(doc, fh, indent=2)
-    if args.samples_csv:
-        _write_samples_csv(args.samples_csv, report.posterior.pdf_samples)
-    return 0
+    }, report.posterior.pdf_samples)
 
 
 def _build_parser() -> _Parser:
@@ -411,10 +374,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--samples-csv", default=None, dest="samples_csv")
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(fn_impl=_cmd_demo)
-
-    for name in ("quad", "interp", "pce", "sobol", "export"):  # evaluate --fn on a whole grid
-        sub.choices[name].add_argument("--threads", type=int, default=None,
-                                       help="concurrent function evaluations")
     return parser
 
 

@@ -197,6 +197,8 @@ def export_points(bundle: GridBundle, what: str, path, dims=None, resolution: in
     """
     if what not in _EXPORT_KINDS:
         raise ValueError(f"unknown export kind {what!r}; choose from {_EXPORT_KINDS}")
+    if resolution < 1:
+        raise ValueError(f"resolution {resolution} is below 1 lattice point per axis")
     grid = bundle.grid
     if what == "midx_set":
         header = [f"i{n + 1}" for n in range(grid.dim)]

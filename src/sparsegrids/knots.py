@@ -693,24 +693,23 @@ def gk_family() -> KnotFamily:
                       gk_knots)
 
 
+# descriptor tag -> constructor taking the descriptor's flat params; a wrong
+# param count raises TypeError or ParameterError, which load_grid reports
+_FROM_DESCRIPTOR = {
+    "gauss": lambda kind, *params: gauss_family(DistributionSpec(kind, params)),
+    "cc": cc_family,
+    "leja": lambda a, b, variant: leja_family(a, b, variant),
+    "weighted_leja": lambda kind, *params: weighted_leja_family(
+        DistributionSpec(kind, params[:-1]), params[-1]),
+    "trap": trap_family,
+    "midpoint": midpoint_family,
+    "genz_keister": gk_family,
+}
+
+
 def family_from_descriptor(desc: dict) -> KnotFamily:
     """Rebuild a KnotFamily from its JSON descriptor."""
-    tag = desc["family"]
-    params = desc["params"]
-    if tag == "gauss":
-        return gauss_family(DistributionSpec(params[0], tuple(params[1:])))
-    if tag == "cc":
-        return cc_family(*params)
-    if tag == "leja":
-        return leja_family(params[0], params[1], params[2])
-    if tag == "weighted_leja":
-        return weighted_leja_family(
-            DistributionSpec(params[0], tuple(params[1:-1])), params[-1]
-        )
-    if tag == "trap":
-        return trap_family(*params)
-    if tag == "midpoint":
-        return midpoint_family(*params)
-    if tag == "genz_keister":
-        return gk_family()
-    raise ParameterError(f"unknown knot family tag {tag!r}")
+    make = _FROM_DESCRIPTOR.get(desc["family"])
+    if make is None:
+        raise ParameterError(f"unknown knot family tag {desc['family']!r}")
+    return make(*desc["params"])

@@ -110,6 +110,14 @@ class TestExports:
         assert lines[0] == "y1,y2,value"
         assert len(lines) == 1 + 49
 
+    @pytest.mark.parametrize("res", [0, -2])
+    def test_resolution_below_one_rejected(self, saved_bundle, tmp_path, res):
+        path, *_ = saved_bundle
+        out = tmp_path / "interp.csv"
+        with pytest.raises(ValueError, match=f"^resolution {res} is below 1 lattice point"):
+            export_points(load_grid(path), "interp_samples", out, resolution=res)
+        assert not out.exists()
+
     def test_two_dim_cuts_for_four_dims(self, tmp_path):
         rule, lm = sg.preset("SM")
         grid = sg.build_sparse_grid_from_rule(4, 2, sg.cc_family(0, 1), lm, rule)
@@ -185,13 +193,12 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "0.9709" in out and "0.0244" in out
 
-    @pytest.mark.parametrize("extra", [["--family", "hermite"], ["--threads", "2"],
-                                       ["--threads", "2", "--family", "hermite"]])
+    @pytest.mark.parametrize("extra", [["--family", "hermite"]])
     def test_sobol_demo_rejects_family_and_threads(self, extra, capsys):
         assert cli_main(["sobol", "--demo"] + extra) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "--family and --threads do not apply to sobol --demo" in captured.err
+        assert "--family does not apply to sobol --demo" in captured.err
 
     @pytest.mark.parametrize("extra", [["--grid", "nonexistent.json"], ["--fn", "nosuchfn"],
                                        ["--grid", "nonexistent.json", "--fn", "nosuchfn"]])
@@ -361,34 +368,36 @@ class TestCLIMore:
                   "--knots", "cc", "--domain", "0,1x0,1", "-o", gpath])
         assert cli_main(["quad", "--grid", gpath, "--fn", "explode"]) == 2
 
-    def test_threads_flag(self, tmp_path, capsys):
-        gpath = str(tmp_path / "g.json")
-        cli_main(["build", "--dim", "2", "--preset", "SM", "--w", "3",
-                  "--knots", "cc", "--domain", "0,1x0,1", "-o", gpath])
-        assert cli_main(["quad", "--grid", gpath, "--fn", "expsum",
-                         "--threads", "4"]) == 0
-        value = float(capsys.readouterr().out.splitlines()[-1])
-        assert abs(value - (math.e - 1) ** 2) <= 5e-4
-
+    # no subcommand takes --threads, the ones that evaluate --fn on a whole
+    # grid (the last five) included
     @pytest.mark.parametrize("argv", [
         ["build", "--dim", "2", "--w", "2", "-o", "g.json"],
         ["reduce", "--grid", "g.json"],
         ["adapt", "--dim", "2", "--fn", "expsum", "--nested", "-o", "a.json"],
         ["demo", "forward"],
+        ["quad", "--grid", "g.json", "--fn", "expsum"],
+        ["interp", "--grid", "g.json", "--fn", "expsum", "-o", "i.csv"],
+        ["pce", "--grid", "g.json", "--fn", "expsum", "-o", "p.csv"],
+        ["sobol", "--grid", "g.json", "--fn", "expsum"],
+        ["export", "--grid", "g.json", "--what", "interp_samples", "--fn", "expsum",
+         "-o", "e.csv"],
     ])
     def test_threads_rejected_where_nothing_is_evaluated(self, argv, capsys):
         assert cli_main(argv + ["--threads", "2"]) == 1
         assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
 
-    def test_export_threads_match_serial(self, tmp_path, capsys):
+    @pytest.mark.parametrize("res", [0, -2])
+    @pytest.mark.parametrize("argv", [
+        ["interp", "--fn", "expsum"],
+        ["export", "--what", "interp_samples", "--fn", "expsum"],
+    ])
+    def test_resolution_below_one_is_a_user_error(self, tmp_path, capsys, argv, res):
         gpath = str(tmp_path / "g.json")
-        cli_main(["build", "--dim", "2", "--preset", "SM", "--w", "3",
-                  "--knots", "cc", "--domain", "0,1x0,1", "-o", gpath])
-        paths = [str(tmp_path / "serial.csv"), str(tmp_path / "threads.csv")]
-        for path, extra in zip(paths, ([], ["--threads", "2"])):
-            assert cli_main(["export", "--grid", gpath, "--what", "interp_samples",
-                             "--fn", "expsum", "--res", "5", "-o", path] + extra) == 0
-        assert open(paths[0], "rb").read() == open(paths[1], "rb").read()
+        cli_main(["build", "--dim", "2", "--w", "2", "--domain", "0,1x0,1", "-o", gpath])
+        out = tmp_path / "s.csv"
+        assert cli_main(argv + ["--grid", gpath, f"--res={res}", "-o", str(out)]) == 1
+        assert f"error: resolution {res} is below 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_pce_csv_values_are_plain_floats(self, tmp_path):
         gpath = str(tmp_path / "g.json")
@@ -429,15 +438,37 @@ class TestCLIMore:
         ("wleja-normal-sym", []),
     ])
     def test_every_cli_knot_family_builds(self, tmp_path, capsys, knots, extra):
+        unit, normal = sg.DistributionSpec.uniform(0, 1), sg.DistributionSpec.normal(0, 1)
+        family = {
+            "cc": sg.cc_family(0, 1),
+            "gauss-legendre": sg.gauss_family(unit),
+            "leja": sg.leja_family(0, 1, "standard"),
+            "leja-sym": sg.leja_family(0, 1, "symmetric"),
+            "leja-pdisk": sg.leja_family(0, 1, "p_disk"),
+            "trap": sg.trap_family(0, 1),
+            "midpoint": sg.midpoint_family(0, 1),
+            "gauss-hermite": sg.gauss_family(normal),
+            "gk": sg.gk_family(),
+            "wleja-normal": sg.weighted_leja_family(normal, "standard"),
+            "wleja-normal-sym": sg.weighted_leja_family(normal, "symmetric"),
+        }[knots]
         gpath = str(tmp_path / "g.json")
         args = ["build", "--dim", "2", "--preset", "TD", "--w", "1",
                 "--knots", knots, "--domain", "0,1x0,1", "-o", gpath] + extra
         assert cli_main(args) == 0
+        assert load_grid(gpath).grid.families == (family, family)
         assert cli_main(["reduce", "--grid", gpath]) == 0
         assert cli_main(["quad", "--grid", gpath, "--fn", "runge"]) == 0
         out = capsys.readouterr().out
         value = float(out.splitlines()[-1])
         assert np.isfinite(value)
+
+    @pytest.mark.parametrize("argv", [["build", "--w", "2"], ["adapt", "--fn", "expsum"]])
+    def test_unknown_knots_is_a_usage_error(self, tmp_path, capsys, argv):
+        gpath = tmp_path / "g.json"
+        assert cli_main(argv + ["--dim", "2", "--knots", "spline", "-o", str(gpath)]) == 1
+        assert "argument --knots: invalid choice: 'spline'" in capsys.readouterr().err
+        assert not gpath.exists()
 
     def test_gk_rejects_nonstandard_normal(self, tmp_path):
         assert cli_main(["build", "--dim", "1", "--preset", "TD", "--w", "1",

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import sys
@@ -28,6 +29,7 @@ from sparsegrids.knots import (
     weighted_leja_family,
     weighted_leja_knots,
 )
+from sparsegrids.gridio import GridFileError, load_grid, save_grid
 
 SQRT3 = math.sqrt(3.0)
 
@@ -608,3 +610,41 @@ class TestTrapFamilyFallback:
         assert rule.weights == pytest.approx([1.0])
         # nested into the proper equispaced rules
         assert 0.5 in set(fam(3).nodes)
+
+
+# one family from every factory: Gauss on each distribution kind, then the
+# interval, Leja and Genz-Keister families
+EVERY_FAMILY = [sg.gauss_family(d) for d in DISTS] + [
+    sg.cc_family(-1.0, 2.0),
+    leja_family(-1.0, 2.0, "standard"),
+    leja_family(0.0, 1.0, "symmetric"),
+    leja_family(-0.5, 3.0, "p_disk"),
+    weighted_leja_family(DistributionSpec.normal(0.5, 2.0), "standard"),
+    weighted_leja_family(DistributionSpec.normal(0.0, 1.0), "symmetric"),
+    trap_family(0.0, 1.0),
+    sg.midpoint_family(-2.0, 2.0),
+    sg.gk_family(),
+]
+
+
+class TestDescriptor:
+    @pytest.mark.parametrize("fam", EVERY_FAMILY, ids=repr)
+    def test_round_trip(self, fam):
+        assert family_from_descriptor(fam.descriptor()) == fam
+        assert family_from_descriptor(json.loads(json.dumps(fam.descriptor()))) == fam
+
+    @pytest.mark.parametrize("fam", EVERY_FAMILY, ids=repr)
+    def test_wrong_param_count_is_a_grid_file_error(self, fam, tmp_path):
+        path = tmp_path / "g.json"
+        save_grid(path, sg.build_sparse_grid(sg.MultiIndexSet([[1]]), fam, sg.LevelMap.LINEAR))
+        doc = json.loads(path.read_text())
+        params = doc["families"][0]["params"]
+        for wrong in ([params + [1.0], params[:-1]] if params else [[1.0]]):
+            doc["families"][0]["params"] = wrong
+            path.write_text(json.dumps(doc))
+            with pytest.raises(GridFileError, match="structurally invalid"):
+                load_grid(path)
+
+    def test_unknown_tag(self):
+        with pytest.raises(ParameterError, match="unknown knot family tag 'spline'"):
+            family_from_descriptor({"family": "spline", "params": []})
