@@ -74,6 +74,9 @@ RUNS = [
     # interp_samples from the values quad stored, then from --fn
     ("export-stored", ["export", "--grid", "gq.json", "--what", "interp_samples", "--res", "5",
                        "--cuts", "1,3", "-o", "stored.csv"], ["stored.csv"]),
+    # two cuts through one interpolant
+    ("export-cuts", ["export", "--grid", "gq.json", "--what", "interp_samples", "--res", "5",
+                     "--cuts", "1,2x2,3", "-o", "cuts2.csv"], ["cuts2.csv"]),
     ("export-fn", ["export", "--grid", "grid.json", "--what", "interp_samples", "--fn", "linear",
                    "--res", "5", "-o", "fn.csv"], ["fn.csv"]),
     ("sobol-demo", ["sobol", "--demo"], []),

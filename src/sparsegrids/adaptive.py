@@ -76,7 +76,8 @@ class AdaptEvaluationError(RuntimeError):
 class AdaptControls:
     """Controls of the adaptive loop.
 
-    ``nested`` is mandatory and must be consistent with the knot families.
+    ``nested`` is mandatory and must be consistent with the knot families:
+    a nested run raises where a level's nodes miss some of the level below.
     ``pdf_weight`` is required by the weighted profits.  ``var_buffer_size``
     of zero disables dimension buffering.
     """
@@ -231,7 +232,11 @@ def _level(state: AdaptState, n: int, v: int) -> _Level:
         if state.controls.nested and v > 1:
             tol = _reference_tolerances(state)[n : n + 1]
             old_keys = set(lattice_keys(_level(state, n, v - 1).rule.nodes[None, :], tol))
-            nodes = nodes[[key not in old_keys for key in lattice_keys(nodes[None, :], tol)]]
+            keys = lattice_keys(nodes[None, :], tol)
+            if not old_keys.issubset(keys):
+                raise ConfigurationError(f"controls say nested, but the dimension {n + 1} nodes "
+                                         f"of level {v - 1} are not all among those of level {v}")
+            nodes = nodes[[key not in old_keys for key in keys]]
         entry = _Level(rule, _active_key(state.rules, n, rule.nodes), nodes, {})
         state.new_nodes[n, v] = entry
     return entry

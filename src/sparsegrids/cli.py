@@ -18,7 +18,7 @@ from . import adaptive, gridio, uqdemo
 from .adaptive import AdaptControls, adapt
 from .evalkit import Domain, evaluate_on_grid, quadrature
 from .grid import build_sparse_grid_from_rule, reduce_grid
-from .gridio import GridBundle, _write_csv, export_points, load_grid, save_grid
+from .gridio import GridBundle, _sample_cuts, _write_csv, export_points, load_grid, save_grid
 from .knots import (
     DistributionSpec,
     cc_family,
@@ -81,21 +81,26 @@ _KNOTS = {
 
 def _families(args, dim: int):
     factory, on_domain = _KNOTS[args.knots]
+    for opt in ("mu", "sigma") if on_domain else ("domain",):
+        if getattr(args, opt) is not None:
+            raise UsageError(f"--{opt} does not apply to --knots {args.knots}")
     if on_domain:
-        return tuple(factory(a, b) for a, b in _parse_domain(args.domain, dim))
-    dist = DistributionSpec.normal(args.mu, args.sigma)
-    if args.knots == "gk" and (args.mu, args.sigma) != (0.0, 1.0):
+        domain = "-1,1" if args.domain is None else args.domain
+        return tuple(factory(a, b) for a, b in _parse_domain(domain, dim))
+    dist = DistributionSpec.normal(0.0 if args.mu is None else args.mu,
+                                   1.0 if args.sigma is None else args.sigma)
+    if args.knots == "gk" and dist.params != (0.0, 1.0):
         raise UsageError("gk knots are tabulated for the standard normal only")
     return (factory(dist),) * dim
 
 
 def _add_knot_args(p):
     p.add_argument("--knots", default="cc", choices=_KNOTS, help="knot family (default cc)")
-    p.add_argument("--domain", default="-1,1",
-                   help="per-dim intervals, e.g. 0,1x0,1; write --domain=-2,1 when the "
-                        "first value is negative")
-    p.add_argument("--mu", type=float, default=0.0, help="normal mean (hermite/wleja)")
-    p.add_argument("--sigma", type=float, default=1.0, help="normal std (hermite/wleja)")
+    p.add_argument("--domain", default=None,
+                   help="per-dim intervals of the interval families (default -1,1), e.g. "
+                        "0,1x0,1; write --domain=-2,1 when the first value is negative")
+    p.add_argument("--mu", type=float, default=None, help="normal mean (default 0)")
+    p.add_argument("--sigma", type=float, default=None, help="normal std (default 1)")
 
 
 def _cmd_build(args) -> int:
@@ -120,11 +125,14 @@ def _cmd_reduce(args) -> int:
     return 0
 
 
-def _grid(args, evaluate=True) -> GridBundle:
+def _grid(args, evaluate=True, export=False) -> GridBundle:
     """Load --grid, reduce it unless the file holds the reduced form, and put
     the values of --fn on the reduced knots into ``bundle.values``: always
-    if ``evaluate`` is True, only when the file stores none if it is None."""
+    if ``evaluate`` is True, only when the file stores none if it is None.
+    With ``export``, --res and --cuts are checked against the grid first."""
     bundle = load_grid(args.grid)
+    if export:
+        _sample_cuts(bundle.grid.dim, args.res, _parse_cuts(args.cuts))
     if bundle.reduced is None:
         bundle.reduced = reduce_grid(bundle.grid)
     if evaluate or (evaluate is None and bundle.values is None):
@@ -146,7 +154,7 @@ def _cmd_quad(args) -> int:
 
 
 def _cmd_interp(args) -> int:
-    export_points(_grid(args), "interp_samples", args.output, resolution=args.res,
+    export_points(_grid(args, export=True), "interp_samples", args.output, resolution=args.res,
                   cuts=_parse_cuts(args.cuts))
     print(f"wrote {args.output}")
     return 0
@@ -223,7 +231,7 @@ def _cmd_sobol(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    bundle = _grid(args, evaluate=None if args.what == "interp_samples" else False)
+    bundle = _grid(args, evaluate=None if args.what == "interp_samples" else False, export=True)
     dims = tuple(int(v) for v in args.dims.split(",")) if args.dims else None
     export_points(bundle, args.what, args.output, dims=dims, resolution=args.res,
                   cuts=_parse_cuts(args.cuts))

@@ -31,7 +31,6 @@ never builds them.  Both paths agree to round-off.
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,55 +139,41 @@ def _call_f(f, knot) -> np.ndarray:
     return out
 
 
-def evaluate_on_grid(f, reduced: ReducedGrid, old=None, workers: int = 1) -> EvaluationTable:
-    """Evaluate ``f`` at every reduced knot, recycling old evaluations.
+def evaluate_on_grid(f, reduced: ReducedGrid, old=None) -> EvaluationTable:
+    """Evaluate ``f`` at every reduced knot, serially and in knot order,
+    recycling old evaluations.
 
     ``old`` is a previous (EvaluationTable, SparseGrid, ReducedGrid) triple
     (the grid entry may be None; only the reduced knots are matched).
     Columns whose knot already appears in the old reduced grid are copied
-    bitwise; only genuinely new knots trigger calls of ``f``.  When
-    ``workers`` exceeds one, distinct knots may be evaluated concurrently,
-    so ``f`` must tolerate concurrent invocation.
+    bitwise; only genuinely new knots trigger calls of ``f``.  The first
+    call whose output count differs from the old table's, or from the
+    first call's, raises a ValueError before ``f`` is called again.
     """
-    knots = reduced.knots
-    count = reduced.size
-    copied: dict[int, np.ndarray] = {}
+    values = None
+    keys = [None] * reduced.size
+    lookup = {}
     if old is not None:
         old_table, _, old_reduced = old
         old_vals = _value_matrix(old_table)
-        lookup = {
-            key: p for p, key in enumerate(lattice_keys(old_reduced.knots, reduced.tol))
-        }
-        for p, key in enumerate(lattice_keys(knots, reduced.tol)):
-            q = lookup.get(key)
-            if q is not None:
-                copied[p] = old_vals[:, q]
-    todo = [p for p in range(count) if p not in copied]
-    results: dict[int, np.ndarray] = {}
-    if todo:
-        # the first new knot alone: an output count that differs from the
-        # old table's raises before any further call of f
-        results[todo[0]] = _call_f(f, knots[:, todo[0]])
-        if copied and results[todo[0]].size != old_vals.shape[0]:
-            raise ValueError(f"function returns {results[todo[0]].size} outputs, "
-                             f"the old table has {old_vals.shape[0]}")
-        rest = todo[1:]
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                for p, col in zip(rest, pool.map(lambda p: _call_f(f, knots[:, p]), rest)):
-                    results[p] = col
-        else:
-            for p in rest:
-                results[p] = _call_f(f, knots[:, p])
-    n_out = results[todo[0]].size if todo else old_vals.shape[0]
-    values = np.empty((n_out, count))
-    for p, col in copied.items():
+        values = np.empty((old_vals.shape[0], reduced.size))
+        keys = lattice_keys(reduced.knots, reduced.tol)
+        lookup = {key: q for q, key in enumerate(lattice_keys(old_reduced.knots, reduced.tol))}
+    new = 0
+    for p, key in enumerate(keys):
+        q = lookup.get(key)
+        if q is not None:
+            values[:, p] = old_vals[:, q]
+            continue
+        col = _call_f(f, reduced.knots[:, p])
+        new += 1
+        if values is None:
+            values = np.empty((col.size, reduced.size))
+        elif col.size != values.shape[0]:
+            source = "the old table has" if old is not None else "its first call returned"
+            raise ValueError(f"function returns {col.size} outputs, {source} {values.shape[0]}")
         values[:, p] = col
-    for p, col in results.items():
-        if col.size != n_out:
-            raise ValueError("function returned outputs of inconsistent length")
-        values[:, p] = col
-    return EvaluationTable(values, new_evaluations=len(todo))
+    return EvaluationTable(values, new_evaluations=new)
 
 
 def quadrature(values_or_f, grid_or_reduced):
@@ -397,12 +382,12 @@ def _default_steps(domain: Domain, points: np.ndarray, h: float | None) -> np.nd
     return steps
 
 
-def _warn_outside(domain: Domain, points: np.ndarray, what: str):
+def _warn_outside(domain: Domain, points: np.ndarray, what: str, stacklevel: int = 3):
     if not np.all(domain.contains(points)):
         warnings.warn(
             f"{what}: query points outside the domain; the global polynomial extrapolates",
             RuntimeWarning,
-            stacklevel=3,
+            stacklevel=stacklevel,
         )
 
 
@@ -415,13 +400,17 @@ def gradient(grid: SparseGrid, reduced: ReducedGrid, values, domain: Domain,
     to one-sided second-order differences, keeping the error order
     uniform.
     """
-    vals = _value_matrix(values)
+    return _gradient(Interpolant(grid, reduced, values), domain, points, h)
+
+
+def _gradient(interp: Interpolant, domain: Domain, points, h: float | None = None) -> np.ndarray:
+    """``gradient`` of a compiled surrogate."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    _warn_outside(domain, points, "gradient")
+    _warn_outside(domain, points, "gradient", stacklevel=4)
     N, Q = points.shape
     steps = _default_steps(domain, points, h)
     lo, hi = domain.lower, domain.upper
-    # build all displaced points, then a single interpolate call
+    # build all displaced points, then a single surrogate call
     batches = []
     plans = []  # (kind, n, q, step)
     for n in range(N):
@@ -442,8 +431,8 @@ def gradient(grid: SparseGrid, reduced: ReducedGrid, values, domain: Domain,
                 p[n] += o
                 batches.append(p)
             plans.append((kind, n, q, s))
-    fvals = interpolate(grid, reduced, vals, np.array(batches).T)
-    out = np.empty((vals.shape[0], N, Q))
+    fvals = interp(np.array(batches).T)
+    out = np.empty((interp.n_outputs, N, Q))
     pos = 0
     for kind, n, q, s in plans:
         if kind == "centered":
@@ -455,7 +444,7 @@ def gradient(grid: SparseGrid, reduced: ReducedGrid, values, domain: Domain,
         else:
             out[:, n, q] = (3.0 * fvals[:, pos] - 4.0 * fvals[:, pos + 1] + fvals[:, pos + 2]) / (2.0 * s)
             pos += 3
-    return out[0] if vals.shape[0] == 1 else out
+    return out[0] if interp.n_outputs == 1 else out
 
 
 def hessian(grid: SparseGrid, reduced: ReducedGrid, values, domain: Domain,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evalkit import EvaluationTable, interpolate
+from .evalkit import EvaluationTable, Interpolant
 from .grid import ReducedGrid, SparseGrid, build_sparse_grid
 from .knots import family_from_descriptor
 from .levels import LevelMap
@@ -185,6 +185,21 @@ def _write_csv(path, header: list[str], rows) -> None:
             fh.write(",".join(repr(float(v)) if isinstance(v, (float, np.floating)) else str(v) for v in row) + "\n")
 
 
+def _sample_cuts(dim: int, resolution: int, cuts=None) -> list[tuple[int, ...]]:
+    """The cuts ``interp_samples`` samples on a grid of dimension ``dim``,
+    with ``resolution`` and ``cuts`` checked: the whole domain for one or
+    two dimensions, else each two-dimensional cut (default (1, 2))."""
+    if resolution < 1:
+        raise ValueError(f"resolution {resolution} is below 1 lattice point per axis")
+    if dim <= 2:
+        return [tuple(range(1, dim + 1))]
+    cut_list = [(1, 2)] if cuts is None else [tuple(int(v) for v in c) for c in cuts]
+    for c in cut_list:
+        if len(c) != 2 or any(d < 1 or d > dim for d in c):
+            raise ValueError(f"cut {c} out of range for dim {dim}")
+    return cut_list
+
+
 def export_points(bundle: GridBundle, what: str, path, dims=None, resolution: int = 15,
                   cuts=None) -> None:
     """Write grid knots, projections, interpolant samples, or the
@@ -197,9 +212,8 @@ def export_points(bundle: GridBundle, what: str, path, dims=None, resolution: in
     """
     if what not in _EXPORT_KINDS:
         raise ValueError(f"unknown export kind {what!r}; choose from {_EXPORT_KINDS}")
-    if resolution < 1:
-        raise ValueError(f"resolution {resolution} is below 1 lattice point per axis")
     grid = bundle.grid
+    cut_list = _sample_cuts(grid.dim, resolution, cuts)
     if what == "midx_set":
         header = [f"i{n + 1}" for n in range(grid.dim)]
         _write_csv(path, header, grid.index_set.rows.tolist())
@@ -230,21 +244,11 @@ def export_points(bundle: GridBundle, what: str, path, dims=None, resolution: in
     box = default_domain(grid)
     mid = box.mean(axis=0)
     n_out = bundle.values.n_outputs
-    if grid.dim <= 2:
-        cut_list = [tuple(range(1, grid.dim + 1))]
-        cut_cols = []
-    else:
-        if cuts is None:
-            cut_list = [(1, 2)]
-        else:
-            cut_list = [tuple(int(v) for v in c) for c in cuts]
-        cut_cols = ["cut_dim1", "cut_dim2"]
-        for c in cut_list:
-            if len(c) != 2 or any(d < 1 or d > grid.dim for d in c):
-                raise ValueError(f"cut {c} out of range for dim {grid.dim}")
+    cut_cols = ["cut_dim1", "cut_dim2"] if grid.dim > 2 else []
     header = cut_cols + [f"y{n + 1}" for n in range(grid.dim)] + [
         f"value{k + 1}" if n_out > 1 else "value" for k in range(n_out)
     ]
+    surrogate = Interpolant(grid, reduced, bundle.values)
     rows = []
     for cut in cut_list:
         axes = [np.linspace(box[0, d - 1], box[1, d - 1], resolution) for d in cut]
@@ -256,7 +260,7 @@ def export_points(bundle: GridBundle, what: str, path, dims=None, resolution: in
             pts = np.tile(mid[:, None], (1, pts_cut.shape[1]))
             for row, d in enumerate(cut):
                 pts[d - 1, :] = pts_cut[row]
-        vals = interpolate(grid, reduced, bundle.values, pts)
+        vals = surrogate(pts)
         for q in range(pts.shape[1]):
             row = list(cut) if cut_cols else []
             row += list(pts[:, q]) + list(vals[:, q])

@@ -612,12 +612,10 @@ class KnotFamily:
     rebuilt by ``family_from_descriptor``) build each rule once.
     """
 
-    def __init__(self, tag: str, params: tuple, dist: DistributionSpec | None,
-                 nested: bool, maker):
+    def __init__(self, tag: str, params: tuple, dist: DistributionSpec | None, maker):
         self.tag = tag
         self.params = params
         self.dist = dist
-        self.nested = nested
         self._maker = maker
 
     def __call__(self, count: int) -> Rule1D:
@@ -646,27 +644,22 @@ class KnotFamily:
 
 
 def gauss_family(dist: DistributionSpec) -> KnotFamily:
-    return KnotFamily(
-        "gauss", (dist.kind,) + dist.params, dist, False,
-        lambda n: gauss_knots(dist, n),
-    )
+    return KnotFamily("gauss", (dist.kind,) + dist.params, dist, lambda n: gauss_knots(dist, n))
 
 
 def cc_family(a: float, b: float) -> KnotFamily:
     dist = DistributionSpec.uniform(a, b)
-    return KnotFamily("cc", (a, b), dist, True, lambda n: cc_knots(n, a, b))
+    return KnotFamily("cc", (a, b), dist, lambda n: cc_knots(n, a, b))
 
 
 def leja_family(a: float, b: float, variant: str = "standard") -> KnotFamily:
     dist = DistributionSpec.uniform(a, b)
-    return KnotFamily(
-        "leja", (a, b, variant), dist, True, lambda n: leja_knots(n, a, b, variant)
-    )
+    return KnotFamily("leja", (a, b, variant), dist, lambda n: leja_knots(n, a, b, variant))
 
 
 def weighted_leja_family(dist: DistributionSpec, variant: str = "standard") -> KnotFamily:
     return KnotFamily(
-        "weighted_leja", (dist.kind,) + dist.params + (variant,), dist, True,
+        "weighted_leja", (dist.kind,) + dist.params + (variant,), dist,
         lambda n: weighted_leja_knots(n, dist, variant),
     )
 
@@ -678,19 +671,18 @@ def trap_family(a: float, b: float) -> KnotFamily:
     """
     dist = DistributionSpec.uniform(a, b)
     return KnotFamily(
-        "trap", (a, b), dist, True,
+        "trap", (a, b), dist,
         lambda n: midpoint_knots(1, a, b) if n == 1 else trap_knots(n, a, b),
     )
 
 
 def midpoint_family(a: float, b: float) -> KnotFamily:
     dist = DistributionSpec.uniform(a, b)
-    return KnotFamily("midpoint", (a, b), dist, True, lambda n: midpoint_knots(n, a, b))
+    return KnotFamily("midpoint", (a, b), dist, lambda n: midpoint_knots(n, a, b))
 
 
 def gk_family() -> KnotFamily:
-    return KnotFamily("genz_keister", (), DistributionSpec.normal(0.0, 1.0), True,
-                      gk_knots)
+    return KnotFamily("genz_keister", (), DistributionSpec.normal(0.0, 1.0), gk_knots)
 
 
 # descriptor tag -> constructor taking the descriptor's flat params; a wrong

@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .evalkit import (Domain, EvaluationTable, Interpolant, evaluate_on_grid, gradient,
+from .evalkit import (Domain, EvaluationTable, Interpolant, _gradient, evaluate_on_grid,
                       interpolate, quadrature)
 from .grid import ReducedGrid, SparseGrid, build_sparse_grid_from_rule, reduce_grid
 from .knots import cc_family, gauss_family, leja_family, DistributionSpec
@@ -424,8 +424,7 @@ def posterior_covariance(problem: InverseProblem, surrogate: SolutionSurrogate,
     from surrogate finite differences of all observations at once.
     """
     y_map = np.asarray(y_map, dtype=float).ravel()
-    g = gradient(surrogate.grid, surrogate.reduced, surrogate.table,
-                 surrogate.domain, y_map.reshape(-1, 1))
+    g = _gradient(surrogate._interpolant, surrogate.domain, y_map.reshape(-1, 1))
     jac = -g.reshape(problem.n_data, y_map.size)
     sigma2 = float(np.mean(_misfits(problem, surrogate, y_map) ** 2))
     gram = jac.T @ jac

@@ -20,6 +20,7 @@ from sparsegrids.adaptive import (
 )
 from sparsegrids.evalkit import (EvaluationError, _active_keys, _tensor_sum, evaluate_on_grid,
                                  quadrature)
+from sparsegrids.cli import cli_main
 from sparsegrids.grid import _tensor_product_columns
 from sparsegrids.midx import is_downward_closed, reduced_margin
 
@@ -308,6 +309,41 @@ class TestResumeMismatch:
             adapt(lambda y: calls.append(y) or 1.0, dim, family, level_map,
                   previous=first, controls=AdaptControls(nested=True, max_pts=60))
         assert not calls and first.internal.history == history
+
+
+class TestNestedCheck:
+    @pytest.mark.parametrize("family", [sg.cc_family(0, 1),
+                                        sg.gauss_family(sg.DistributionSpec.uniform(0, 1))],
+                             ids=["cc", "gauss-legendre"])
+    def test_non_nested_levels_rejected(self, family):
+        # linear map: one node at level 1, two at level 2, neither of them
+        # the midpoint
+        calls = []
+        with pytest.raises(ConfigurationError, match="dimension 1 nodes of level 1 are not "
+                                                     "all among those of level 2"):
+            adapt(lambda y: calls.append(y) or 1.0, 2, family, sg.LevelMap.LINEAR,
+                  controls=AdaptControls(nested=True, max_pts=50))
+        assert len(calls) == 1  # the level-1 knot only
+
+    def test_error_names_the_dimension_and_levels_before_f_runs_there(self):
+        # doubling midpoint rules: 1 and 3 nodes share 0.5, but 3 and 5 share none
+        families = (sg.cc_family(0, 1), sg.midpoint_family(0, 1))
+        level_2 = sg.midpoint_family(0, 1)(3).nodes
+        calls = []
+        with pytest.raises(ConfigurationError, match="dimension 2 nodes of level 2 are not "
+                                                     "all among those of level 3"):
+            adapt(lambda y: calls.append(y) or float(np.sum(y)), 2, families,
+                  sg.LevelMap.DOUBLING, controls=AdaptControls(nested=True, max_pts=200))
+        assert calls and all(np.isin(y[1], level_2) for y in calls)
+
+    @pytest.mark.parametrize("knots", ["cc", "gauss-legendre"])
+    def test_cli_exits_1(self, tmp_path, capsys, knots):
+        out = tmp_path / "a.json"
+        assert cli_main(["adapt", "--dim", "2", "--fn", "expsum", "--knots", knots,
+                         "--domain=0,1", "--lev2knots", "linear", "--nested", "--max-pts", "50",
+                         "-o", str(out)]) == 1
+        assert "error: controls say nested" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestTabulatedFamilySaturation:

@@ -17,6 +17,7 @@ from sparsegrids.evalkit import (
     interpolate,
     quadrature,
 )
+from sparsegrids.grid import lattice_keys
 from sparsegrids.uqdemo import (DiffusionModel, _input_box_grid, build_solution_surrogate,
                                 make_synthetic_data)
 
@@ -127,12 +128,11 @@ class TestEvaluateOnGrid:
         assert cumulative_new == prev[2].size  # nested chain reuses everything
         assert cumulative_new < total_without
 
-    @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("old_out, new_out", [
         (1.0, np.array([2.0, 3.0])),
         (np.array([2.0, 3.0]), 1.0),
     ], ids=["one-to-two", "two-to-one"])
-    def test_recycling_rejects_a_changed_output_count(self, old_out, new_out, workers):
+    def test_recycling_rejects_a_changed_output_count(self, old_out, new_out):
         old_grid, old_reduced = sg.quick_preset(2, 2)
         grid, reduced = sg.quick_preset(2, 3)
         old = (evaluate_on_grid(lambda y: old_out, old_reduced), old_grid, old_reduced)
@@ -145,8 +145,34 @@ class TestEvaluateOnGrid:
 
         with pytest.raises(ValueError, match=f"returns {3 - n_old} outputs, the old "
                                              f"table has {n_old}"):
-            evaluate_on_grid(new_f, reduced, old=old, workers=workers)
+            evaluate_on_grid(new_f, reduced, old=old)
         assert len(calls) == 1  # raised before the other new knots were evaluated
+
+    def test_output_count_change_raises_at_once(self, smolyak_cc_unit_w3):
+        _, reduced = smolyak_cc_unit_w3
+        calls = []
+
+        def f(y):
+            calls.append(y)
+            return [1.0, 2.0] if len(calls) == 3 else 1.0
+
+        with pytest.raises(ValueError, match="returns 2 outputs, its first call returned 1"):
+            evaluate_on_grid(f, reduced)
+        assert len(calls) == 3
+        assert np.array_equal(calls[2], reduced.knots[:, 2])
+
+    def test_new_knots_called_in_knot_order(self):
+        old_grid, old_reduced = sg.quick_preset(2, 2)
+        _, reduced = sg.quick_preset(2, 3)
+        old = (evaluate_on_grid(EXPSUM, old_reduced), old_grid, old_reduced)
+        calls = []
+        table = evaluate_on_grid(lambda y: calls.append(y) or EXPSUM(y), reduced, old=old)
+        old_keys = set(lattice_keys(old_reduced.knots, reduced.tol))
+        new = [p for p, key in enumerate(lattice_keys(reduced.knots, reduced.tol))
+               if key not in old_keys]
+        assert table.new_evaluations == len(calls) == len(new) > 0
+        assert np.array_equal(np.array(calls).T, reduced.knots[:, new])
+        assert np.array_equal(table.values, evaluate_on_grid(EXPSUM, reduced).values)
 
     def test_all_recycled_keeps_the_old_output_count(self):
         grid, reduced = sg.quick_preset(2, 3)
@@ -178,12 +204,6 @@ class TestEvaluateOnGrid:
         with pytest.raises(EvaluationError, match="non-finite") as err:
             quadrature(lambda y: bad if y[0] > 0.9 else 1.0, reduced)
         assert err.value.knot[0] > 0.9
-
-    def test_workers_match_serial(self, smolyak_cc_unit_w3):
-        _, reduced = smolyak_cc_unit_w3
-        serial = evaluate_on_grid(EXPSUM, reduced)
-        threaded = evaluate_on_grid(EXPSUM, reduced, workers=4)
-        assert np.array_equal(serial.values, threaded.values)
 
 
 class TestQuadrature:

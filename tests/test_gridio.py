@@ -10,8 +10,8 @@ import pytest
 import sparsegrids as sg
 from sparsegrids.adaptive import AdaptControls, adapt, serialize_state
 from sparsegrids.cli import cli_main
-from sparsegrids.evalkit import evaluate_on_grid, quadrature
-from sparsegrids import testfunctions
+from sparsegrids.evalkit import evaluate_on_grid, interpolate, quadrature
+from sparsegrids import evalkit, testfunctions
 from sparsegrids.gridio import GridBundle, GridFileError, export_points, load_grid, save_grid
 
 EXPSUM = lambda y: math.exp(float(np.sum(y)))
@@ -134,6 +134,32 @@ class TestExports:
         # non-cut coordinates sit at the domain midpoint
         first = lines[1].split(",")
         assert float(first[4]) == pytest.approx(0.5)  # y3 fixed on cut (1,2)
+
+    def test_cuts_share_one_interpolant(self, tmp_path, monkeypatch):
+        rule, lm = sg.preset("SM")
+        grid = sg.build_sparse_grid_from_rule(3, 3, sg.cc_family(0, 1), lm, rule)
+        reduced = sg.reduce_grid(grid)
+        table = evaluate_on_grid(lambda y: [math.exp(y[0] - y[1]), y[2] ** 3], reduced)
+        compiles = []
+        compile_ = evalkit._compile
+
+        def counted_compile(*args):
+            compiles.append(args)
+            return compile_(*args)
+
+        monkeypatch.setattr(evalkit, "_compile", counted_compile)
+        out = tmp_path / "cuts.csv"
+        export_points(GridBundle(grid=grid, reduced=reduced, values=table), "interp_samples",
+                      out, resolution=5, cuts=[(1, 2), (2, 3)])
+        assert len(compiles) == 1
+        rows = np.array([[float(v) for v in line.split(",")]
+                         for line in out.read_text().splitlines()[1:]])
+        assert rows.shape == (2 * 25, 2 + 3 + 2)
+        for k, cut in enumerate([(1, 2), (2, 3)]):
+            block = rows[25 * k : 25 * (k + 1)]
+            assert np.all(block[:, :2] == cut)
+            want = interpolate(grid, reduced, table, block[:, 2:5].T)
+            assert np.array_equal(block[:, 5:].T, want)
 
     def test_knots3d_projection(self, tmp_path):
         rule, lm = sg.preset("SM")
@@ -399,6 +425,27 @@ class TestCLIMore:
         assert f"error: resolution {res} is below 1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("option,message", [
+        (["--res", "0"], "resolution 0 is below 1"),
+        (["--cuts", "1,9"], "cut (1, 9) out of range for dim 3"),
+    ])
+    @pytest.mark.parametrize("argv", [
+        ["interp", "--fn", "counted"],
+        ["export", "--what", "interp_samples", "--fn", "counted"],
+    ])
+    def test_export_arguments_checked_before_evaluation(self, tmp_path, capsys, monkeypatch,
+                                                       argv, option, message):
+        calls = []
+        monkeypatch.setitem(testfunctions.TEST_FUNCTIONS, "counted",
+                            lambda y: calls.append(y) or 1.0)
+        gpath = str(tmp_path / "g.json")
+        cli_main(["build", "--dim", "3", "--w", "2", "--domain", "0,1", "-o", gpath])
+        out = tmp_path / "s.csv"
+        assert cli_main(argv + ["--grid", gpath, "-o", str(out)] + option) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert calls == []
+        assert not out.exists()
+
     def test_pce_csv_values_are_plain_floats(self, tmp_path):
         gpath = str(tmp_path / "g.json")
         cli_main(["build", "--dim", "2", "--preset", "SM", "--w", "2",
@@ -453,8 +500,10 @@ class TestCLIMore:
             "wleja-normal-sym": sg.weighted_leja_family(normal, "symmetric"),
         }[knots]
         gpath = str(tmp_path / "g.json")
+        if family.dist.kind == "uniform":
+            extra = extra + ["--domain", "0,1x0,1"]
         args = ["build", "--dim", "2", "--preset", "TD", "--w", "1",
-                "--knots", knots, "--domain", "0,1x0,1", "-o", gpath] + extra
+                "--knots", knots, "-o", gpath] + extra
         assert cli_main(args) == 0
         assert load_grid(gpath).grid.families == (family, family)
         assert cli_main(["reduce", "--grid", gpath]) == 0
@@ -468,6 +517,23 @@ class TestCLIMore:
         gpath = tmp_path / "g.json"
         assert cli_main(argv + ["--dim", "2", "--knots", "spline", "-o", str(gpath)]) == 1
         assert "argument --knots: invalid choice: 'spline'" in capsys.readouterr().err
+        assert not gpath.exists()
+
+    @pytest.mark.parametrize("knots,option,message", [
+        ("gauss-hermite", ["--domain", "0,1x0,1"],
+         "--domain does not apply to --knots gauss-hermite"),
+        ("gk", ["--lev2knots", "gk", "--domain=-1,1"], "--domain does not apply to --knots gk"),
+        ("wleja-normal", ["--domain=-1,1"], "--domain does not apply to --knots wleja-normal"),
+        ("cc", ["--mu", "5", "--sigma", "2"], "--mu does not apply to --knots cc"),
+        ("leja", ["--sigma", "2"], "--sigma does not apply to --knots leja"),
+    ])
+    @pytest.mark.parametrize("command", ["build", "adapt"])
+    def test_family_option_of_another_family_is_a_usage_error(self, tmp_path, capsys, command,
+                                                              knots, option, message):
+        argv = {"build": ["build", "--w", "2"], "adapt": ["adapt", "--fn", "expsum"]}[command]
+        gpath = tmp_path / "g.json"
+        assert cli_main(argv + ["--dim", "2", "--knots", knots, "-o", str(gpath)] + option) == 1
+        assert f"error: {message}" in capsys.readouterr().err
         assert not gpath.exists()
 
     def test_gk_rejects_nonstandard_normal(self, tmp_path):

@@ -400,7 +400,7 @@ class TestCommonInvariants:
         # rule, so its grid uses trap_family's midpoint fallback
         level_map = {"gk": sg.LevelMap.GK, "cc": sg.LevelMap.DOUBLING,
                      "midpoint": sg.LevelMap.TRIPLING}.get(name, sg.LevelMap.LINEAR)
-        family = trap_family(0.0, 1.0) if name == "trap" else KnotFamily(name, (), None, True, maker)
+        family = trap_family(0.0, 1.0) if name == "trap" else KnotFamily(name, (), None, maker)
         rule = sg.preset("SM")[0]
         for w in range(4):
             grid = sg.build_sparse_grid_from_rule(2, w, family, level_map, rule)

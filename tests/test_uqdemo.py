@@ -1,11 +1,11 @@
 import itertools
 import math
-import sys
 
 import numpy as np
 import pytest
 
 import sparsegrids as sg
+from sparsegrids import evalkit, uqdemo
 from sparsegrids.uqdemo import (
     DiffusionModel,
     ForwardConfig,
@@ -178,23 +178,14 @@ class TestAssemblyOncePerModel:
                 values.append(want_q)
             assert len(set(values)) == len(models)
 
-    def test_threaded_evaluation_equals_serial(self):
-        # the threads share one model, and with it the cached load vector
-        # the solver must not write into
+    def test_grid_evaluation_equals_per_call_reference(self):
+        # a fresh model: its first calls build the assembly, which later
+        # calls share and must not write into
         _, reduced = _input_box_grid(3, 4, "cc")
-        tables = []
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for workers in (1, 2, 4):  # a fresh model each time: its first calls build the assembly
-                model = DiffusionModel(n_random=3, sigmas=(0.5, 0.3, 0.2), mesh=37, rhs=sin_rhs)
-                tables.append(sg.evaluate_on_grid(lambda y: qoi_integral(model, y), reduced,
-                                                  workers=workers))
-        finally:
-            sys.setswitchinterval(interval)
+        model = DiffusionModel(n_random=3, sigmas=(0.5, 0.3, 0.2), mesh=37, rhs=sin_rhs)
+        table = sg.evaluate_on_grid(lambda y: qoi_integral(model, y), reduced)
         want = np.array([per_call_reference(model, y)[1] for y in reduced.knots.T])
-        for table in tables:
-            assert_bitwise(table.values[0], want)
+        assert_bitwise(table.values[0], want)
 
     def test_overridden_coefficient_is_used(self):
         class Graded(DiffusionModel):
@@ -371,6 +362,30 @@ class TestInversePipeline:
         assert 0.005 <= sigma_est <= 0.02
         assert np.array_equal(cov, cov.T)
         assert np.all(np.linalg.eigvalsh(cov) > 0)
+
+    def test_posterior_covariance_uses_the_compiled_surrogate(self, setup, monkeypatch):
+        model, problem, surrogate = setup
+        y_map = np.array([0.85, -1.05])
+        jacobians, compiles = [], []
+        gradient_, compile_ = evalkit._gradient, evalkit._compile
+
+        def recorded_gradient(*args):
+            jacobians.append(gradient_(*args))
+            return jacobians[-1]
+
+        def counted_compile(*args):
+            compiles.append(args)
+            return compile_(*args)
+
+        monkeypatch.setattr(uqdemo, "_gradient", recorded_gradient)
+        monkeypatch.setattr(evalkit, "_compile", counted_compile)
+        posterior_covariance(problem, surrogate, y_map)
+        assert compiles == []
+        assert len(jacobians) == 1
+        want = sg.gradient(surrogate.grid, surrogate.reduced, surrogate.table, surrogate.domain,
+                           y_map.reshape(-1, 1))
+        assert len(compiles) == 1
+        assert_bitwise(jacobians[0], want)
 
     def test_zero_noise_sigma_estimate_below_floor(self):
         model = DiffusionModel(n_random=2, sigmas=(0.5, 0.5), mesh=81)
