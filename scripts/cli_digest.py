@@ -86,6 +86,15 @@ RUNS = [
                          "wleja-normal-sym", "--mu", "0.5", "--sigma", "2", "-o", "wl.json"],
      ["wl.json"]),
     ("quad-wleja-sym", ["quad", "--grid", "wl.json", "--fn", "expsum"], []),
+    # anisotropic Leja with one interval per dimension, then the reduced form attached
+    ("build-leja-aniso", ["build", "--dim", "4", "--preset", "TD", "--w", "4", "--g=1,2,1.5,3",
+                          "--knots", "leja", "--domain=-1,1x0,2x-3,-1x0.5,4", "-o", "la.json"],
+     ["la.json"]),
+    ("reduce-leja-aniso", ["reduce", "--grid", "la.json"], ["la.json"]),
+    ("build-gauss-hermite", ["build", "--dim", "3", "--preset", "SM", "--w", "3", "--knots",
+                             "gauss-hermite", "--mu", "0.5", "--sigma", "2", "-o", "gh.json"],
+     ["gh.json"]),
+    ("reduce-gauss-hermite", ["reduce", "--grid", "gh.json"], ["gh.json"]),
 ]
 
 

@@ -23,9 +23,9 @@ from .evalkit import (EvaluationError, EvaluationTable, _active_key, _call_f, _s
 from .grid import (
     ReducedGrid,
     SparseGrid,
+    _kron_rows,
     _normalize_families,
     _tensor_product_columns,
-    _tensor_weights,
     build_sparse_grid,
     dedup_tolerances,
     lattice_keys,
@@ -271,7 +271,7 @@ def error_indicator_quad(candidate, state: AdaptState) -> float:
     candidate = _index_row(candidate)
     total = None
     for sign, levels, vals in _detail_terms(state, candidate):
-        q = vals @ _tensor_weights([e.rule for e in levels], 1)
+        q = vals @ _kron_rows([e.rule.weights[None, :] for e in levels])[0]
         total = sign * q if total is None else total + sign * q
     return float(np.max(np.abs(total)))
 

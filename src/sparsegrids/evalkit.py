@@ -35,7 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import ReducedGrid, SparseGrid, _kron_rows, lattice_keys, reduce_grid
+from .grid import (ReducedGrid, SparseGrid, _extended_positions, _kron_rows, lattice_keys,
+                   reduce_grid)
 from ._bary import barycentric_weights, basis_matrix
 
 __all__ = [
@@ -269,12 +270,8 @@ class _ReducedWeights:
         self.starts = np.flatnonzero(np.r_[True, sorted_n[1:] != sorted_n[:-1]])
         sizes = [t.size for t in grid.tensors]
         self.coeff = np.repeat([float(t.coeff) for t in grid.tensors], sizes)[order]
-        # each extended knot's position in its tensor, and then in each dimension
-        local = (np.arange(reduced.n.size) - np.repeat(grid.tensor_offsets()[:-1], sizes))[order]
         self.dims = []
-        for n in range(grid.dim):
-            count = np.repeat([t.knots_per_dim[n].size for t in grid.tensors], sizes)[order]
-            pos, local = local % count, local // count
+        for n, pos in enumerate(_extended_positions(grid)):
             keys = [key for key in rules if key[0] == n]
             if not keys:
                 continue
@@ -286,7 +283,7 @@ class _ReducedWeights:
             self.dims.append((n, np.concatenate([rules[key][0] for key in keys]),
                               np.concatenate([rules[key][1] for key in keys]), rule_starts,
                               np.repeat(np.arange(len(keys)), counts),
-                              np.repeat(base, sizes)[order] + pos))
+                              (np.repeat(base, sizes) + pos)[order]))
 
     def __call__(self, values: np.ndarray, points: np.ndarray) -> np.ndarray:
         w = np.repeat(self.coeff[:, None], points.shape[1], axis=1)

@@ -1,10 +1,10 @@
 """Tensor and sparse grid construction, reduction, and recycling.
 
 A sparse grid is stored in *extended* format: the list of tensor grids
-whose combination coefficient is nonzero, each carrying coefficient-scaled
-quadrature weights.  ``reduce_grid`` produces the *reduced* format: the
-deduplicated knot list with combined weights plus the index maps between
-the two formats.
+whose combination coefficient is nonzero; ``SparseGrid.extended`` lays out
+their knots and coefficient-scaled weights.  ``reduce_grid`` produces the
+*reduced* format: the deduplicated knot list with combined weights plus
+the index maps between the two formats.
 """
 
 from __future__ import annotations
@@ -46,17 +46,12 @@ DEFAULT_DEDUP_TOL = 1e-14
 
 @dataclass(frozen=True)
 class TensorGrid:
-    """One tensor grid of a sparse grid, with coefficient-scaled weights.
-
-    ``knots`` has one column per grid point; the first dimension varies
-    fastest in the column ordering.  ``weights`` already carry the
-    combination coefficient, so summing duplicates across tensor grids is
-    all the reduction step has to do.
-    """
+    """One tensor grid of a sparse grid: the rule nodes of each dimension
+    (``m[n]`` of them in dimension n) and the combination coefficient.
+    Its ``size`` knots are the tensor product of ``knots_per_dim``, first
+    dimension fastest (``SparseGrid.extended``)."""
 
     idx: tuple[int, ...]
-    knots: np.ndarray
-    weights: np.ndarray
     size: int
     knots_per_dim: tuple[np.ndarray, ...]
     m: tuple[int, ...]
@@ -81,6 +76,33 @@ class SparseGrid:
         """Start of each tensor grid in the concatenated extended order."""
         sizes = [t.size for t in self.tensors]
         return np.concatenate([[0], np.cumsum(sizes)])
+
+    def extended(self) -> tuple[np.ndarray, np.ndarray]:
+        """The knots (dim x ``extended_size``) and weights of all tensor grids
+        end to end.  A weight is its 1D weights multiplied first dimension
+        first, then the coefficient, bitwise ``coeff * _kron_rows(...)``."""
+        sizes = [t.size for t in self.tensors]
+        node_counts = np.array([t.m for t in self.tensors])
+        knots, weights = np.empty((self.dim, sum(sizes))), np.ones(sum(sizes))
+        for n, pos in enumerate(_extended_positions(self)):
+            # dimension n's distinct rules end to end, and each knot's slot in them
+            counts, which = np.unique(node_counts[:, n], return_inverse=True)
+            rules = [self.families[n](int(c)) for c in counts]
+            slot = np.repeat((np.cumsum(counts) - counts)[which], sizes) + pos
+            knots[n] = np.concatenate([r.nodes for r in rules])[slot]
+            weights *= np.concatenate([r.weights for r in rules])[slot]
+        return knots, weights * np.repeat([t.coeff for t in self.tensors], sizes)
+
+
+def _extended_positions(grid: SparseGrid):
+    """Yield, dimension by dimension, each extended knot's position among
+    its tensor's nodes in that dimension, the first dimension fastest."""
+    sizes = [t.size for t in grid.tensors]
+    node_counts = np.array([t.m for t in grid.tensors])
+    local = np.arange(sum(sizes)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    for n in range(grid.dim):
+        local, pos = np.divmod(local, np.repeat(node_counts[:, n], sizes))
+        yield pos
 
 
 @dataclass(frozen=True)
@@ -131,13 +153,6 @@ def _kron_rows(mats: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
-def _tensor_weights(rules, coeff: int) -> np.ndarray:
-    """coeff times the tensor product of the 1D weights, first dim fastest."""
-    weights = coeff * _kron_rows([r.weights[None, :] for r in rules])[0]
-    weights.flags.writeable = False
-    return weights
-
-
 def build_tensor_grid(idx, families, level_map: LevelMap, coeff: int = 1) -> TensorGrid:
     """Materialize the tensor grid of multi-index ``idx``."""
     idx = _index_row(idx)
@@ -146,15 +161,10 @@ def build_tensor_grid(idx, families, level_map: LevelMap, coeff: int = 1) -> Ten
     dim = len(idx)
     families = _normalize_families(families, dim)
     m = tuple(apply_level_map(level_map, v) for v in idx)
-    rules = [families[n](m[n]) for n in range(dim)]
-    knots = _tensor_product_columns([r.nodes for r in rules])
-    knots.flags.writeable = False
     return TensorGrid(
         idx=idx,
-        knots=knots,
-        weights=_tensor_weights(rules, coeff),
         size=math.prod(m),
-        knots_per_dim=tuple(r.nodes for r in rules),
+        knots_per_dim=tuple(families[n](m[n]).nodes for n in range(dim)),
         m=m,
         coeff=coeff,
     )
@@ -169,9 +179,8 @@ def build_sparse_grid(
     """Sparse grid over a downward-closed multi-index set.
 
     Tensor grids of ``previous`` with a matching multi-index are reused
-    provided the knot families and level map agree; a changed coefficient
-    gets its weights recomputed, not rescaled, so they equal a cold build
-    bitwise.
+    provided the knot families and level map agree; a reused tensor only
+    takes its new coefficient.
     """
     if index_set.base != 1:
         raise ValueError("sparse grids require a base-1 multi-index set")
@@ -201,11 +210,8 @@ def _assemble(index_set: MultiIndexSet, coeffs: dict[tuple[int, ...], int], fami
         old = reuse.get(idx)
         if old is None:
             tensors.append(build_tensor_grid(idx, families, level_map, coeff=c))
-        elif old.coeff != c:
-            rules = [fam(m) for fam, m in zip(families, old.m)]
-            tensors.append(replace(old, weights=_tensor_weights(rules, c), coeff=c))
         else:
-            tensors.append(old)
+            tensors.append(old if old.coeff == c else replace(old, coeff=c))
     return SparseGrid(
         dim=index_set.dim,
         tensors=tuple(tensors),
@@ -314,8 +320,7 @@ def reduce_grid(grid: SparseGrid, tol: float | None = None) -> ReducedGrid:
     """Deduplicate the extended knots and combine their weights."""
     if not grid.tensors:
         raise ValueError("cannot reduce an empty sparse grid")
-    extended = np.concatenate([t.knots for t in grid.tensors], axis=1)
-    ext_weights = np.concatenate([t.weights for t in grid.tensors])
+    extended, ext_weights = grid.extended()
     tols = dedup_tolerances(extended, tol)
     m_arr, n_map, w, _ = _group_columns(_lattice(extended, tols), ext_weights)
     knots = extended[:, m_arr]

@@ -2,10 +2,8 @@
 
 Grids are stored as JSON with decimal floats (Python's shortest
 round-trip representation, at most 17 significant digits), so numeric
-arrays survive a save/load cycle bitwise.  Full tensor knot matrices are
-reconstructed from the per-dimension node lists on load to keep files
-small.  Exports are plain CSV: comma separator, '.' decimal, LF line
-endings, mandatory header row.
+arrays survive a save/load cycle bitwise.  Exports are plain CSV: comma
+separator, '.' decimal, LF line endings, mandatory header row.
 """
 
 from __future__ import annotations
@@ -51,12 +49,22 @@ def _reduced_to_json(reduced: ReducedGrid) -> dict:
     }
 
 
+def _fields(obj: dict, where: str, *keys: str) -> list:
+    """``obj[key]`` for each of ``keys``; a missing one raises a KeyError
+    naming it as ``where + key``."""
+    for key in keys:
+        if key not in obj:
+            raise KeyError(where + key)
+    return [obj[key] for key in keys]
+
+
 def _reduced_from_json(obj: dict) -> ReducedGrid:
-    knots = np.asarray(obj["knots"], dtype=float)
-    weights = np.asarray(obj["weights"], dtype=float)
-    m = np.asarray(obj["m"], dtype=np.int64)
-    n = np.asarray(obj["n"], dtype=np.int64)
-    tol = np.asarray(obj["tol"], dtype=float)
+    knots, weights, m, n, tol = _fields(obj, "reduced.", "knots", "weights", "m", "n", "tol")
+    knots = np.asarray(knots, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    m = np.asarray(m, dtype=np.int64)
+    n = np.asarray(n, dtype=np.int64)
+    tol = np.asarray(tol, dtype=float)
     for a in (knots, weights, m, n):
         a.flags.writeable = False
     return ReducedGrid(knots=knots, weights=weights, size=weights.size, m=m, n=n, tol=tol)
@@ -64,9 +72,11 @@ def _reduced_from_json(obj: dict) -> ReducedGrid:
 
 def _check_reduced(grid: SparseGrid, reduced: ReducedGrid, values) -> None:
     """Check a stored reduced form (and values) against the rebuilt grid."""
-    knots = np.concatenate([t.knots for t in grid.tensors], axis=1)
-    weights = np.concatenate([t.weights for t in grid.tensors])
+    knots, weights = grid.extended()
     m, n, size = reduced.m, reduced.n, reduced.size
+    tol = reduced.tol
+    if tol.shape != (grid.dim,) or not np.all(np.isfinite(tol) & (tol > 0)):
+        raise GridFileError(f"reduced 'tol' is not {grid.dim} finite values above 0")
     if values is not None and values.n_points != size:
         raise GridFileError(f"'values' has {values.n_points} columns for {size} reduced knots")
     if n.shape != weights.shape or np.any((n < 0) | (n >= size)):
@@ -113,13 +123,15 @@ def save_grid(path, grid: SparseGrid, reduced: ReducedGrid | None = None,
 
 
 def load_grid(path) -> GridBundle:
-    """Read a grid file; knot matrices are rebuilt from the stored data."""
+    """Read a grid file; the grid is rebuilt and checked against the stored data."""
     with open(path) as fh:
         text = fh.read()
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise GridFileError(f"malformed grid file {path}: {exc.msg} at byte {exc.pos}") from exc
+    if not isinstance(doc, dict):
+        raise GridFileError(f"grid file {path} is structurally invalid: not a JSON object")
     version = doc.get("format_version")
     if version != FORMAT_VERSION:
         raise GridFileError(
@@ -129,21 +141,27 @@ def load_grid(path) -> GridBundle:
         families = tuple(family_from_descriptor(d) for d in doc["families"])
         level_map = LevelMap(doc["level_map"])
         index_set = MultiIndexSet(doc["multi_index_set"], dim=doc["dim"])
-    except (KeyError, TypeError, ValueError) as exc:
+        stored = {}
+        for k, rec in enumerate(_fields(doc, "", "tensors")[0]):
+            idx, *meta = _fields(rec, f"tensors[{k}].", "idx", "coeff", "m", "knots_per_dim")
+            stored[tuple(idx)] = meta
+        reduced = _reduced_from_json(doc["reduced"]) if "reduced" in doc else None
+    except KeyError as exc:
+        raise GridFileError(f"grid file {path} is structurally invalid: "
+                            f"missing field {exc.args[0]!r}") from exc
+    except (TypeError, ValueError) as exc:
         raise GridFileError(f"grid file {path} is structurally invalid: {exc}") from exc
     grid = build_sparse_grid(index_set, families, level_map)
     # cross-check the regenerated univariate knots against the stored ones
-    stored = {tuple(t["idx"]): t for t in doc["tensors"]}
     if set(stored) != {t.idx for t in grid.tensors}:
         raise GridFileError("stored tensors do not match the multi-index set")
     for t in grid.tensors:
-        rec = stored[t.idx]
-        if rec["coeff"] != t.coeff or list(t.m) != rec["m"]:
+        coeff, m, knots_per_dim = stored[t.idx]
+        if coeff != t.coeff or list(t.m) != m or len(knots_per_dim) != grid.dim:
             raise GridFileError(f"tensor {t.idx} metadata mismatch")
-        for ours, theirs in zip(t.knots_per_dim, rec["knots_per_dim"]):
+        for ours, theirs in zip(t.knots_per_dim, knots_per_dim):
             if not np.allclose(ours, np.asarray(theirs), rtol=0, atol=1e-12):
                 raise GridFileError(f"stored knots of tensor {t.idx} do not match")
-    reduced = _reduced_from_json(doc["reduced"]) if "reduced" in doc else None
     values = EvaluationTable(np.asarray(doc["values"], dtype=float)) if "values" in doc else None
     if reduced is not None:
         _check_reduced(grid, reduced, values)

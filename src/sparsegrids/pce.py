@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evalkit import Domain, _compile, _value_matrix
-from .grid import ReducedGrid, SparseGrid, _group_columns, _tensor_product_columns
+from .grid import ReducedGrid, SparseGrid, _extended_positions, _group_columns
 from .knots import DistributionSpec, _native_to_standard, recurrence_coefficients
 from .midx import MultiIndexSet
 
@@ -145,8 +145,8 @@ def convert_to_modal(grid: SparseGrid, reduced: ReducedGrid, values, domain: Dom
     # rule key -> orthonormal Vandermonde matrix, rows: nodes, cols: degrees
     vanders = {key: _orthonormal_table(_family_dist(family, params[key[0]]), nodes.size - 1, nodes).T
                for key, (nodes, _) in rules.items()}
-    terms, degrees = [], []
-    for t, (coeff, tv, keys) in zip(grid.tensors, tensors):
+    terms = []
+    for coeff, tv, keys in tensors:
         n_out = tv.shape[0]
         # one-node dimensions solve a 1x1 system [[1.0]] exactly; skip them
         block = tv.T.reshape([len(vanders[key]) for key in keys] + [n_out], order="F")
@@ -156,8 +156,8 @@ def convert_to_modal(grid: SparseGrid, reduced: ReducedGrid, values, domain: Dom
             block = np.moveaxis(solved.reshape(moved.shape), 0, axis)
         # one column per multi-degree of the block, first dim fastest
         terms.append(coeff * block.reshape(-1, n_out, order="F").T)
-        degrees.append(_tensor_product_columns([np.arange(v) for v in t.m]))
-    degrees = np.concatenate(degrees, axis=1)
+    # a column's degrees are its extended knot's node positions
+    degrees = np.array(list(_extended_positions(grid)))
     m, _, sums, lex = _group_columns(degrees, np.concatenate(terms, axis=1))
     rows = degrees[:, m[lex]].T
     lam = MultiIndexSet(rows.tolist(), dim=grid.dim, base=0)

@@ -13,6 +13,15 @@ def smolyak_cc_unit_w3():
     return grid, sg.reduce_grid(grid)
 
 
+def one_tensor_grid(idx, families, level_map, coeff=1):
+    """A sparse grid holding only the tensor grid of ``idx``, whose
+    ``extended()`` is that tensor's knots and coefficient-scaled weights."""
+    t = sg.build_tensor_grid(idx, families, level_map, coeff=coeff)
+    families = families if isinstance(families, (list, tuple)) else [families] * len(t.idx)
+    return sg.SparseGrid(dim=len(t.idx), tensors=(t,), families=tuple(families),
+                         level_map=sg.LevelMap(level_map), index_set=sg.MultiIndexSet([t.idx]))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

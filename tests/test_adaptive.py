@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import one_tensor_grid
 
 import sparsegrids as sg
 from sparsegrids import adaptive
@@ -400,9 +401,9 @@ def _direct_point_indicator(state, candidate):
         idx = list(candidate)
         for n, step in zip(moving, j):
             idx[n] -= step
-        tensor = sg.build_tensor_grid(idx, fams, lm)
-        terms.append(((-1) ** sum(j), adaptive._values_at(state, tensor.knots),
-                      _active_keys(rules, tensor.knots_per_dim)))
+        grid = one_tensor_grid(idx, fams, lm)
+        terms.append(((-1) ** sum(j), adaptive._values_at(state, grid.extended()[0]),
+                      _active_keys(rules, grid.tensors[0].knots_per_dim)))
     per_dim = []
     for n, v in enumerate(candidate):
         nodes = fams[n](sg.apply_level_map(lm, v)).nodes
@@ -517,7 +518,7 @@ class TestTensorValueCache:
         state = err.value.state
         assert state.tensor_values
         for idx, vals in state.tensor_values.items():
-            knots = sg.build_tensor_grid(idx, fam, lm).knots
+            knots = one_tensor_grid(idx, fam, lm).extended()[0]
             assert not np.all(knots == failed[-1][:, None], axis=0).any(), idx
             assert np.array_equal(vals, adaptive._values_at(state, knots))
         budget["left"] = 10_000

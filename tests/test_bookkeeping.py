@@ -1,21 +1,36 @@
-"""The array-level grid bookkeeping (sort-based ``reduce_grid``, grouped
-modal sums) against reference copies of the per-knot dict loops it
-replaced: every output must be bitwise equal, not merely close."""
+"""The array-level grid bookkeeping (one-pass ``SparseGrid.extended``,
+sort-based ``reduce_grid``, grouped modal sums) against reference copies
+of the per-tensor and per-knot loops it replaced: every output must be
+bitwise equal, not merely close."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
 import sparsegrids as sg
 import sparsegrids.pce
+from sparsegrids.adaptive import AdaptControls, adapt
 from sparsegrids.evalkit import Domain, _compile
-from sparsegrids.grid import _tensor_product_columns, dedup_tolerances, lattice_keys
+from sparsegrids.grid import _kron_rows, _tensor_product_columns, dedup_tolerances, lattice_keys
 from sparsegrids.pce import _family_dist, _orthonormal_table, convert_to_modal
+
+
+def reference_extended(grid):
+    """Extended knots and weights built tensor by tensor: the cartesian
+    product of each tensor's nodes, and its coefficient times the Kronecker
+    product of its 1D rule weights."""
+    knots, weights = [], []
+    for t in grid.tensors:
+        knots.append(_tensor_product_columns(t.knots_per_dim))
+        rules = [fam(m) for fam, m in zip(grid.families, t.m)]
+        weights.append(t.coeff * _kron_rows([r.weights[None, :] for r in rules])[0])
+    return np.concatenate(knots, axis=1), np.concatenate(weights)
 
 
 def reference_reduce(grid):
     """Knots, weights, m and n of the dict-and-loop reduction."""
-    extended = np.concatenate([t.knots for t in grid.tensors], axis=1)
-    ext_weights = np.concatenate([t.weights for t in grid.tensors])
+    extended, ext_weights = reference_extended(grid)
     scaled = np.rint(extended / dedup_tolerances(extended)[:, None]).astype(np.int64)
     first, m_list, weights = {}, [], []
     n_map = np.empty(extended.shape[1], dtype=np.int64)
@@ -70,6 +85,67 @@ CASES = {
     "d1": lambda: _grid(1, 5, "SM", sg.cc_family(-1.0, 1.0)),
     "d33": lambda: _grid(33, 2, "SM", sg.cc_family(-1.0, 1.0)),
 }
+
+
+_NORMAL = sg.DistributionSpec.normal(0.5, 2.0)
+
+EXTENDED_CASES = {
+    **CASES,
+    "sm-cc-d10": lambda: _grid(10, 3, "SM", sg.cc_family(-1.0, 1.0)),
+    "td-leja-sym": lambda: _grid(3, 5, "TD", sg.leja_family(-1.0, 1.0, "symmetric"),
+                                 sg.LevelMap.LINEAR),
+    "td-gauss-hermite": lambda: _grid(3, 4, "TD", sg.gauss_family(_NORMAL), sg.LevelMap.LINEAR),
+    "td-weighted-leja": lambda: _grid(3, 5, "TD", sg.weighted_leja_family(_NORMAL),
+                                      sg.LevelMap.LINEAR),
+    "mixed-anisotropic": lambda: sg.build_sparse_grid_from_rule(
+        3, 4, (sg.cc_family(0.0, 1.0), sg.leja_family(-1.0, 2.0), sg.gauss_family(_NORMAL)),
+        sg.LevelMap.LINEAR, sg.preset("TD", [1.0, 2.0, 1.5])[0]),
+    "adaptive": lambda: adapt(lambda y: np.exp(y.sum()), 3, sg.leja_family(-1.0, 1.0),
+                              sg.LevelMap.LINEAR,
+                              controls=AdaptControls(nested=True, max_pts=200)).extended,
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXTENDED_CASES))
+def test_extended_bitwise_equals_tensor_by_tensor(case):
+    grid = EXTENDED_CASES[case]()
+    for got, want in zip(grid.extended(), reference_extended(grid)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def test_previous_chain_flips_carried_coefficients():
+    # a reused tensor only takes its new coefficient, so its weights must
+    # still equal a cold build's bitwise, whichever way the sign went
+    family = sg.leja_family(0.0, 1.0)
+    rule, level_map = sg.preset("SM")
+    grids = []
+    for w in range(5):
+        grids.append(sg.build_sparse_grid_from_rule(3, w, family, level_map, rule,
+                                                    previous=grids[-1] if grids else None))
+    flips = 0
+    for before, after in zip(grids, grids[1:]):
+        old = {t.idx: t.coeff for t in before.tensors}
+        flips += sum(old.get(t.idx, 0) * t.coeff < 0 for t in after.tensors)
+    assert flips > 0
+    cold = _grid(3, 4, "SM", family)
+    for got, want, ref in zip(grids[-1].extended(), cold.extended(),
+                              reference_extended(grids[-1])):
+        assert got.tobytes() == want.tobytes() == ref.tobytes()
+
+
+def test_replaced_tensor_tuple_reduces_to_the_remaining_tensors():
+    grid = CASES["td-leja"]()
+    kept = dataclasses.replace(grid, tensors=grid.tensors[:-1])
+    end = grid.tensor_offsets()[-2]
+    for got, full in zip(kept.extended(), grid.extended()):
+        assert got.tobytes() == full[..., :end].tobytes()
+    reduced = sg.reduce_grid(kept)
+    knots, weights, m, n = reference_reduce(kept)
+    assert reduced.size == m.size < sg.reduce_grid(grid).size
+    for got, want in ((reduced.knots, knots), (reduced.weights, weights),
+                      (reduced.m, m), (reduced.n, n)):
+        assert got.tobytes() == want.tobytes()
 
 
 def _values(reduced):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import one_tensor_grid
 
 import sparsegrids as sg
 from sparsegrids import evalkit
@@ -274,8 +275,9 @@ class TestInterpolate:
         reduced = sg.reduce_grid(grid)
         f = lambda y: math.sin(3.0 * y[0]) + y[1] ** 3
         table = evaluate_on_grid(f, reduced)
-        corner = sg.build_tensor_grid([2, 2], fam, sg.LevelMap.LINEAR)
-        corner_vals = [f(corner.knots[:, j]) for j in range(corner.size)]
+        corner_grid = one_tensor_grid([2, 2], fam, sg.LevelMap.LINEAR)
+        corner, corner_knots = corner_grid.tensors[0], corner_grid.extended()[0]
+        corner_vals = [f(corner_knots[:, j]) for j in range(corner.size)]
         pts = rng.uniform(0, 1, (2, 25))
         got = interpolate(grid, reduced, table, pts)[0]
         want = [

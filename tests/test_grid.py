@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import downward_closed_sets
+from conftest import downward_closed_sets, one_tensor_grid
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -18,32 +18,34 @@ class TestBuildTensorGrid:
         assert t.knots_per_dim[1] == pytest.approx([1, 0.8536, 0.5, 0.1464, 0], abs=5e-5)
 
     def test_single_point(self):
-        t = sg.build_tensor_grid([1, 1], sg.cc_family(0, 1), sg.LevelMap.DOUBLING)
-        assert t.size == 1
-        assert t.weights == pytest.approx([1.0])
+        grid = one_tensor_grid([1, 1], sg.cc_family(0, 1), sg.LevelMap.DOUBLING)
+        assert grid.tensors[0].size == 1
+        assert grid.extended()[1] == pytest.approx([1.0])
 
     def test_product_size(self):
         t = sg.build_tensor_grid([2, 2], sg.cc_family(0, 1), sg.LevelMap.DOUBLING)
         assert t.size == 9
 
     def test_unrolling_first_dim_fastest(self):
-        t = sg.build_tensor_grid([2, 2], sg.cc_family(0, 1), sg.LevelMap.DOUBLING)
+        grid = one_tensor_grid([2, 2], sg.cc_family(0, 1), sg.LevelMap.DOUBLING)
+        t, knots = grid.tensors[0], grid.extended()[0]
         k0 = t.knots_per_dim[0]
         # the first three columns sweep dimension 1 with dimension 2 fixed
-        assert t.knots[0, :3] == pytest.approx(k0)
-        assert t.knots[1, :3] == pytest.approx([t.knots_per_dim[1][0]] * 3)
+        assert knots[0, :3] == pytest.approx(k0)
+        assert knots[1, :3] == pytest.approx([t.knots_per_dim[1][0]] * 3)
 
     def test_weights_sum_to_coeff(self):
-        t = sg.build_tensor_grid([2, 3], sg.cc_family(0, 1), sg.LevelMap.DOUBLING, coeff=-2)
-        assert t.weights.sum() == pytest.approx(-2.0, abs=1e-12)
+        grid = one_tensor_grid([2, 3], sg.cc_family(0, 1), sg.LevelMap.DOUBLING, coeff=-2)
+        assert grid.extended()[1].sum() == pytest.approx(-2.0, abs=1e-12)
 
     def test_builds_past_32_dimensions(self):
         # np.meshgrid takes at most 32 arrays; the cartesian product does not use it
-        t = sg.build_tensor_grid([1] * 32 + [2], sg.cc_family(0, 1), sg.LevelMap.DOUBLING)
-        assert t.m == (1,) * 32 + (3,) and t.knots.shape == (33, 3)
-        assert np.array_equal(t.knots[32], t.knots_per_dim[32])
-        assert np.all(t.knots[:32] == 0.5)
-        assert t.weights.sum() == pytest.approx(1.0, abs=1e-12)
+        grid = one_tensor_grid([1] * 32 + [2], sg.cc_family(0, 1), sg.LevelMap.DOUBLING)
+        t, (knots, weights) = grid.tensors[0], grid.extended()
+        assert t.m == (1,) * 32 + (3,) and knots.shape == (33, 3)
+        assert np.array_equal(knots[32], t.knots_per_dim[32])
+        assert np.all(knots[:32] == 0.5)
+        assert weights.sum() == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("idx", [(2.7, 1.2), (2, 1.5), (np.nan, 1), (np.inf, 1)])
     def test_non_integer_index_rejected(self, idx):
@@ -53,10 +55,12 @@ class TestBuildTensorGrid:
     @pytest.mark.parametrize("idx", [[2, 1], (np.int32(2), np.int64(1)),
                                      np.array([2, 1], dtype=np.uint8), (2.0, 1.0)])
     def test_integer_index_of_any_type(self, idx):
-        t = sg.build_tensor_grid(idx, sg.cc_family(0, 1), sg.LevelMap.DOUBLING)
-        want = sg.build_tensor_grid((2, 1), sg.cc_family(0, 1), sg.LevelMap.DOUBLING)
+        grid = one_tensor_grid(idx, sg.cc_family(0, 1), sg.LevelMap.DOUBLING)
+        want = one_tensor_grid((2, 1), sg.cc_family(0, 1), sg.LevelMap.DOUBLING)
+        t = grid.tensors[0]
         assert t.idx == (2, 1) and all(type(v) is int for v in t.idx)
-        assert np.array_equal(t.knots, want.knots) and np.array_equal(t.weights, want.weights)
+        for got, expected in zip(grid.extended(), want.extended()):
+            assert np.array_equal(got, expected)
 
     @pytest.mark.parametrize("sizes", [(1,), (3, 1, 2), (2, 0, 3), (1, 4, 1, 1, 2)])
     def test_product_matches_meshgrid(self, sizes):
@@ -80,7 +84,8 @@ class TestBuildSparseGrid:
         assert first.idx == (1, 3)
         assert first.m == (1, 5)
         assert first.coeff == -1
-        assert first.weights == pytest.approx(
+        start, end = grid.tensor_offsets()[:2]
+        assert grid.extended()[1][start:end] == pytest.approx(
             [-0.0333, -0.2667, -0.4, -0.2667, -0.0333], abs=5e-5
         )
 
@@ -110,13 +115,13 @@ class TestBuildSparseGrid:
             assert [t.idx for t in warm.tensors] == [t.idx for t in cold.tensors]
             for tw, tc in zip(warm.tensors, cold.tensors):
                 assert tw.coeff == tc.coeff and tw.m == tc.m
-                assert np.allclose(tw.knots, tc.knots, atol=1e-15, rtol=0)
-                assert np.allclose(tw.weights, tc.weights, atol=1e-15, rtol=0)
+            for got, want in zip(warm.extended(), cold.extended()):
+                assert np.array_equal(got, want)
             prev = warm
 
     def test_recycling_shares_arrays_when_possible(self):
-        # consecutive SM levels in 2D flip every carried coefficient, so
-        # reuse manifests as shared knot matrices with rescaled weights
+        # consecutive SM levels in 2D flip every carried coefficient; a
+        # carried tensor keeps its node arrays and takes the new coefficient
         fam = sg.cc_family(0, 1)
         rule, lm = sg.preset("SM")
         a = sg.build_sparse_grid_from_rule(2, 3, fam, lm, rule)
@@ -124,14 +129,16 @@ class TestBuildSparseGrid:
         a_by_idx = {t.idx: t for t in a.tensors}
         carried = [t for t in b.tensors if t.idx in a_by_idx]
         assert carried, "consecutive levels share tensor indices"
-        assert all(t.knots is a_by_idx[t.idx].knots for t in carried)
+        assert all(t.knots_per_dim is a_by_idx[t.idx].knots_per_dim for t in carried)
+        assert all(t.coeff == -a_by_idx[t.idx].coeff for t in carried)
 
 
 class TestQuickPreset:
     def test_counts(self):
         grid, reduced = sg.quick_preset(2, 3)
         assert reduced.size == 29
-        assert np.all(grid.tensors[0].knots >= -1.0 - 1e-12)
+        start, end = grid.tensor_offsets()[:2]
+        assert np.all(grid.extended()[0][:, start:end] >= -1.0 - 1e-12)
 
     def test_single_point(self):
         grid, reduced = sg.quick_preset(1, 0)
@@ -140,7 +147,7 @@ class TestQuickPreset:
 
     def test_reduction_matches_brute_force(self):
         grid, reduced = sg.quick_preset(3, 2)
-        extended = np.concatenate([t.knots for t in grid.tensors], axis=1)
+        extended = grid.extended()[0]
         unique = {tuple(np.round(extended[:, e], 12)) for e in range(extended.shape[1])}
         assert reduced.size == len(unique)
 
@@ -159,8 +166,8 @@ class TestAddOneIndex:
         assert [t.idx for t in new.tensors] == [t.idx for t in cold.tensors]
         for a, b in zip(new.tensors, cold.tensors):
             assert a.coeff == b.coeff
-            assert np.allclose(a.knots, b.knots, atol=1e-15, rtol=0)
-            assert np.allclose(a.weights, b.weights, atol=1e-15, rtol=0)
+        for got, want in zip(new.extended(), cold.extended()):
+            assert np.array_equal(got, want)
 
     def test_reawakens_zero_coefficient_neighbor(self):
         # adding [2,2] turns the dormant [2,1] back on
@@ -214,7 +221,7 @@ class TestReduce:
         assert reduced.m.size == reduced.size
         for p in range(reduced.size):
             assert reduced.n[reduced.m[p]] == p
-        extended = np.concatenate([t.knots for t in grid.tensors], axis=1)
+        extended = grid.extended()[0]
         assert np.allclose(extended[:, reduced.m], reduced.knots, atol=0, rtol=0)
 
     def test_single_tensor_identity(self):
@@ -224,7 +231,7 @@ class TestReduce:
                                       sg.LevelMap.DOUBLING)
         reduced = reduce_grid(single)
         assert reduced.size == single.tensors[0].size
-        assert np.array_equal(reduced.knots, single.tensors[0].knots)
+        assert np.array_equal(reduced.knots, single.extended()[0])
 
     def test_non_nested_dedup_count(self):
         # Gauss-Legendre tensors share only coordinates that repeat exactly
@@ -233,14 +240,14 @@ class TestReduce:
             2, 2, sg.gauss_family(sg.DistributionSpec.uniform(0, 1)),
             sg.LevelMap.LINEAR, rule)
         reduced = reduce_grid(grid)
-        extended = np.concatenate([t.knots for t in grid.tensors], axis=1)
+        extended = grid.extended()[0]
         unique = {tuple(np.round(extended[:, e], 12)) for e in range(extended.shape[1])}
         assert reduced.size == len(unique)
 
     def test_reduction_preserves_quadrature(self, smolyak_cc_unit_w3, rng):
         grid, reduced = smolyak_cc_unit_w3
         values = rng.standard_normal(reduced.size)
-        ext_weights = np.concatenate([t.weights for t in grid.tensors])
+        ext_weights = grid.extended()[1]
         ext_values = values[reduced.n]
         assert float(ext_weights @ ext_values) == pytest.approx(
             float(reduced.weights @ values), abs=1e-12
@@ -298,9 +305,8 @@ class TestAddOneIndexProperty:
             cold = sg.build_sparse_grid(s.union([idx]), fam, lm)
             assert [(t.idx, t.coeff) for t in grown.tensors] == [
                 (t.idx, t.coeff) for t in cold.tensors]
-            for a, b in zip(grown.tensors, cold.tensors):
-                assert np.array_equal(a.weights, b.weights)
-                assert np.array_equal(a.knots, b.knots)
+            for got, want in zip(grown.extended(), cold.extended()):
+                assert np.array_equal(got, want)
 
 
 class TestAffineInvariance:
@@ -349,7 +355,7 @@ class TestCellBoundaryStraddle:
                     <= 1e-10 * np.maximum(size[:, :, None], size[:, None, :])).all(axis=0)
             np.fill_diagonal(near, False)
             assert not near.any()
-            extended = np.concatenate([t.knots for t in grid.tensors], axis=1)
+            extended = grid.extended()[0]
             if family == "legendre":
                 assert np.array_equal(extended, knots[:, reduced.n])
             else:

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -38,8 +39,8 @@ class TestRoundTrip:
         assert np.array_equal(bundle.values.values, table.values)
         for a, b in zip(bundle.grid.tensors, grid.tensors):
             assert a.idx == b.idx and a.coeff == b.coeff and a.m == b.m
-            assert np.array_equal(a.knots, b.knots)
-            assert np.array_equal(a.weights, b.weights)
+        for got, want in zip(bundle.grid.extended(), grid.extended()):
+            assert np.array_equal(got, want)
 
     def test_double_round_trip_stable(self, saved_bundle, tmp_path):
         path, *_ = saved_bundle
@@ -578,6 +579,21 @@ class TestStructuralValidation:
         with pytest.raises(GridFileError, match="structurally invalid"):
             load_grid(path)
 
+    def test_non_object_file_reported(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[]")
+        with pytest.raises(GridFileError, match="not a JSON object"):
+            load_grid(path)
+
+    def test_short_knots_per_dim_reported(self, saved_bundle):
+        # a tensor record with one node list too few would leave a dimension unchecked
+        path = saved_bundle[0]
+        doc = json.loads(path.read_text())
+        doc["tensors"][2]["knots_per_dim"].pop()
+        path.write_text(json.dumps(doc))
+        with pytest.raises(GridFileError, match=r"tensor \(\d+, \d+\) metadata mismatch"):
+            load_grid(path)
+
     def test_bad_level_map_reported(self, tmp_path):
         path = tmp_path / "badmap.json"
         path.write_text(json.dumps({
@@ -614,6 +630,37 @@ class TestReducedValidation:
         path.write_text(json.dumps(doc))
         with pytest.raises(GridFileError, match=f"'{field}'"):
             load_grid(path)
+
+    @pytest.mark.parametrize("tol", [[1e-14], [0.0, 1e-14], [1e-14, -1e-14],
+                                     [1e-14, math.nan], [math.inf, 1e-14]],
+                             ids=["one-value", "zero", "negative", "nan", "inf"])
+    def test_bad_tol_is_rejected(self, saved_bundle, tol):
+        # one tolerance for a 2-d grid, or one at or below 0 or not finite,
+        # would mis-key the knots that evaluate_on_grid(old=...) recycles
+        path = saved_bundle[0]
+        doc = json.load(open(path))
+        doc["reduced"]["tol"] = tol
+        path.write_text(json.dumps(doc))
+        with pytest.raises(GridFileError, match="'tol'"):
+            load_grid(path)
+
+    @pytest.mark.parametrize("name", ["tensors", "tensors[2].idx", "tensors[2].m",
+                                      "tensors[2].coeff", "tensors[2].knots_per_dim",
+                                      "reduced.n", "reduced.tol"])
+    def test_missing_field_is_named(self, saved_bundle, name, capsys):
+        path = saved_bundle[0]
+        doc = json.load(open(path))
+        *keys, last = re.findall(r"\w+", name)
+        parent = doc
+        for key in keys:
+            parent = parent[int(key) if key.isdigit() else key]
+        del parent[last]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(GridFileError, match=re.escape(f"missing field '{name}'")):
+            load_grid(path)
+        assert cli_main(["quad", "--grid", str(path), "--fn", "expsum"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"'{name}'" in err
 
     def test_adapted_grid_file_loads(self, tmp_path):
         res = adapt(EXPSUM, 2, sg.leja_family(-1, 1), sg.LevelMap.LINEAR,
