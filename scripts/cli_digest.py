@@ -91,6 +91,12 @@ RUNS = [
                           "--knots", "leja", "--domain=-1,1x0,2x-3,-1x0.5,4", "-o", "la.json"],
      ["la.json"]),
     ("reduce-leja-aniso", ["reduce", "--grid", "la.json"], ["la.json"]),
+    # different rules with equal node counts across dimensions: the interpolant's
+    # reduced-weight path and the modal conversion key each rule by its dimension
+    ("interp-leja-aniso", ["interp", "--grid", "la.json", "--fn", "expsum", "--res", "5",
+                           "--cuts", "1,4x2,3", "-o", "la-interp.csv"], ["la-interp.csv"]),
+    ("pce-leja-aniso", ["pce", "--grid", "la.json", "--fn", "runge", "-o", "la-pce.csv"],
+     ["la-pce.csv"]),
     ("build-gauss-hermite", ["build", "--dim", "3", "--preset", "SM", "--w", "3", "--knots",
                              "gauss-hermite", "--mu", "0.5", "--sigma", "2", "-o", "gh.json"],
      ["gh.json"]),

@@ -116,7 +116,7 @@ class _Level:
     """One (dimension, level) entry of a run's rule table."""
 
     rule: Rule1D
-    key: tuple[int, bytes] | None  # in AdaptState.rules; None for a one-node rule
+    key: tuple[int, int] | None  # in AdaptState.rules; None for a one-node rule
     test_nodes: np.ndarray  # the nodes new at the level if nested, else all nodes
     bases: dict  # active key of the dimension -> its basis at test_nodes
 
@@ -237,7 +237,8 @@ def _level(state: AdaptState, n: int, v: int) -> _Level:
                 raise ConfigurationError(f"controls say nested, but the dimension {n + 1} nodes "
                                          f"of level {v - 1} are not all among those of level {v}")
             nodes = nodes[[key not in old_keys for key in keys]]
-        entry = _Level(rule, _active_key(state.rules, n, rule.nodes), nodes, {})
+        entry = _Level(rule, _active_key(state.rules, n, state.families[n], rule.nodes.size),
+                       nodes, {})
         state.new_nodes[n, v] = entry
     return entry
 

@@ -200,15 +200,16 @@ def quadrature(values_or_f, grid_or_reduced):
     return vals @ reduced.weights
 
 
-def _active_key(rules: dict, n: int, nodes: np.ndarray) -> tuple[int, bytes] | None:
-    """Key (dimension, node bytes) in ``rules`` of the dimension-``n`` rule
-    with ``nodes``, or None for a one-node rule, which drops out: its basis
+def _active_key(rules: dict, n: int, family, m: int) -> tuple[int, int] | None:
+    """Key (dimension, node count) in ``rules`` of the dimension-``n`` rule
+    ``family(m)``, or None for a one-node rule, which drops out: its basis
     is exactly 1.0.  ``rules`` maps each key to (nodes, barycentric
-    weights), computed and checked for duplicate nodes once."""
-    if nodes.size == 1:
+    weights), fetched and checked for duplicate nodes once."""
+    if m == 1:
         return None
-    key = (n, nodes.tobytes())
+    key = (n, m)
     if key not in rules:
+        nodes = family(m).nodes
         if len(set(nodes.tolist())) < nodes.size:
             raise np.linalg.LinAlgError(
                 f"duplicate knots {nodes} make the dimension {n + 1} system singular")
@@ -216,10 +217,9 @@ def _active_key(rules: dict, n: int, nodes: np.ndarray) -> tuple[int, bytes] | N
     return key
 
 
-def _active_keys(rules: dict, per_dim) -> list[tuple[int, bytes]]:
-    """``_active_key`` of each dimension's nodes in ``per_dim``, one-node
-    dimensions left out."""
-    return [_active_key(rules, n, nodes) for n, nodes in enumerate(per_dim) if nodes.size > 1]
+def _active_keys(rules: dict, families, m) -> list[tuple[int, int]]:
+    """``_active_key`` of each multi-node rule ``families[n](m[n])``."""
+    return [_active_key(rules, n, fam, c) for n, (fam, c) in enumerate(zip(families, m)) if c > 1]
 
 
 def _compile(grid: SparseGrid, reduced: ReducedGrid, values) -> tuple[dict, list]:
@@ -229,9 +229,9 @@ def _compile(grid: SparseGrid, reduced: ReducedGrid, values) -> tuple[dict, list
     vals = _value_matrix(values)
     if vals.shape[1] != reduced.size:
         raise ValueError("values do not conform to the reduced grid")
-    rules: dict[tuple[int, bytes], tuple[np.ndarray, np.ndarray]] = {}
+    rules: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
     return rules, [(t.coeff, vals[:, reduced.n[start : start + t.size]],
-                    _active_keys(rules, t.knots_per_dim))
+                    _active_keys(rules, grid.families, t.m))
                    for t, start in zip(grid.tensors, grid.tensor_offsets())]
 
 
@@ -279,7 +279,7 @@ class _ReducedWeights:
             rule_starts = np.cumsum([0, *counts[:-1]])
             first = dict(zip(keys, rule_starts.tolist()))
             one = sum(counts)  # the slot of a one-node rule
-            base = [first.get((n, t.knots_per_dim[n].tobytes()), one) for t in grid.tensors]
+            base = [first.get((n, t.m[n]), one) for t in grid.tensors]
             self.dims.append((n, np.concatenate([rules[key][0] for key in keys]),
                               np.concatenate([rules[key][1] for key in keys]), rule_starts,
                               np.repeat(np.arange(len(keys)), counts),

@@ -46,16 +46,18 @@ DEFAULT_DEDUP_TOL = 1e-14
 
 @dataclass(frozen=True)
 class TensorGrid:
-    """One tensor grid of a sparse grid: the rule nodes of each dimension
-    (``m[n]`` of them in dimension n) and the combination coefficient.
-    Its ``size`` knots are the tensor product of ``knots_per_dim``, first
-    dimension fastest (``SparseGrid.extended``)."""
+    """One tensor grid of a sparse grid: its multi-index, the node count
+    ``m[n]`` of each dimension and the combination coefficient.  Its knots
+    are the tensor product of the rules ``SparseGrid.families[n](m[n])``,
+    first dimension fastest (``SparseGrid.extended``)."""
 
     idx: tuple[int, ...]
-    size: int
-    knots_per_dim: tuple[np.ndarray, ...]
     m: tuple[int, ...]
     coeff: int
+
+    @property
+    def size(self) -> int:
+        return math.prod(self.m)
 
 
 @dataclass(frozen=True)
@@ -154,20 +156,12 @@ def _kron_rows(mats: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def build_tensor_grid(idx, families, level_map: LevelMap, coeff: int = 1) -> TensorGrid:
-    """Materialize the tensor grid of multi-index ``idx``."""
+    """The tensor grid of multi-index ``idx`` (``families`` is only checked for its count)."""
     idx = _index_row(idx)
     if any(v < 1 for v in idx):
         raise ValueError("tensor grid indices must be >= 1")
-    dim = len(idx)
-    families = _normalize_families(families, dim)
-    m = tuple(apply_level_map(level_map, v) for v in idx)
-    return TensorGrid(
-        idx=idx,
-        size=math.prod(m),
-        knots_per_dim=tuple(families[n](m[n]).nodes for n in range(dim)),
-        m=m,
-        coeff=coeff,
-    )
+    _normalize_families(families, len(idx))
+    return TensorGrid(idx=idx, m=tuple(apply_level_map(level_map, v) for v in idx), coeff=coeff)
 
 
 def build_sparse_grid(
@@ -212,6 +206,10 @@ def _assemble(index_set: MultiIndexSet, coeffs: dict[tuple[int, ...], int], fami
             tensors.append(build_tensor_grid(idx, families, level_map, coeff=c))
         else:
             tensors.append(old if old.coeff == c else replace(old, coeff=c))
+    # each (dimension, node count) rule once, in first-use order: a count a family lacks fails here
+    for fam, counts in zip(families, zip(*(t.m for t in tensors))):
+        for count in dict.fromkeys(counts):
+            fam(count)
     return SparseGrid(
         dim=index_set.dim,
         tensors=tuple(tensors),

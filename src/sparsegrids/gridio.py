@@ -106,7 +106,7 @@ def save_grid(path, grid: SparseGrid, reduced: ReducedGrid | None = None,
                 "idx": list(t.idx),
                 "m": list(t.m),
                 "coeff": t.coeff,
-                "knots_per_dim": [k.tolist() for k in t.knots_per_dim],
+                "knots_per_dim": [fam(c).nodes.tolist() for fam, c in zip(grid.families, t.m)],
             }
             for t in grid.tensors
         ],
@@ -143,8 +143,8 @@ def load_grid(path) -> GridBundle:
         index_set = MultiIndexSet(doc["multi_index_set"], dim=doc["dim"])
         stored = {}
         for k, rec in enumerate(_fields(doc, "", "tensors")[0]):
-            idx, *meta = _fields(rec, f"tensors[{k}].", "idx", "coeff", "m", "knots_per_dim")
-            stored[tuple(idx)] = meta
+            idx, *meta, nodes = _fields(rec, f"tensors[{k}].", "idx", "coeff", "m", "knots_per_dim")
+            stored[tuple(idx)] = *meta, [np.asarray(v, dtype=float) for v in nodes]
         reduced = _reduced_from_json(doc["reduced"]) if "reduced" in doc else None
     except KeyError as exc:
         raise GridFileError(f"grid file {path} is structurally invalid: "
@@ -156,11 +156,12 @@ def load_grid(path) -> GridBundle:
     if set(stored) != {t.idx for t in grid.tensors}:
         raise GridFileError("stored tensors do not match the multi-index set")
     for t in grid.tensors:
-        coeff, m, knots_per_dim = stored[t.idx]
-        if coeff != t.coeff or list(t.m) != m or len(knots_per_dim) != grid.dim:
+        coeff, m, stored_nodes = stored[t.idx]
+        if coeff != t.coeff or list(t.m) != m or len(stored_nodes) != grid.dim:
             raise GridFileError(f"tensor {t.idx} metadata mismatch")
-        for ours, theirs in zip(t.knots_per_dim, knots_per_dim):
-            if not np.allclose(ours, np.asarray(theirs), rtol=0, atol=1e-12):
+        for fam, c, theirs in zip(grid.families, t.m, stored_nodes):
+            ours = fam(c).nodes
+            if theirs.shape != ours.shape or not np.allclose(ours, theirs, rtol=0, atol=1e-12):
                 raise GridFileError(f"stored knots of tensor {t.idx} do not match")
     values = EvaluationTable(np.asarray(doc["values"], dtype=float)) if "values" in doc else None
     if reduced is not None:

@@ -82,8 +82,9 @@ def test_criterion_2_extended_reduced_counts():
         assert first.idx == (1, 3)
         assert first.m == (1, 5)
         assert first.coeff == -1
-        assert np.allclose(first.knots_per_dim[0], [0.5], atol=5e-5)
-        assert np.allclose(first.knots_per_dim[1], [1, 0.8536, 0.5, 0.1464, 0], atol=5e-5)
+        nodes = [fam(m).nodes for fam, m in zip(grid.families, first.m)]
+        assert np.allclose(nodes[0], [0.5], atol=5e-5)
+        assert np.allclose(nodes[1], [1, 0.8536, 0.5, 0.1464, 0], atol=5e-5)
         start, end = grid.tensor_offsets()[:2]
         assert np.allclose(grid.extended()[1][start:end],
                            [-0.0333, -0.2667, -0.4, -0.2667, -0.0333], atol=5e-5)

@@ -403,7 +403,7 @@ def _direct_point_indicator(state, candidate):
             idx[n] -= step
         grid = one_tensor_grid(idx, fams, lm)
         terms.append(((-1) ** sum(j), adaptive._values_at(state, grid.extended()[0]),
-                      _active_keys(rules, grid.tensors[0].knots_per_dim)))
+                      _active_keys(rules, fams, grid.tensors[0].m)))
     per_dim = []
     for n, v in enumerate(candidate):
         nodes = fams[n](sg.apply_level_map(lm, v)).nodes

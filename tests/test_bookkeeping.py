@@ -18,12 +18,12 @@ from sparsegrids.pce import _family_dist, _orthonormal_table, convert_to_modal
 
 def reference_extended(grid):
     """Extended knots and weights built tensor by tensor: the cartesian
-    product of each tensor's nodes, and its coefficient times the Kronecker
-    product of its 1D rule weights."""
+    product of each tensor's 1D rule nodes, and its coefficient times the
+    Kronecker product of their weights."""
     knots, weights = [], []
     for t in grid.tensors:
-        knots.append(_tensor_product_columns(t.knots_per_dim))
         rules = [fam(m) for fam, m in zip(grid.families, t.m)]
+        knots.append(_tensor_product_columns([r.nodes for r in rules]))
         weights.append(t.coeff * _kron_rows([r.weights[None, :] for r in rules])[0])
     return np.concatenate(knots, axis=1), np.concatenate(weights)
 

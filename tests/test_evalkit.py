@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -63,7 +64,7 @@ def loop_interpolate(grid, reduced, values, points, magnitude=False):
             tv = vals[:, reduced.n[start : start + t.size]]
             basis = None
             for n in range(grid.dim):
-                nodes = t.knots_per_dim[n]
+                nodes = grid.families[n](t.m[n]).nodes
                 B = basis_matrix(nodes, barycentric_weights(nodes), chunk[n])
                 if magnitude:
                     B = np.abs(B)
@@ -281,7 +282,7 @@ class TestInterpolate:
         pts = rng.uniform(0, 1, (2, 25))
         got = interpolate(grid, reduced, table, pts)[0]
         want = [
-            product_lagrange_interpolate(corner.knots_per_dim, corner_vals, pts[:, q])
+            product_lagrange_interpolate([fam(m).nodes for m in corner.m], corner_vals, pts[:, q])
             for q in range(pts.shape[1])
         ]
         assert np.max(np.abs(got - np.asarray(want))) < 1e-12
@@ -400,9 +401,24 @@ class TestInterpolant:
         grid, reduced, table = interpolant_case("cc")
         interp = Interpolant(grid, reduced, table)
         # one-node rules have the basis 1.0 and never enter the table
-        distinct = {(n, k.tobytes()) for t in grid.tensors
-                    for n, k in enumerate(t.knots_per_dim) if k.size > 1}
+        distinct = {(n, fam(m).nodes.tobytes()) for t in grid.tensors
+                    for n, (fam, m) in enumerate(zip(grid.families, t.m)) if m > 1}
         assert len(interp._rules) == len(distinct) < grid.dim * len(grid.tensors)
+
+    def test_replaced_families_are_the_nodes_everywhere(self):
+        # the families are a tensor's only source of nodes: after a replace,
+        # the reduced knots and the interpolant both use the new rules
+        rule, lm = sg.preset("SM")
+        grid = sg.build_sparse_grid_from_rule(2, 3, sg.cc_family(0, 1), lm, rule)
+        grid = dataclasses.replace(grid, families=(sg.cc_family(0, 2),) * 2)
+        reduced = sg.reduce_grid(grid)
+        assert reduced.knots.max() == 2.0
+        table = evaluate_on_grid(EXPSUM, reduced)
+        interp = Interpolant(grid, reduced, table)
+        single = np.concatenate([interp(reduced.knots[:, [p]]) for p in range(reduced.size)],
+                                axis=1)
+        for got in (interp(reduced.knots), single):
+            assert np.max(np.abs(got - table.values) / np.abs(table.values)) < 1e-12
 
     def test_wrong_shapes_rejected(self):
         grid, reduced, table = interpolant_case("cc")

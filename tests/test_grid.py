@@ -6,16 +6,18 @@ from hypothesis import strategies as st
 
 import sparsegrids as sg
 from sparsegrids.grid import _tensor_product_columns, reduce_grid
+from sparsegrids.knots import ParameterError
 from sparsegrids.midx import combination_coefficients, reduced_margin
 
 
 class TestBuildTensorGrid:
     def test_cc_doubling_listing(self):
-        t = sg.build_tensor_grid([1, 3], sg.cc_family(0, 1), sg.LevelMap.DOUBLING)
+        fam = sg.cc_family(0, 1)
+        t = sg.build_tensor_grid([1, 3], fam, sg.LevelMap.DOUBLING)
         assert t.m == (1, 5)
         assert t.size == 5
-        assert t.knots_per_dim[0] == pytest.approx([0.5])
-        assert t.knots_per_dim[1] == pytest.approx([1, 0.8536, 0.5, 0.1464, 0], abs=5e-5)
+        assert fam(t.m[0]).nodes == pytest.approx([0.5])
+        assert fam(t.m[1]).nodes == pytest.approx([1, 0.8536, 0.5, 0.1464, 0], abs=5e-5)
 
     def test_single_point(self):
         grid = one_tensor_grid([1, 1], sg.cc_family(0, 1), sg.LevelMap.DOUBLING)
@@ -29,10 +31,10 @@ class TestBuildTensorGrid:
     def test_unrolling_first_dim_fastest(self):
         grid = one_tensor_grid([2, 2], sg.cc_family(0, 1), sg.LevelMap.DOUBLING)
         t, knots = grid.tensors[0], grid.extended()[0]
-        k0 = t.knots_per_dim[0]
+        k0, k1 = (fam(m).nodes for fam, m in zip(grid.families, t.m))
         # the first three columns sweep dimension 1 with dimension 2 fixed
         assert knots[0, :3] == pytest.approx(k0)
-        assert knots[1, :3] == pytest.approx([t.knots_per_dim[1][0]] * 3)
+        assert knots[1, :3] == pytest.approx([k1[0]] * 3)
 
     def test_weights_sum_to_coeff(self):
         grid = one_tensor_grid([2, 3], sg.cc_family(0, 1), sg.LevelMap.DOUBLING, coeff=-2)
@@ -43,7 +45,7 @@ class TestBuildTensorGrid:
         grid = one_tensor_grid([1] * 32 + [2], sg.cc_family(0, 1), sg.LevelMap.DOUBLING)
         t, (knots, weights) = grid.tensors[0], grid.extended()
         assert t.m == (1,) * 32 + (3,) and knots.shape == (33, 3)
-        assert np.array_equal(knots[32], t.knots_per_dim[32])
+        assert np.array_equal(knots[32], grid.families[32](3).nodes)
         assert np.all(knots[:32] == 0.5)
         assert weights.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -121,7 +123,8 @@ class TestBuildSparseGrid:
 
     def test_recycling_shares_arrays_when_possible(self):
         # consecutive SM levels in 2D flip every carried coefficient; a
-        # carried tensor keeps its node arrays and takes the new coefficient
+        # carried tensor is reused (its node counts are the same object) and
+        # takes the new coefficient
         fam = sg.cc_family(0, 1)
         rule, lm = sg.preset("SM")
         a = sg.build_sparse_grid_from_rule(2, 3, fam, lm, rule)
@@ -129,7 +132,7 @@ class TestBuildSparseGrid:
         a_by_idx = {t.idx: t for t in a.tensors}
         carried = [t for t in b.tensors if t.idx in a_by_idx]
         assert carried, "consecutive levels share tensor indices"
-        assert all(t.knots_per_dim is a_by_idx[t.idx].knots_per_dim for t in carried)
+        assert all(t.m is a_by_idx[t.idx].m for t in carried)
         assert all(t.coeff == -a_by_idx[t.idx].coeff for t in carried)
 
 
@@ -168,6 +171,16 @@ class TestAddOneIndex:
             assert a.coeff == b.coeff
         for got, want in zip(new.extended(), cold.extended()):
             assert np.array_equal(got, want)
+
+    def test_count_the_family_lacks_fails_at_build_time(self):
+        # the tabulated nested normal rules have no 2-node member
+        lm = sg.LevelMap.LINEAR
+        with pytest.raises(ParameterError, match="got 2"):
+            sg.build_sparse_grid_from_rule(2, 2, sg.gk_family(), lm, sg.preset("TD")[0])
+        s = sg.MultiIndexSet([[1, 1]])
+        grid = sg.build_sparse_grid(s, sg.gk_family(), lm)
+        with pytest.raises(ParameterError, match="got 2"):
+            sg.add_one_index([2, 1], grid, s, combination_coefficients(s), sg.gk_family(), lm)
 
     def test_reawakens_zero_coefficient_neighbor(self):
         # adding [2,2] turns the dormant [2,1] back on

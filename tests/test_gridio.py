@@ -594,6 +594,34 @@ class TestStructuralValidation:
         with pytest.raises(GridFileError, match=r"tensor \(\d+, \d+\) metadata mismatch"):
             load_grid(path)
 
+    @pytest.mark.parametrize("n, edit", [(0, lambda nodes: nodes * 3),
+                                         (1, lambda nodes: nodes[:-1])],
+                             ids=["one-node-rule-stored-thrice", "five-node-rule-stored-with-four"])
+    def test_stored_knots_of_another_shape_rejected(self, saved_bundle, n, edit, capsys):
+        # a broadcasting comparison took the first as equal and failed on the
+        # second with a bare numpy error
+        path = saved_bundle[0]
+        doc = json.loads(path.read_text())
+        rec = doc["tensors"][0]
+        assert rec["idx"] == [1, 3] and rec["m"] == [1, 5]
+        rec["knots_per_dim"][n] = edit(rec["knots_per_dim"][n])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(GridFileError, match=r"stored knots of tensor \(1, 3\) do not match"):
+            load_grid(path)
+        assert cli_main(["quad", "--grid", str(path), "--fn", "expsum"]) == 1
+        assert "stored knots of tensor (1, 3) do not match" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("nodes", [[[0.5], [1.0, 2.0]], ["a"]], ids=["ragged", "string"])
+    def test_non_numeric_stored_knots_reported(self, saved_bundle, nodes, capsys):
+        path = saved_bundle[0]
+        doc = json.loads(path.read_text())
+        doc["tensors"][0]["knots_per_dim"][0] = nodes
+        path.write_text(json.dumps(doc))
+        with pytest.raises(GridFileError, match="structurally invalid"):
+            load_grid(path)
+        assert cli_main(["quad", "--grid", str(path), "--fn", "expsum"]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_bad_level_map_reported(self, tmp_path):
         path = tmp_path / "badmap.json"
         path.write_text(json.dumps({

@@ -1,11 +1,11 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import sparsegrids as sg
 from sparsegrids import pce
+from sparsegrids.adaptive import AdaptControls, adapt
 from sparsegrids.evalkit import Domain, evaluate_on_grid, interpolate, quadrature
 from sparsegrids.pce import (
     DegenerateInputError,
@@ -122,18 +122,25 @@ class TestConvertToModal:
         assert coeffs[(0, 0)] == pytest.approx(1.0, abs=1e-12)
         assert coeffs[(2, 0)] == pytest.approx(math.sqrt(2.0), abs=1e-12)
 
-    def test_duplicate_knots_rejected(self, cc_grid_w4):
-        grid, reduced = cc_grid_w4
-        t = next(t for t in grid.tensors if t.m[0] == 3)
-        nodes = t.knots_per_dim[0].copy()
-        nodes[2] = nodes[1]
-        bad = replace(t, knots_per_dim=(nodes,) + t.knots_per_dim[1:])
-        grid = replace(grid, tensors=tuple(bad if s is t else s for s in grid.tensors))
+    def test_duplicate_knots_rejected(self):
+        # a family whose 3-node rule repeats a node: the only way a tensor's
+        # rule can hold duplicates
+        def maker(count):
+            rule = sg.cc_knots(count, -1, 1)
+            return sg.Rule1D(rule.nodes[[0, 1, 1]], rule.weights) if count == 3 else rule
+
+        fam = sg.KnotFamily("cc-duplicate-node", (-1, 1), sg.DistributionSpec.uniform(-1, 1),
+                            maker)
+        rule, lm = sg.preset("SM")
+        grid = sg.build_sparse_grid_from_rule(2, 4, fam, lm, rule)
+        reduced = sg.reduce_grid(grid)
         ones = np.ones((1, reduced.size))
         with pytest.raises(np.linalg.LinAlgError, match="duplicate knots"):
             convert_to_modal(grid, reduced, ones, unit_domain(2), "legendre")
         with pytest.raises(np.linalg.LinAlgError, match="duplicate knots"):
             interpolate(grid, reduced, ones, reduced.knots)
+        with pytest.raises(np.linalg.LinAlgError, match="duplicate knots"):
+            adapt(lambda y: 1.0, 2, fam, lm, controls=AdaptControls(nested=False, max_pts=50))
 
     def test_one_table_per_distinct_rule(self, monkeypatch, rng):
         rule, lm = sg.preset("SM")
@@ -147,7 +154,8 @@ class TestConvertToModal:
         monkeypatch.setattr(pce, "_orthonormal_table",
                             lambda dist, deg, y: calls.append(1) or real(dist, deg, y))
         got = convert_to_modal(grid, reduced, table, unit_domain(3), "legendre")
-        distinct = {(n, k.tobytes()) for t in grid.tensors for n, k in enumerate(t.knots_per_dim)}
+        distinct = {(n, fam(m).nodes.tobytes()) for t in grid.tensors
+                    for n, (fam, m) in enumerate(zip(grid.families, t.m))}
         assert 0 < len(calls) <= len(distinct) < grid.dim * len(grid.tensors)
         assert np.array_equal(got.coeffs, want.coeffs)
         pts = rng.uniform(-1, 1, (3, 25))
