@@ -4,13 +4,17 @@ of CLI runs, so that two commits can be compared bitwise.
 Usage:
 
     python scripts/cli_digest.py [SRC]
+    python scripts/cli_digest.py OLD_SRC NEW_SRC
 
 SRC is the directory that holds the ``sparsegrids`` package (default: the
 ``src`` directory next to this script), so the same list runs against any
 checkout, e.g. one made with ``git archive``.  Every CLI line runs in a
 fresh process inside one temporary directory, in the order listed; each
 output line reads ``<run> <stdout|file> <sha256>``.  Two commits are
-bitwise equal on these runs when the printed lines are identical.
+bitwise equal on these runs when the printed lines are identical.  Given
+two directories, the script runs the list against each and prints only
+the lines that differ, as a ``-`` line of OLD_SRC and a ``+`` line of
+NEW_SRC; it exits 1 if any differ.
 """
 
 import hashlib
@@ -46,6 +50,9 @@ RUNS = [
     ("adapt", _ADAPT + ["--max-pts", "300", "-o", "A.json"], ["A.json"]),
     ("adapt-resume", _ADAPT + ["--max-pts", "600", "--resume", "A.json", "-o", "B.json"],
      ["B.json"]),
+    # a resume under another profit rescores the stored margin first
+    ("adapt-resume-prof", _ADAPT + ["--max-pts", "450", "--prof", "deltaint_per_new_points",
+                                    "--resume", "A.json", "-o", "P.json"], ["P.json"]),
     ("adapt-cc", ["adapt", "--dim", "3", "--fn", "expsum", "--knots", "cc", "--domain=-1,1",
                   "--lev2knots", "doubling", "--nested", "--prof", "deltaint", "--max-pts", "300",
                   "-o", "C.json"], ["C.json"]),
@@ -108,9 +115,10 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def main(argv) -> int:
-    src = os.path.abspath(argv[0]) if argv else _SRC
+def _digest(src: str) -> list[str] | None:
+    """The output lines of every run against ``src``; None if a run fails."""
     env = dict(os.environ, PYTHONPATH=src)
+    lines = []
     with tempfile.TemporaryDirectory() as tmp:
         for name, args, outputs in RUNS:
             proc = subprocess.run([sys.executable, "-m", "sparsegrids.cli", *args], cwd=tmp,
@@ -118,12 +126,25 @@ def main(argv) -> int:
             if proc.returncode != 0:
                 sys.stderr.write(proc.stderr.decode())
                 print(f"{name} failed with exit code {proc.returncode}", file=sys.stderr)
-                return 1
-            print(f"{name} stdout {_sha256(proc.stdout)}")
+                return None
+            lines.append(f"{name} stdout {_sha256(proc.stdout)}")
             for path in outputs:
                 with open(os.path.join(tmp, path), "rb") as fh:
-                    print(f"{name} {path} {_sha256(fh.read())}")
-    return 0
+                    lines.append(f"{name} {path} {_sha256(fh.read())}")
+    return lines
+
+
+def main(argv) -> int:
+    digests = [_digest(os.path.abspath(src)) for src in argv or [_SRC]]
+    if None in digests:
+        return 1
+    if len(digests) == 1:
+        print("\n".join(digests[0]))
+        return 0
+    changed = [(a, b) for a, b in zip(*digests) if a != b]
+    for a, b in changed:
+        print(f"- {a}\n+ {b}")
+    return 1 if changed else 0
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ all those evaluations are available anyway.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -20,6 +20,7 @@ import numpy as np
 from ._bary import basis_matrix
 from .evalkit import (EvaluationError, EvaluationTable, _active_key, _call_f, _signed_sum,
                       quadrature)
+from .gridio import _fields
 from .grid import (
     ReducedGrid,
     SparseGrid,
@@ -47,6 +48,7 @@ __all__ = [
     "work_indicator",
     "serialize_state",
     "restore_state",
+    "StateError",
 ]
 
 PROFIT_KINDS = (
@@ -123,19 +125,18 @@ class _Level:
 
 @dataclass
 class AdaptState:
-    """Mutable internals of one adaptive run; reusable for resuming."""
+    """The one record of an adaptive run, each fact kept once; reusable for
+    resuming."""
 
     dim: int
     families: tuple[KnotFamily, ...]
     level_map: LevelMap
     controls: AdaptControls
     f: Callable
-    accepted: list[tuple[int, ...]] = field(default_factory=list)
+    accepted: list[tuple[int, ...]] = field(default_factory=list)  # in acceptance order
     margin: dict[tuple[int, ...], _Candidate] = field(default_factory=dict)
-    points: dict[tuple[int, ...], np.ndarray] = field(default_factory=dict)
-    values: dict[tuple[int, ...], np.ndarray] = field(default_factory=dict)
-    history: list[tuple[int, ...]] = field(default_factory=list)
-    num_evals: int = 0
+    # lattice key -> (knot, value vector), one entry per evaluation of f
+    evaluations: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
     active_dims: int = 0
     tols: np.ndarray | None = None
     rules: dict = field(default_factory=dict, init=False, repr=False, compare=False)  # evalkit._active_key
@@ -144,9 +145,9 @@ class AdaptState:
     # (dimension, level) -> _Level, from _level
     new_nodes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    @property
-    def nb_pts_visited(self) -> int:
-        return len(self.points)
+    # read-only views of the records above
+    history = property(lambda self: self.accepted)
+    num_evals = nb_pts_visited = property(lambda self: len(self.evaluations))
 
     def visible_dims(self, active: int | None = None) -> int:
         """Dimensions that may refine once ``active`` (default: the run's
@@ -196,12 +197,8 @@ def _reference_tolerances(state: AdaptState) -> np.ndarray:
     # fixed per-dimension lattice from the level-2 univariate spread, so
     # keys stay comparable as the grid grows
     if state.tols is None:
-        spreads = []
-        for fam in state.families:
-            nodes = fam(apply_level_map(state.level_map, 2)).nodes
-            spreads.append(np.array([[nodes.min()], [nodes.max()]]))
-        probe = np.concatenate(spreads, axis=1).T
-        state.tols = dedup_tolerances(probe)
+        rules = [fam(apply_level_map(state.level_map, 2)).nodes for fam in state.families]
+        state.tols = dedup_tolerances(np.array([[x.min(), x.max()] for x in rules]))
     return state.tols
 
 
@@ -209,17 +206,20 @@ def _values_at(state: AdaptState, knots: np.ndarray) -> np.ndarray:
     """Values at the knot columns (outputs x knots), calling f only where
     no value is cached.
 
-    The cache entry is committed only after a successful evaluation, so a
-    failing function leaves the state resumable.
+    An entry is committed only after an evaluation succeeds with the stored
+    output count, so a failing function leaves the state resumable.
     """
+    store = state.evaluations
     keys = lattice_keys(knots, _reference_tolerances(state))
     for key, col in zip(keys, knots.T):
-        if key not in state.values:
-            state.values[key] = _call_f(state.f, col)
-            state.points[key] = col.copy()
-            state.num_evals += 1
+        if key not in store:
+            value = _call_f(state.f, col)
+            if store and value.size != (n := next(iter(store.values()))[1].size):
+                raise EvaluationError(col, ValueError(f"function returns {value.size} outputs, "
+                                                      f"the stored values have {n}"))
+            store[key] = col.copy(), value
     # knots x outputs in Fortran order, so its transpose is C-contiguous
-    return np.array([state.values[key] for key in keys], order="F").T
+    return np.array([store[key][1] for key in keys], order="F").T
 
 
 def _level(state: AdaptState, n: int, v: int) -> _Level:
@@ -304,10 +304,7 @@ def error_indicator_point(candidate, state: AdaptState) -> float:
     err = np.max(np.abs(_signed_sum(terms, bases, rows.shape[1])), axis=0)  # max over outputs
     if state.controls.profit.startswith("weighted"):
         test_pts = _tensor_product_columns([e.test_nodes for e in own])
-        xi = np.atleast_1d(
-            np.asarray([state.controls.pdf_weight(test_pts[:, q]) for q in range(test_pts.shape[1])])
-        )
-        err = err * xi
+        err = err * np.array([state.controls.pdf_weight(y) for y in test_pts.T])
     return float(np.max(err))
 
 
@@ -371,8 +368,9 @@ def _assemble_result(state: AdaptState) -> AdaptResult:
 
 def serialize_state(state: AdaptState) -> dict:
     """JSON-ready snapshot of an adaptive run (without f and pdf_weight)."""
-    pts = np.stack(list(state.points.values()), axis=1) if state.points else np.empty((state.dim, 0))
-    vals = np.stack(list(state.values.values()), axis=1) if state.values else np.empty((0, 0))
+    knots, vals = zip(*state.evaluations.values()) if state.evaluations else ((), ())
+    pts = np.stack(knots, axis=1) if knots else np.empty((state.dim, 0))
+    vals = np.stack(vals, axis=1) if vals else np.empty((0, 0))
     return {
         "accepted": [list(i) for i in state.accepted],
         "margin": [
@@ -394,26 +392,87 @@ def serialize_state(state: AdaptState) -> dict:
     }
 
 
+class StateError(ValueError):
+    """A serialized adaptive state that is not one consistent run."""
+
+
+def _check(ok: bool, name: str, problem: str) -> None:
+    if not ok:
+        raise StateError(f"invalid adaptive state: field {name!r} {problem}")
+
+
+def _index(row, name: str, dim: int) -> tuple[int, ...]:
+    _check(isinstance(row, list) and len(row) == dim
+           and all(type(v) is int and v >= 1 for v in row),
+           name, f"is not a multi-index of {dim} integers >= 1")
+    return tuple(row)
+
+
+def _matrix(rows, name: str) -> np.ndarray:
+    try:
+        a = np.asarray(rows, dtype=float)
+    except (TypeError, ValueError):
+        a = np.empty(0)
+    _check(a.ndim == 2 and np.isfinite(a).all(), name, "is not a matrix of finite numbers")
+    return a
+
+
 def restore_state(data: dict, families, level_map: LevelMap,
                   controls: AdaptControls, f) -> AdaptState:
-    """Rebuild an AdaptState from its serialized form."""
-    pts = np.asarray(data["points"], dtype=float)
-    dim = pts.shape[0]
-    state = AdaptState(dim=dim, families=_normalize_families(families, dim),
-                       level_map=LevelMap(level_map), controls=controls, f=f)
-    vals = np.asarray(data["values"], dtype=float)
+    """Rebuild an AdaptState from its serialized form.
+
+    The state keeps the record's ``nested`` and ``profit``, so ``adapt``
+    rescores the margin when the caller's differ; ``controls`` supplies the
+    rest.  A record that is not one consistent run raises a StateError
+    naming the field.
+    """
+    _check(isinstance(data, dict), "adapt_state", "is not an object")
+    try:
+        accepted, margin, history, num_evals, active, pts, vals, stored = _fields(
+            data, "", "accepted", "margin", "history", "num_evals", "active_dims", "points",
+            "values", "controls")
+        _check(isinstance(stored, dict), "controls", "is not an object")
+        nested, profit = _fields(stored, "controls.", "nested", "profit")
+        _check(isinstance(margin, list), "margin", "is not a list")
+        for k, rec in enumerate(margin):
+            _check(isinstance(rec, dict), f"margin[{k}]", "is not an object")
+            _fields(rec, f"margin[{k}].", "idx", "error", "work", "profit")
+    except KeyError as exc:
+        raise StateError(f"invalid adaptive state: missing field {exc.args[0]!r}") from None
+    _check(type(nested) is bool, "controls.nested", "is not true or false")
+    _check(profit in PROFIT_KINDS, "controls.profit", f"is not one of {PROFIT_KINDS}")
+    _check(not profit.startswith("weighted") or controls.pdf_weight is not None,
+           "controls.profit", f"is {profit!r}, which needs a pdf_weight to resume")
+    pts, vals = _matrix(pts, "points"), _matrix(vals, "values")
+    dim, size = pts.shape
+    _check(vals.shape[1] == size, "values", f"has {vals.shape[1]} columns for {size} points")
+    _check(num_evals == size, "num_evals", f"is {num_evals!r} for {size} points")
+    _check(type(active) is int and 0 <= active <= dim, "active_dims",
+           f"is not an integer in 0..{dim}")
+    try:
+        families = _normalize_families(families, dim)
+    except ValueError as exc:
+        raise StateError(f"invalid adaptive state: field 'points' has {dim} rows: {exc}") from None
+    state = AdaptState(dim=dim, families=families, level_map=LevelMap(level_map),
+                       controls=replace(controls, nested=nested, profit=profit), f=f,
+                       active_dims=active)
     keys = lattice_keys(pts, _reference_tolerances(state))
-    for key, point, value in zip(keys, pts.T, vals.T, strict=True):
-        state.points[key] = point
-        state.values[key] = value
-    state.accepted = [tuple(i) for i in data["accepted"]]
-    state.margin = {
-        tuple(rec["idx"]): _Candidate(rec["error"], rec["work"], rec["profit"])
-        for rec in data["margin"]
-    }
-    state.history = [tuple(i) for i in data["history"]]
-    state.num_evals = data["num_evals"]
-    state.active_dims = data["active_dims"]
+    state.evaluations = dict(zip(keys, zip(pts.T, vals.T)))
+    _check(len(state.evaluations) == size, "points", "holds two knots on one lattice key")
+    _check(isinstance(accepted, list) and len(accepted) > 0, "accepted", "is empty or not a list")
+    state.accepted = [_index(row, f"accepted[{k}]", dim) for k, row in enumerate(accepted)]
+    members = set(state.accepted)
+    _check(len(members) == len(accepted) and all(_backward_closed(i, members) for i in members),
+           "accepted", "is not a downward-closed set without repeats")
+    _check(history == accepted, "history", "differs from 'accepted'")
+    for k, rec in enumerate(margin):
+        idx = _index(rec["idx"], f"margin[{k}].idx", dim)
+        _check(idx not in members and idx not in state.margin and _backward_closed(idx, members),
+               f"margin[{k}].idx", "is accepted, repeated or not admissible")
+        numbers = [rec[name] for name in ("error", "work", "profit")]
+        _check(all(type(v) in (int, float) and np.isfinite(v) for v in numbers),
+               f"margin[{k}]", "has an error, work or profit that is not a finite number")
+        state.margin[idx] = _Candidate(*numbers)
     return state
 
 
@@ -445,23 +504,21 @@ def adapt(
             raise ConfigurationError(f"cannot resume a run on (dim, families, level map) "
                                      f"{have} as {wanted}")
         state.f = f
-        old_controls = state.controls
-        state.controls = controls
-        if controls.nested != old_controls.nested:
-            state.new_nodes.clear()  # test nodes depend on the nested flag
-        if controls.profit != old_controls.profit:
-            for cand in state.margin:
-                state.margin[cand] = _profit_of(state, cand)
     else:
         state = AdaptState(dim=dim, families=families, level_map=LevelMap(level_map),
                            controls=controls, f=f)
     try:
+        if (controls.nested, controls.profit) != (state.controls.nested, state.controls.profit):
+            # error and work depend on both: rescore on a copy with fresh tables, then commit
+            trial = replace(state, controls=controls)
+            state.margin = {cand: _profit_of(trial, cand) for cand in state.margin}
+            state.new_nodes.clear()
+        state.controls = controls
         if not state.accepted:
             root = (1,) * dim
             _detail_terms(state, root)  # the root's detail is its own tensor
             additions = _margin_additions(state, {root}, state.visible_dims(), [root])
             state.accepted.append(root)
-            state.history.append(root)
             state.margin.update(additions)
         # this call's own set: a resume rebuilds it from state.accepted
         accepted = set(state.accepted)
@@ -483,7 +540,6 @@ def adapt(
             additions = _margin_additions(state, accepted, visible, around)
             del state.margin[best_idx]
             state.accepted.append(best_idx)
-            state.history.append(best_idx)
             state.active_dims = active
             state.margin.update(additions)
     except EvaluationError as exc:

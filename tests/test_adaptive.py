@@ -1,5 +1,8 @@
+import dataclasses
 import itertools
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from sparsegrids.adaptive import (
     AdaptEvaluationError,
     AdaptState,
     ConfigurationError,
+    StateError,
     adapt,
     error_indicator_point,
     error_indicator_quad,
@@ -22,8 +26,10 @@ from sparsegrids.adaptive import (
 from sparsegrids.evalkit import (EvaluationError, _active_keys, _tensor_sum, evaluate_on_grid,
                                  quadrature)
 from sparsegrids.cli import cli_main
+from sparsegrids.gridio import load_grid
 from sparsegrids.grid import _tensor_product_columns
 from sparsegrids.midx import is_downward_closed, reduced_margin
+from sparsegrids.testfunctions import get_test_function
 
 EXPSUM = lambda y: math.exp(float(np.sum(y)))
 EXACT_2D = (math.e - 1.0) ** 2
@@ -527,3 +533,196 @@ class TestTensorValueCache:
         assert resumed.internal.history == single.internal.history
         assert np.array_equal(resumed.intf, single.intf)
         assert resumed.num_evals == single.num_evals
+
+
+class TestOneRecord:
+    def test_each_fact_is_kept_once(self):
+        names = {f.name for f in dataclasses.fields(AdaptState)}
+        assert not names & {"points", "values", "history", "num_evals"}
+        res = adapt(EXPSUM, 2, sg.cc_family(0, 1), sg.LevelMap.DOUBLING,
+                    controls=AdaptControls(nested=True, max_pts=50))
+        state = res.internal
+        assert state.history is state.accepted
+        assert res.num_evals == state.num_evals == state.nb_pts_visited == len(state.evaluations)
+
+    def test_changed_output_count_stops_with_resumable_state(self):
+        fam, lm = sg.leja_family(0, 1), sg.LevelMap.LINEAR
+        controls = AdaptControls(nested=True, max_pts=60)
+        calls = []
+
+        def f(y):
+            calls.append(np.array(y))
+            return EXPSUM(y) if len(calls) < 6 else [EXPSUM(y), 0.0]
+
+        with pytest.raises(AdaptEvaluationError) as err:
+            adapt(f, 2, fam, lm, controls=controls)
+        assert isinstance(err.value.cause, EvaluationError)
+        assert np.array_equal(err.value.cause.knot, calls[5])
+        assert f"knot {calls[5]}: function returns 2 outputs, the stored values have 1" in str(
+            err.value)
+        state = err.value.state
+        assert state.num_evals == 5
+        resumed = adapt(EXPSUM, 2, fam, lm, previous=state, controls=controls)
+        cold = adapt(EXPSUM, 2, fam, lm, controls=controls)
+        assert resumed.internal.history == cold.internal.history
+        assert np.array_equal(resumed.intf, cold.intf)
+        assert resumed.num_evals == cold.num_evals
+
+
+_ADAPT_3D = ["adapt", "--dim", "3", "--fn", "expsum", "--knots", "leja", "--domain=-1.3,1.7",
+             "--lev2knots", "linear", "--nested"]
+_LEJA_3D = (sg.leja_family(-1.3, 1.7), sg.LevelMap.LINEAR)
+
+
+class TestResumeRescoring:
+    def test_cli_resume_equals_library_resume(self, tmp_path, capsys):
+        first_path, path = str(tmp_path / "A.json"), str(tmp_path / "P.json")
+        assert cli_main(_ADAPT_3D + ["--max-pts", "300", "-o", first_path]) == 0
+        assert cli_main(_ADAPT_3D + ["--max-pts", "450", "--prof", "deltaint_per_new_points",
+                                     "--resume", first_path, "-o", path]) == 0
+        printed = capsys.readouterr().out.split("integral: ")[-1].split()
+        f = get_test_function("expsum")
+        first = adapt(f, 3, *_LEJA_3D, controls=AdaptControls(nested=True, max_pts=300))
+        lib = adapt(f, 3, *_LEJA_3D, previous=first,
+                    controls=AdaptControls(nested=True, profit="deltaint_per_new_points",
+                                           max_pts=450))
+        assert load_grid(path).adapt_state["history"] == [list(i) for i in lib.internal.history]
+        assert printed == [repr(float(v)) for v in lib.intf]
+
+    @pytest.mark.parametrize("via", ["library", "cli"])
+    def test_flipped_nested_rescores_every_margin_entry(self, via, tmp_path, capsys):
+        # the first run stopped past 100 points, so the resume stops at once
+        # and its margin is the first run's, rescored
+        f = get_test_function("expsum")
+        controls = AdaptControls(nested=False, max_pts=100)
+        if via == "library":
+            first = adapt(f, 3, *_LEJA_3D, controls=AdaptControls(nested=True, max_pts=100))
+            record = serialize_state(adapt(f, 3, *_LEJA_3D, previous=first,
+                                           controls=controls).internal)
+        else:
+            first, path = str(tmp_path / "A.json"), str(tmp_path / "B.json")
+            assert cli_main(_ADAPT_3D + ["--max-pts", "100", "-o", first]) == 0
+            assert cli_main(_ADAPT_3D[:-1] + ["--max-pts", "100", "--resume", first,
+                                              "-o", path]) == 0
+            record = load_grid(path).adapt_state
+        state = restore_state(record, *_LEJA_3D, controls, f)  # a fresh rule table
+        assert not state.controls.nested and len(state.margin) >= 6
+        for cand, rec in state.margin.items():
+            assert adaptive._profit_of(state, cand) == rec, cand
+
+    def test_restore_keeps_the_records_nested_and_profit(self):
+        res = adapt(EXPSUM, 2, sg.cc_family(0, 1), sg.LevelMap.DOUBLING,
+                    controls=AdaptControls(nested=True, profit="deltaint", max_pts=40))
+        pdf = lambda y: 1.0
+        state = restore_state(serialize_state(res.internal), sg.cc_family(0, 1),
+                              sg.LevelMap.DOUBLING,
+                              AdaptControls(nested=False, profit="weighted_Linf", pdf_weight=pdf,
+                                            max_pts=77), EXPSUM)
+        assert (state.controls.nested, state.controls.profit) == (True, "deltaint")
+        assert (state.controls.max_pts, state.controls.pdf_weight) == (77, pdf)
+
+    def test_failed_rescore_keeps_the_old_scores_and_controls(self):
+        fam, lm = sg.cc_family(0, 1), sg.LevelMap.DOUBLING
+        first = adapt(EXPSUM, 2, fam, lm, controls=AdaptControls(nested=True, max_pts=40))
+        state = first.internal
+        controls, margin = state.controls, dict(state.margin)
+
+        def no_weight(y):
+            raise RuntimeError("no weight here")
+
+        with pytest.raises(RuntimeError, match="no weight here"):
+            adapt(EXPSUM, 2, fam, lm, previous=first,
+                  controls=AdaptControls(nested=True, profit="weighted_Linf", pdf_weight=no_weight,
+                                         max_pts=80))
+        assert state.controls is controls and state.margin == margin
+        resumed = adapt(EXPSUM, 2, fam, lm, previous=first,
+                        controls=AdaptControls(nested=True, max_pts=80))
+        single = adapt(EXPSUM, 2, fam, lm, controls=AdaptControls(nested=True, max_pts=80))
+        assert resumed.internal.history == single.internal.history
+        assert np.array_equal(resumed.intf, single.intf)
+
+
+def _with(s, **fields):
+    return {**s, **fields}
+
+
+def _edit(rows, k, **fields):
+    return rows[:k] + [{**rows[k], **fields}] + rows[k + 1 :]
+
+
+def _without(s, key):
+    return {k: v for k, v in s.items() if k != key}
+
+
+class TestRestoreValidation:
+    """A grid file's adapt_state is outside input: every inconsistency
+    raises a StateError naming the field, and the CLI exits 1."""
+
+    ADAPT = ["adapt", "--dim", "2", "--fn", "expsum", "--knots", "leja", "--domain=-1,1",
+             "--lev2knots", "linear", "--nested"]
+    CASES = {
+        # id: (field named, corrupted state)
+        "not-an-object": ("adapt_state", lambda s: [s]),
+        "no-margin": ("margin", lambda s: _without(s, "margin")),
+        "no-margin-profit": ("margin[0].profit", lambda s: _with(
+            s, margin=[_without(s["margin"][0], "profit")] + s["margin"][1:])),
+        "no-controls-profit": ("controls.profit", lambda s: _with(
+            s, controls=_without(s["controls"], "profit"))),
+        "unknown-profit": ("controls.profit", lambda s: _with(
+            s, controls={**s["controls"], "profit": "biggest"})),
+        "weighted-profit-without-pdf-weight": ("controls.profit", lambda s: _with(
+            s, controls={**s["controls"], "profit": "weighted_Linf"})),
+        "non-integer-active-dims": ("active_dims", lambda s: _with(s, active_dims=1.5)),
+        "active-dims-above-dim": ("active_dims", lambda s: _with(s, active_dims=3)),
+        "values-short": ("values", lambda s: _with(s, values=[r[:-1] for r in s["values"]])),
+        "non-finite-value": ("values", lambda s: _with(
+            s, values=[[math.inf] + r[1:] for r in s["values"]])),
+        "non-finite-point": ("points", lambda s: _with(
+            s, points=[[math.nan] + s["points"][0][1:]] + s["points"][1:])),
+        "points-of-another-dim": ("points", lambda s: _with(
+            s, points=s["points"] + s["points"][:1])),
+        "two-points-one-key": ("points", lambda s: _with(
+            s, points=[[r[0], r[0]] + r[2:] for r in s["points"]])),
+        "wrong-num-evals": ("num_evals", lambda s: _with(s, num_evals=s["num_evals"] - 1)),
+        "empty-accepted": ("accepted", lambda s: _with(s, accepted=[], history=[])),
+        "index-of-wrong-length": ("accepted[1]", lambda s: _with(
+            s, accepted=[s["accepted"][0], s["accepted"][1] + [1]] + s["accepted"][2:])),
+        "not-downward-closed": ("accepted", lambda s: _with(
+            s, accepted=[[1, 1], [1, 3]], history=[[1, 1], [1, 3]])),
+        "repeated-index": ("accepted", lambda s: _with(
+            s, accepted=s["accepted"] + s["accepted"][-1:],
+            history=s["history"] + s["history"][-1:])),
+        "history-differs": ("history", lambda s: _with(s, history=s["history"][::-1])),
+        "margin-index-accepted": ("margin[0].idx", lambda s: _with(
+            s, margin=_edit(s["margin"], 0, idx=s["accepted"][1]))),
+        "margin-profit-not-a-number": ("margin[0]", lambda s: _with(
+            s, margin=_edit(s["margin"], 0, profit="high"))),
+    }
+
+    @pytest.fixture
+    def saved_run(self, tmp_path, capsys):
+        path = tmp_path / "A.json"
+        assert cli_main(self.ADAPT + ["--max-pts", "40", "-o", str(path)]) == 0
+        capsys.readouterr()
+        return path, json.loads(path.read_text())
+
+    def test_the_saved_run_resumes(self, saved_run):
+        path, doc = saved_run
+        state = restore_state(doc["adapt_state"], sg.leja_family(-1, 1), sg.LevelMap.LINEAR,
+                              AdaptControls(nested=True, max_pts=40), EXPSUM)
+        assert len(state.accepted) >= 2 and len(state.margin) >= 1
+        assert serialize_state(state) == doc["adapt_state"]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_inconsistent_state_is_named(self, saved_run, case, tmp_path, capsys):
+        path, doc = saved_run
+        name, corrupt = self.CASES[case]
+        doc["adapt_state"] = corrupt(doc["adapt_state"])
+        with pytest.raises(StateError, match=re.escape(f"'{name}'")):
+            restore_state(doc["adapt_state"], (sg.leja_family(-1, 1),) * 2, sg.LevelMap.LINEAR,
+                          AdaptControls(nested=True), EXPSUM)
+        path.write_text(json.dumps(doc))
+        out = str(tmp_path / "B.json")
+        assert cli_main(self.ADAPT + ["--max-pts", "60", "--resume", str(path), "-o", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"'{name}'" in err

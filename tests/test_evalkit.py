@@ -397,6 +397,19 @@ class TestInterpolant:
         assert np.array_equal(interp(pts), want)
         assert interp._reduced_weights is None  # never built
 
+    def test_a_dimension_of_one_node_rules_drops_out(self, rng):
+        # the weight 10 keeps dimension 2 at its one-node rule in every
+        # tensor, so the reduced-weight path has no factor for it
+        rule, lm = sg.preset("TD", weights=(1, 10, 1))
+        grid = sg.build_sparse_grid_from_rule(3, 4, sg.leja_family(0, 1), lm, rule)
+        reduced = sg.reduce_grid(grid)
+        interp = Interpolant(grid, reduced, evaluate_on_grid(three_outputs, reduced))
+        pts = rng.uniform(0, 1, (3, 5))
+        got = interp(pts)
+        assert [n for n, *_ in interp._reduced_weights.dims] == [0, 2]
+        want = evalkit._tensor_sum(interp._rules, interp._tensors, pts)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
     def test_rules_are_shared_across_tensors(self):
         grid, reduced, table = interpolant_case("cc")
         interp = Interpolant(grid, reduced, table)

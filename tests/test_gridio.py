@@ -12,7 +12,7 @@ import sparsegrids as sg
 from sparsegrids.adaptive import AdaptControls, adapt, serialize_state
 from sparsegrids.cli import cli_main
 from sparsegrids.evalkit import evaluate_on_grid, interpolate, quadrature
-from sparsegrids import evalkit, testfunctions
+from sparsegrids import evalkit, gridio, testfunctions
 from sparsegrids.gridio import GridBundle, GridFileError, export_points, load_grid, save_grid
 
 EXPSUM = lambda y: math.exp(float(np.sum(y)))
@@ -177,6 +177,19 @@ class TestExports:
         bundle = load_grid(path)
         with pytest.raises(ValueError):
             export_points(bundle, "knots3d_projection", tmp_path / "x.csv", dims=(1, 2, 7))
+
+
+class TestDefaultDomain:
+    @pytest.mark.parametrize("dist, box", [
+        (sg.DistributionSpec.normal(0.5, 2.0), (-5.5, 6.5)),  # mu -+ 3 sigma
+        (sg.DistributionSpec.exponential(1.5), (0.0, 4.0 / 1.5)),  # [0, 4 / rate]
+        (sg.DistributionSpec.gamma(1.0, 2.0), (0.0, 4.0)),  # [0, 4 (alpha + 1) / beta]
+    ], ids=["normal", "exponential", "gamma"])
+    def test_unbounded_support_gets_a_box(self, dist, box):
+        rule, _ = sg.preset("TD")
+        grid = sg.build_sparse_grid_from_rule(2, 2, (sg.cc_family(-1, 2), sg.gauss_family(dist)),
+                                              sg.LevelMap.LINEAR, rule)
+        assert np.array_equal(gridio.default_domain(grid), [[-1.0, box[0]], [2.0, box[1]]])
 
 
 class TestCLI:

@@ -172,6 +172,18 @@ class TestEvaluatePCE:
         pts = rng.uniform(-1, 1, (2, 50))
         assert np.max(np.abs(evaluate_pce(exp, pts) - interpolate(grid, reduced, table, pts))) < 1e-10
 
+    def test_chebyshev_takes_the_domain_as_its_interval(self, rng):
+        rule, lm = sg.preset("SM")
+        grid = sg.build_sparse_grid_from_rule(2, 3, sg.cc_family(-1, 2), lm, rule)
+        reduced = sg.reduce_grid(grid)
+        table = evaluate_on_grid(lambda y: math.exp(0.3 * y[0] - 0.2 * y[1]) + y[0] ** 3 * y[1],
+                                 reduced)
+        exp = convert_to_modal(grid, reduced, table, Domain(np.array([[-1.0, -1.0], [2.0, 2.0]])),
+                               "chebyshev")
+        pts = rng.uniform(-1, 2, (2, 50))
+        want = interpolate(grid, reduced, table, pts)
+        assert np.max(np.abs(evaluate_pce(exp, pts) - want)) <= 1e-12 * np.max(np.abs(want))
+
     def test_constant_expansion(self, cc_grid_w4):
         grid, reduced = cc_grid_w4
         table = evaluate_on_grid(lambda y: 4.2, reduced)
