@@ -28,6 +28,8 @@ _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
 _SIGMAS_D10 = ",".join(repr(round(0.4 * 0.7**k, 6)) for k in range(10))
 _ADAPT = ["adapt", "--dim", "3", "--fn", "expsum", "--knots", "leja", "--domain=-1.3,1.7",
           "--lev2knots", "linear", "--nested"]
+_ADAPT_4D = ["adapt", "--dim", "4", "--fn", "expsum", "--knots", "leja", "--domain=0,1",
+             "--lev2knots", "linear", "--nested"]
 
 # (run name, CLI arguments, output files it writes)
 RUNS = [
@@ -60,6 +62,12 @@ RUNS = [
     ("adapt-buffer", ["adapt", "--dim", "4", "--fn", "runge", "--knots", "leja",
                       "--domain=0,1", "--lev2knots", "linear", "--nested", "--buffer", "1",
                       "--max-pts", "300", "-o", "U.json"], ["U.json"]),
+    # a buffered run, then its resume under the wider window of no buffer, which
+    # grows the margin around every accepted index into the new dimensions
+    ("adapt-window", _ADAPT_4D + ["--buffer", "1", "--max-pts", "5", "-o", "W.json"],
+     ["W.json"]),
+    ("adapt-window-resume", _ADAPT_4D + ["--max-pts", "200", "--resume", "W.json",
+                                         "-o", "W2.json"], ["W2.json"]),
     ("adapt-gauss", ["adapt", "--dim", "2", "--fn", "expsum", "--knots", "gauss-legendre",
                      "--domain=0,1", "--max-pts", "200", "--prof", "Linf", "-o", "G.json"],
      ["G.json"]),

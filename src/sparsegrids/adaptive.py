@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from ._bary import basis_matrix
-from .evalkit import (EvaluationError, EvaluationTable, _active_key, _call_f, _signed_sum,
+from .evalkit import (EvaluationError, EvaluationTable, _active_key, _gather, _signed_sum,
                       quadrature)
 from .gridio import _fields
 from .grid import (
@@ -203,23 +203,9 @@ def _reference_tolerances(state: AdaptState) -> np.ndarray:
 
 
 def _values_at(state: AdaptState, knots: np.ndarray) -> np.ndarray:
-    """Values at the knot columns (outputs x knots), calling f only where
-    no value is cached.
-
-    An entry is committed only after an evaluation succeeds with the stored
-    output count, so a failing function leaves the state resumable.
-    """
-    store = state.evaluations
+    """``evalkit._gather`` from the run's knot store."""
     keys = lattice_keys(knots, _reference_tolerances(state))
-    for key, col in zip(keys, knots.T):
-        if key not in store:
-            value = _call_f(state.f, col)
-            if store and value.size != (n := next(iter(store.values()))[1].size):
-                raise EvaluationError(col, ValueError(f"function returns {value.size} outputs, "
-                                                      f"the stored values have {n}"))
-            store[key] = col.copy(), value
-    # knots x outputs in Fortran order, so its transpose is C-contiguous
-    return np.array([store[key][1] for key in keys], order="F").T
+    return _gather(state.f, knots, keys, state.evaluations)
 
 
 def _level(state: AdaptState, n: int, v: int) -> _Level:
@@ -421,10 +407,10 @@ def restore_state(data: dict, families, level_map: LevelMap,
                   controls: AdaptControls, f) -> AdaptState:
     """Rebuild an AdaptState from its serialized form.
 
-    The state keeps the record's ``nested`` and ``profit``, so ``adapt``
-    rescores the margin when the caller's differ; ``controls`` supplies the
-    rest.  A record that is not one consistent run raises a StateError
-    naming the field.
+    The state keeps the record's ``nested``, ``profit`` and
+    ``var_buffer_size``, so ``adapt`` rescores or widens the margin when
+    the caller's differ; ``controls`` supplies the rest.  A record that is
+    not one consistent run raises a StateError naming the field.
     """
     _check(isinstance(data, dict), "adapt_state", "is not an object")
     try:
@@ -432,7 +418,8 @@ def restore_state(data: dict, families, level_map: LevelMap,
             data, "", "accepted", "margin", "history", "num_evals", "active_dims", "points",
             "values", "controls")
         _check(isinstance(stored, dict), "controls", "is not an object")
-        nested, profit = _fields(stored, "controls.", "nested", "profit")
+        nested, profit, buffer = _fields(stored, "controls.", "nested", "profit",
+                                         "var_buffer_size")
         _check(isinstance(margin, list), "margin", "is not a list")
         for k, rec in enumerate(margin):
             _check(isinstance(rec, dict), f"margin[{k}]", "is not an object")
@@ -443,19 +430,19 @@ def restore_state(data: dict, families, level_map: LevelMap,
     _check(profit in PROFIT_KINDS, "controls.profit", f"is not one of {PROFIT_KINDS}")
     _check(not profit.startswith("weighted") or controls.pdf_weight is not None,
            "controls.profit", f"is {profit!r}, which needs a pdf_weight to resume")
+    _check(type(buffer) is int and buffer >= 0, "controls.var_buffer_size",
+           "is not an integer >= 0")
     pts, vals = _matrix(pts, "points"), _matrix(vals, "values")
     dim, size = pts.shape
     _check(vals.shape[1] == size, "values", f"has {vals.shape[1]} columns for {size} points")
     _check(num_evals == size, "num_evals", f"is {num_evals!r} for {size} points")
-    _check(type(active) is int and 0 <= active <= dim, "active_dims",
-           f"is not an integer in 0..{dim}")
     try:
         families = _normalize_families(families, dim)
     except ValueError as exc:
         raise StateError(f"invalid adaptive state: field 'points' has {dim} rows: {exc}") from None
     state = AdaptState(dim=dim, families=families, level_map=LevelMap(level_map),
-                       controls=replace(controls, nested=nested, profit=profit), f=f,
-                       active_dims=active)
+                       controls=replace(controls, nested=nested, profit=profit,
+                                        var_buffer_size=buffer), f=f)
     keys = lattice_keys(pts, _reference_tolerances(state))
     state.evaluations = dict(zip(keys, zip(pts.T, vals.T)))
     _check(len(state.evaluations) == size, "points", "holds two knots on one lattice key")
@@ -465,6 +452,10 @@ def restore_state(data: dict, families, level_map: LevelMap,
     _check(len(members) == len(accepted) and all(_backward_closed(i, members) for i in members),
            "accepted", "is not a downward-closed set without repeats")
     _check(history == accepted, "history", "differs from 'accepted'")
+    state.active_dims = max((n + 1 for idx in members for n, v in enumerate(idx) if v > 1),
+                            default=0)
+    _check(type(active) is int and active == state.active_dims, "active_dims",
+           f"is {active!r}, but the last dimension 'accepted' refines is {state.active_dims}")
     for k, rec in enumerate(margin):
         idx = _index(rec["idx"], f"margin[{k}].idx", dim)
         _check(idx not in members and idx not in state.margin and _backward_closed(idx, members),
@@ -508,12 +499,16 @@ def adapt(
         state = AdaptState(dim=dim, families=families, level_map=LevelMap(level_map),
                            controls=controls, f=f)
     try:
+        # new controls act on a copy with fresh tables; margin and controls commit together
+        trial, margin = replace(state, controls=controls), state.margin
         if (controls.nested, controls.profit) != (state.controls.nested, state.controls.profit):
-            # error and work depend on both: rescore on a copy with fresh tables, then commit
-            trial = replace(state, controls=controls)
-            state.margin = {cand: _profit_of(trial, cand) for cand in state.margin}
-            state.new_nodes.clear()
-        state.controls = controls
+            margin = {cand: _profit_of(trial, cand) for cand in margin}  # error and work use both
+        if trial.visible_dims() > state.visible_dims():
+            # a wider window: the margin grows around every accepted index, as in the loop
+            members = set(state.accepted)
+            margin.update(_margin_additions(trial, members, trial.visible_dims(), list(members)))
+        state.controls, state.margin = controls, margin
+        state.new_nodes.clear()  # test nodes depend on nested
         if not state.accepted:
             root = (1,) * dim
             _detail_terms(state, root)  # the root's detail is its own tensor

@@ -89,11 +89,17 @@ class EvaluationTable:
         return self.values.shape[1]
 
 
-def _value_matrix(values) -> np.ndarray:
-    """The (outputs x knots) matrix of an EvaluationTable or array-like."""
+def _value_matrix(values, reduced: ReducedGrid | None = None) -> np.ndarray:
+    """The (outputs x knots) matrix of an EvaluationTable or array-like; a
+    ValueError unless it has one column per knot of ``reduced``, if given."""
     if isinstance(values, EvaluationTable):
-        return values.values
-    return np.atleast_2d(np.asarray(values, dtype=float))
+        vals = values.values
+    else:
+        vals = np.atleast_2d(np.asarray(values, dtype=float))
+    if reduced is not None and vals.shape[1] != reduced.size:
+        raise ValueError(f"values have {vals.shape[1]} columns, "
+                         f"reduced grid has {reduced.size} knots")
+    return vals
 
 
 @dataclass(frozen=True)
@@ -128,53 +134,56 @@ class Domain:
         return np.all((pts >= self.lower[:, None]) & (pts <= self.upper[:, None]), axis=0)
 
 
-def _call_f(f, knot) -> np.ndarray:
-    """f(knot) as a flat float vector; failures and non-finite values raise
-    an EvaluationError naming the knot."""
+def _call_f(f, knot, outputs: int | None) -> np.ndarray:
+    """f(knot) as a flat float vector; a failure, a non-finite value or an
+    output count other than ``outputs`` (None: any) raises an
+    EvaluationError naming the knot."""
     try:
         out = np.atleast_1d(np.asarray(f(knot), dtype=float)).ravel()
     except Exception as exc:  # attach the offending knot
         raise EvaluationError(knot, exc) from exc
     if not np.isfinite(out).all():
         raise EvaluationError(knot, ValueError(f"non-finite value {out}"))
+    if outputs is not None and out.size != outputs:
+        raise EvaluationError(knot, ValueError(f"function returns {out.size} outputs, "
+                                               f"the stored values have {outputs}"))
     return out
 
 
+def _gather(f, knots: np.ndarray, keys, store: dict) -> np.ndarray:
+    """Values at the knot columns (outputs x knots).  ``store`` maps a key
+    to (knot, value vector); a knot whose key is stored takes its vector,
+    any other calls ``f`` once, in knot order.  An entry is committed only
+    after its value passed ``_call_f``'s checks, so a failing ``f`` leaves
+    every earlier value stored."""
+    outputs = next(iter(store.values()))[1].size if store else None
+    for key, knot in zip(keys, knots.T):
+        if key not in store:
+            store[key] = knot.copy(), _call_f(f, knot, outputs)
+            outputs = store[key][1].size
+    # knots x outputs in Fortran order, so its transpose is C-contiguous
+    return np.array([store[key][1] for key in keys], order="F").T
+
+
 def evaluate_on_grid(f, reduced: ReducedGrid, old=None) -> EvaluationTable:
-    """Evaluate ``f`` at every reduced knot, serially and in knot order,
-    recycling old evaluations.
+    """Evaluate ``f`` at every reduced knot through ``_gather``, recycling
+    old evaluations.
 
     ``old`` is a previous (EvaluationTable, SparseGrid, ReducedGrid) triple
-    (the grid entry may be None; only the reduced knots are matched).
-    Columns whose knot already appears in the old reduced grid are copied
-    bitwise; only genuinely new knots trigger calls of ``f``.  The first
-    call whose output count differs from the old table's, or from the
-    first call's, raises a ValueError before ``f`` is called again.
+    (the grid entry may be None; only the reduced knots are matched).  A
+    knot of the old reduced grid is not evaluated again: its column is
+    copied bitwise.  Every failure of ``f`` raises an EvaluationError.
     """
-    values = None
-    keys = [None] * reduced.size
-    lookup = {}
+    keys, store = range(reduced.size), {}
     if old is not None:
         old_table, _, old_reduced = old
-        old_vals = _value_matrix(old_table)
-        values = np.empty((old_vals.shape[0], reduced.size))
+        old_vals = _value_matrix(old_table, old_reduced)
         keys = lattice_keys(reduced.knots, reduced.tol)
-        lookup = {key: q for q, key in enumerate(lattice_keys(old_reduced.knots, reduced.tol))}
-    new = 0
-    for p, key in enumerate(keys):
-        q = lookup.get(key)
-        if q is not None:
-            values[:, p] = old_vals[:, q]
-            continue
-        col = _call_f(f, reduced.knots[:, p])
-        new += 1
-        if values is None:
-            values = np.empty((col.size, reduced.size))
-        elif col.size != values.shape[0]:
-            source = "the old table has" if old is not None else "its first call returned"
-            raise ValueError(f"function returns {col.size} outputs, {source} {values.shape[0]}")
-        values[:, p] = col
-    return EvaluationTable(values, new_evaluations=new)
+        store = dict(zip(lattice_keys(old_reduced.knots, reduced.tol),
+                         zip(old_reduced.knots.T, old_vals.T)))
+    recycled = len(store)
+    values = _gather(f, reduced.knots, keys, store)
+    return EvaluationTable(values, new_evaluations=len(store) - recycled)
 
 
 def quadrature(values_or_f, grid_or_reduced):
@@ -192,12 +201,7 @@ def quadrature(values_or_f, grid_or_reduced):
     if callable(values_or_f):
         table = evaluate_on_grid(values_or_f, reduced)
         return quadrature(table, reduced), table
-    vals = _value_matrix(values_or_f)
-    if vals.shape[1] != reduced.size:
-        raise ValueError(
-            f"values have {vals.shape[1]} columns, reduced grid has {reduced.size} knots"
-        )
-    return vals @ reduced.weights
+    return _value_matrix(values_or_f, reduced) @ reduced.weights
 
 
 def _active_key(rules: dict, n: int, family, m: int) -> tuple[int, int] | None:
@@ -226,9 +230,7 @@ def _compile(grid: SparseGrid, reduced: ReducedGrid, values) -> tuple[dict, list
     """The grid's signed sum of tensors: the rule table of ``_active_keys``
     and, per tensor grid, (coefficient, value matrix gathered from the
     reduced table, active rule keys); the values are checked up front."""
-    vals = _value_matrix(values)
-    if vals.shape[1] != reduced.size:
-        raise ValueError("values do not conform to the reduced grid")
+    vals = _value_matrix(values, reduced)
     rules: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
     return rules, [(t.coeff, vals[:, reduced.n[start : start + t.size]],
                     _active_keys(rules, grid.families, t.m))

@@ -52,6 +52,11 @@ class TestWorkIndicator:
     def test_non_nested_linear(self):
         assert work_indicator((3, 2), False, sg.LevelMap.LINEAR) == 6
 
+    @pytest.mark.parametrize("candidate", [(0, 1), (2, -1)])
+    def test_entries_below_one_rejected(self, candidate):
+        with pytest.raises(ValueError, match="candidate entries must be >= 1"):
+            work_indicator(candidate, True, sg.LevelMap.DOUBLING)
+
     def test_counts_new_knots_exactly_for_nested(self):
         fam = sg.cc_family(0, 1)
         rule, lm = sg.preset("SM")
@@ -236,6 +241,21 @@ class TestAdapt:
     def test_controls_required(self):
         with pytest.raises(ConfigurationError):
             adapt(EXPSUM, 2, sg.cc_family(0, 1), sg.LevelMap.DOUBLING)
+
+    @pytest.mark.parametrize("controls, option, message", [
+        (dict(profit="bogus"), "--prof=bogus", "unknown profit 'bogus'; choose from"),
+        (dict(max_pts=0), "--max-pts=0", "max_pts must be >= 1"),
+        (dict(prof_tol=-1e-3), "--prof-tol=-1e-3", "prof_tol must be >= 0"),
+        (dict(var_buffer_size=-1), "--buffer=-1", "var_buffer_size must be >= 0"),
+    ], ids=["unknown-profit", "max-pts-below-one", "negative-prof-tol", "negative-buffer"])
+    def test_invalid_controls_rejected(self, controls, option, message, tmp_path, capsys):
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            AdaptControls(nested=True, **controls)
+        out = tmp_path / "A.json"
+        assert cli_main(["adapt", "--dim", "2", "--fn", "expsum", "--nested", option,
+                         "-o", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not out.exists()
 
 
 class TestStoppingInvariant:
@@ -642,6 +662,72 @@ class TestResumeRescoring:
         assert np.array_equal(resumed.intf, single.intf)
 
 
+_ADAPT_4D = ["adapt", "--dim", "4", "--fn", "expsum", "--knots", "leja", "--domain=0,1",
+             "--lev2knots", "linear", "--nested"]
+_LEJA_4D = (sg.leja_family(0, 1), sg.LevelMap.LINEAR)
+
+
+class TestResumeWindow:
+    """The window: the dimensions ``var_buffer_size`` lets the margin grow
+    into.  A resume under a wider window than the record's grows the margin
+    around every accepted index, as the loop does when its window slides."""
+
+    @pytest.mark.parametrize("first_pts", [1, 2, 5])
+    def test_wider_window_ends_where_a_cold_run_ends(self, first_pts):
+        f = get_test_function("expsum")
+        first = adapt(f, 4, *_LEJA_4D, controls=AdaptControls(nested=True, var_buffer_size=1,
+                                                              max_pts=first_pts))
+        assert first.internal.visible_dims() < 4
+        controls = AdaptControls(nested=True, max_pts=200)
+        resumed = adapt(f, 4, *_LEJA_4D, previous=first, controls=controls)
+        cold = adapt(f, 4, *_LEJA_4D, controls=controls)
+        assert sorted(resumed.internal.accepted) == sorted(cold.internal.accepted)
+        assert np.array_equal(resumed.intf, cold.intf)
+        assert resumed.num_evals == cold.num_evals
+
+    def test_cli_resume_reads_the_records_window(self, tmp_path, capsys):
+        first, path = str(tmp_path / "W.json"), str(tmp_path / "W2.json")
+        assert cli_main(_ADAPT_4D + ["--buffer", "1", "--max-pts", "5", "-o", first]) == 0
+        record = load_grid(first).adapt_state
+        f = get_test_function("expsum")
+        state = restore_state(record, *_LEJA_4D, AdaptControls(nested=True), f)
+        assert state.controls.var_buffer_size == 1 and state.visible_dims() == 3
+        assert cli_main(_ADAPT_4D + ["--max-pts", "200", "--resume", first, "-o", path]) == 0
+        printed = capsys.readouterr().out.split("integral: ")[-1].split()
+        cold = adapt(f, 4, *_LEJA_4D, controls=AdaptControls(nested=True, max_pts=200))
+        assert printed == [repr(float(v)) for v in cold.intf]
+
+    def test_failed_growth_keeps_the_old_margin_and_controls(self):
+        first = adapt(EXPSUM, 4, *_LEJA_4D, controls=AdaptControls(nested=True,
+                                                                   var_buffer_size=1, max_pts=5))
+        state = first.internal
+        controls, margin, evals = state.controls, dict(state.margin), state.num_evals
+
+        def fails(y):
+            raise RuntimeError("no more evaluations")
+
+        with pytest.raises(AdaptEvaluationError) as err:
+            adapt(fails, 4, *_LEJA_4D, previous=first,
+                  controls=AdaptControls(nested=True, max_pts=200))
+        assert err.value.state is state
+        assert state.controls is controls and state.margin == margin
+        assert state.num_evals == evals
+        controls = AdaptControls(nested=True, max_pts=200)
+        resumed = adapt(EXPSUM, 4, *_LEJA_4D, previous=state, controls=controls)
+        cold = adapt(EXPSUM, 4, *_LEJA_4D, controls=controls)
+        assert np.array_equal(resumed.intf, cold.intf)
+
+    def test_narrower_window_keeps_the_margin(self):
+        # the first run stopped past its budget, so the resume stops at once
+        first = adapt(EXPSUM, 4, *_LEJA_4D, controls=AdaptControls(nested=True, max_pts=1))
+        margin = dict(first.internal.margin)
+        assert any(idx[3] > 1 for idx in margin)
+        resumed = adapt(EXPSUM, 4, *_LEJA_4D, previous=first,
+                        controls=AdaptControls(nested=True, var_buffer_size=1, max_pts=1))
+        assert resumed.internal.visible_dims() == 1
+        assert resumed.internal.margin == margin
+
+
 def _with(s, **fields):
     return {**s, **fields}
 
@@ -672,11 +758,21 @@ class TestRestoreValidation:
             s, controls={**s["controls"], "profit": "biggest"})),
         "weighted-profit-without-pdf-weight": ("controls.profit", lambda s: _with(
             s, controls={**s["controls"], "profit": "weighted_Linf"})),
+        "non-integer-var-buffer-size": ("controls.var_buffer_size", lambda s: _with(
+            s, controls={**s["controls"], "var_buffer_size": 0.5})),
+        "negative-var-buffer-size": ("controls.var_buffer_size", lambda s: _with(
+            s, controls={**s["controls"], "var_buffer_size": -1})),
         "non-integer-active-dims": ("active_dims", lambda s: _with(s, active_dims=1.5)),
         "active-dims-above-dim": ("active_dims", lambda s: _with(s, active_dims=3)),
+        # the saved run refines dimension 2, so its active_dims is 2
+        "active-dims-not-from-accepted": ("active_dims", lambda s: _with(s, active_dims=1)),
         "values-short": ("values", lambda s: _with(s, values=[r[:-1] for r in s["values"]])),
         "non-finite-value": ("values", lambda s: _with(
             s, values=[[math.inf] + r[1:] for r in s["values"]])),
+        "non-numeric-point": ("points", lambda s: _with(
+            s, points=[["a"] + s["points"][0][1:]] + s["points"][1:])),
+        "ragged-points": ("points", lambda s: _with(
+            s, points=[s["points"][0][:-1]] + s["points"][1:])),
         "non-finite-point": ("points", lambda s: _with(
             s, points=[[math.nan] + s["points"][0][1:]] + s["points"][1:])),
         "points-of-another-dim": ("points", lambda s: _with(
@@ -708,6 +804,7 @@ class TestRestoreValidation:
 
     def test_the_saved_run_resumes(self, saved_run):
         path, doc = saved_run
+        assert doc["adapt_state"]["active_dims"] == 2
         state = restore_state(doc["adapt_state"], sg.leja_family(-1, 1), sg.LevelMap.LINEAR,
                               AdaptControls(nested=True, max_pts=40), EXPSUM)
         assert len(state.accepted) >= 2 and len(state.margin) >= 1

@@ -145,10 +145,11 @@ class TestEvaluateOnGrid:
             calls.append(y)
             return new_out
 
-        with pytest.raises(ValueError, match=f"returns {3 - n_old} outputs, the old "
-                                             f"table has {n_old}"):
+        with pytest.raises(EvaluationError, match=f"returns {3 - n_old} outputs, the stored "
+                                                  f"values have {n_old}") as err:
             evaluate_on_grid(new_f, reduced, old=old)
         assert len(calls) == 1  # raised before the other new knots were evaluated
+        assert np.array_equal(err.value.knot, calls[0])
 
     def test_output_count_change_raises_at_once(self, smolyak_cc_unit_w3):
         _, reduced = smolyak_cc_unit_w3
@@ -158,10 +159,25 @@ class TestEvaluateOnGrid:
             calls.append(y)
             return [1.0, 2.0] if len(calls) == 3 else 1.0
 
-        with pytest.raises(ValueError, match="returns 2 outputs, its first call returned 1"):
+        with pytest.raises(EvaluationError, match="returns 2 outputs, the stored values have 1"
+                           ) as err:
             evaluate_on_grid(f, reduced)
         assert len(calls) == 3
         assert np.array_equal(calls[2], reduced.knots[:, 2])
+        assert np.array_equal(err.value.knot, reduced.knots[:, 2])
+
+    @pytest.mark.parametrize("extra", [-1, 1], ids=["short", "long"])
+    def test_old_table_must_fit_its_reduced_grid(self, extra):
+        old_grid, old_reduced = sg.quick_preset(2, 2)
+        _, reduced = sg.quick_preset(2, 3)
+        vals = evaluate_on_grid(EXPSUM, old_reduced).values
+        vals = vals[:, :-1] if extra < 0 else np.hstack([vals, vals[:, :1]])
+        calls = []
+        with pytest.raises(ValueError, match=f"values have {old_reduced.size + extra} columns, "
+                                             f"reduced grid has {old_reduced.size} knots"):
+            evaluate_on_grid(lambda y: calls.append(y) or EXPSUM(y), reduced,
+                             old=(EvaluationTable(vals), old_grid, old_reduced))
+        assert not calls
 
     def test_new_knots_called_in_knot_order(self):
         old_grid, old_reduced = sg.quick_preset(2, 2)
@@ -233,6 +249,13 @@ class TestQuadrature:
         _, reduced = smolyak_cc_unit_w3
         with pytest.raises(ValueError):
             quadrature(np.ones((1, 5)), reduced)
+
+    def test_a_one_dimensional_table_has_one_output(self, smolyak_cc_unit_w3):
+        _, reduced = smolyak_cc_unit_w3
+        row = evaluate_on_grid(EXPSUM, reduced).values[0]
+        table = EvaluationTable(row)
+        assert table.values.shape == (1, reduced.size) and table.n_outputs == 1
+        assert np.array_equal(quadrature(table, reduced), quadrature(row[None, :], reduced))
 
     def test_order_independence(self, exp_grid_w5, rng):
         _, reduced, table = exp_grid_w5
@@ -468,6 +491,18 @@ class TestInterpolant:
             assert np.array_equal(surrogate(y), want[:, 0])
 
 
+class TestDomain:
+    @pytest.mark.parametrize("bounds, message", [
+        ([0.0, 1.0], "bounds must be a 2 x dim matrix"),
+        ([[0.0], [1.0], [2.0]], "bounds must be a 2 x dim matrix"),
+        ([[0.0, 1.0], [1.0, 1.0]], "lower bounds must be below upper bounds"),
+        ([[2.0, -np.inf], [1.0, np.inf]], "lower bounds must be below upper bounds"),
+    ], ids=["one-row", "three-rows", "empty-interval", "reversed-interval"])
+    def test_malformed_bounds_rejected(self, bounds, message):
+        with pytest.raises(ValueError, match=message):
+            Domain(np.array(bounds))
+
+
 class TestGradientHessian:
     def _setup(self, f, w=5):
         rule, lm = sg.preset("SM")
@@ -535,6 +570,11 @@ class TestGradientHessian:
         H = hessian(grid, reduced, table, domain, np.array([0.5, 0.5]))
         center = interpolate(grid, reduced, table, np.array([[0.5], [0.5]]))[0, 0]
         assert np.max(np.abs(H - center)) < 1e-3
+
+    def test_hessian_needs_a_single_output(self):
+        grid, reduced, table, domain = self._setup(lambda y: [EXPSUM(y), y[0]])
+        with pytest.raises(ValueError, match="hessian requires a single-output value table"):
+            hessian(grid, reduced, table, domain, np.array([0.5, 0.5]))
 
     def test_unbounded_default_step(self):
         rule, _ = sg.preset("TD")

@@ -111,6 +111,21 @@ class TestExports:
         assert lines[0] == "y1,y2,value"
         assert len(lines) == 1 + 49
 
+    def test_interp_samples_one_dim(self, tmp_path):
+        grid = sg.build_sparse_grid(sg.MultiIndexSet([[1], [2], [3]]), sg.cc_family(-1, 2),
+                                    sg.LevelMap.DOUBLING)
+        reduced = sg.reduce_grid(grid)
+        table = evaluate_on_grid(lambda y: [math.exp(y[0]), y[0] ** 3], reduced)
+        out = tmp_path / "interp.csv"
+        export_points(GridBundle(grid=grid, reduced=reduced, values=table), "interp_samples",
+                      out, resolution=6)
+        lines = out.read_text().splitlines()
+        assert lines[0] == "y1,value1,value2"
+        rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+        assert np.array_equal(rows[:, 0], np.linspace(-1, 2, 6))
+        want = evalkit.Interpolant(grid, reduced, table)(rows[:, :1].T)
+        assert np.array_equal(rows[:, 1:], want.T)
+
     @pytest.mark.parametrize("res", [0, -2])
     def test_resolution_below_one_rejected(self, saved_bundle, tmp_path, res):
         path, *_ = saved_bundle
