@@ -68,6 +68,10 @@ RUNS = [
      ["W.json"]),
     ("adapt-window-resume", _ADAPT_4D + ["--max-pts", "200", "--resume", "W.json",
                                          "-o", "W2.json"], ["W2.json"]),
+    # nested, tie-free: one interval per dimension, so no two candidates score alike
+    ("adapt-aniso", ["adapt", "--dim", "3", "--fn", "expsum", "--knots", "leja",
+                     "--domain=0,1x-0.5,1.5x-1,0.25", "--lev2knots", "linear", "--nested",
+                     "--max-pts", "200", "-o", "N.json"], ["N.json"]),
     ("adapt-gauss", ["adapt", "--dim", "2", "--fn", "expsum", "--knots", "gauss-legendre",
                      "--domain=0,1", "--max-pts", "200", "--prof", "Linf", "-o", "G.json"],
      ["G.json"]),

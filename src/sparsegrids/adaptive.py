@@ -3,15 +3,21 @@
 The algorithm grows a downward-closed multi-index set greedily: starting
 from the root index, it repeatedly promotes the reduced-margin candidate
 with the largest profit (error indicator, optionally divided by a work
-indicator).  Error indicators are computed through the hierarchical detail
-operator of each candidate, which only involves tensor grids below it and
-is therefore fixed once the candidate enters the margin.  The returned
-grid is built over the accepted set united with its reduced margin, since
-all those evaluations are available anyway.
+indicator).  A candidate's error indicator measures its hierarchical
+detail, which only involves the tensor grids below it and is therefore
+fixed once the candidate enters the margin.  Nested runs read it from
+the hierarchical surpluses at the candidate's new knots: one product of
+the values on its tensor grid (``_box_values``, a cache that a resume
+refills without calling f) with the Kronecker product of its levels'
+detail rows (``_nested_level``), applied one dimension at a time.
+Others sum the 2^k tensors of the tensor detail (``_detail_terms``).
+The returned grid covers the accepted set and its reduced margin,
+fully evaluated.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -115,12 +121,26 @@ class _Candidate:
 
 @dataclass
 class _Level:
-    """One (dimension, level) entry of a run's rule table."""
+    """One (dimension, level) entry of a non-nested run's rule table."""
 
     rule: Rule1D
     key: tuple[int, int] | None  # in AdaptState.rules; None for a one-node rule
-    test_nodes: np.ndarray  # the nodes new at the level if nested, else all nodes
-    bases: dict  # active key of the dimension -> its basis at test_nodes
+    bases: dict  # active key of the dimension -> its basis at the rule's nodes
+
+
+@dataclass
+class _NestedLevel:
+    """One (dimension, level) entry of a nested run's node table.  Nodes are
+    numbered in order of first appearance, so level v's rule holds nodes
+    0 .. m(v) - 1 and the nodes new at v are the last of them."""
+
+    rule: Rule1D
+    order: np.ndarray  # the rule's node positions, in that numbering
+    x: np.ndarray  # the nodes new at the level
+    # new nodes x m(v): a function's value at a new node minus the level
+    # below's interpolant there, as weights of its values at the nodes
+    detail: np.ndarray
+    dweights: np.ndarray  # m(v): the rule's weights minus those of the level below
 
 
 @dataclass
@@ -139,11 +159,16 @@ class AdaptState:
     evaluations: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
     active_dims: int = 0
     tols: np.ndarray | None = None
+    # caches, not serialized; none depends on the controls
     rules: dict = field(default_factory=dict, init=False, repr=False, compare=False)  # evalkit._active_key
-    # multi-index -> value matrix of its tensor grid, from _tensor_values
+    # non-nested: multi-index -> value matrix of its tensor grid, from _tensor_values
     tensor_values: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # (dimension, level) -> _Level, from _level
-    new_nodes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # non-nested: (dimension, level) -> _Level, from _level
+    levels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # nested: (dimension, level) -> _NestedLevel, from _nested_level
+    nested_levels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # nested: multi-index -> values on its tensor grid in node-number order, from _box_values
+    box_values: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     # read-only views of the records above
     history = property(lambda self: self.accepted)
@@ -209,23 +234,13 @@ def _values_at(state: AdaptState, knots: np.ndarray) -> np.ndarray:
 
 
 def _level(state: AdaptState, n: int, v: int) -> _Level:
-    """The run's rule table entry of dimension ``n`` at level ``v``, made on
-    first use."""
-    entry = state.new_nodes.get((n, v))
+    """The non-nested rule table entry of dimension ``n`` at level ``v``,
+    made on first use."""
+    entry = state.levels.get((n, v))
     if entry is None:
         rule = state.families[n](apply_level_map(state.level_map, v))
-        nodes = rule.nodes
-        if state.controls.nested and v > 1:
-            tol = _reference_tolerances(state)[n : n + 1]
-            old_keys = set(lattice_keys(_level(state, n, v - 1).rule.nodes[None, :], tol))
-            keys = lattice_keys(nodes[None, :], tol)
-            if not old_keys.issubset(keys):
-                raise ConfigurationError(f"controls say nested, but the dimension {n + 1} nodes "
-                                         f"of level {v - 1} are not all among those of level {v}")
-            nodes = nodes[[key not in old_keys for key in keys]]
-        entry = _Level(rule, _active_key(state.rules, n, state.families[n], rule.nodes.size),
-                       nodes, {})
-        state.new_nodes[n, v] = entry
+        key = _active_key(state.rules, n, state.families[n], rule.nodes.size)
+        entry = state.levels[n, v] = _Level(rule, key, {})
     return entry
 
 
@@ -250,16 +265,93 @@ def _detail_terms(state: AdaptState, candidate):
     return [(sign, levels, _tensor_values(state, idx, levels)) for sign, idx, levels in terms]
 
 
+def _nested_level(state: AdaptState, n: int, v: int) -> _NestedLevel:
+    """The nested node table entry of dimension ``n`` at level ``v``, made
+    on first use, after the level below."""
+    entry = state.nested_levels.get((n, v))
+    if entry is None:
+        family = state.families[n]
+        rule = family(apply_level_map(state.level_map, v))
+        m = rule.nodes.size
+        if v == 1:
+            order, k, detail, dweights = np.arange(m), 0, np.eye(m), rule.weights
+        else:
+            low = _nested_level(state, n, v - 1)
+            tol = _reference_tolerances(state)[n : n + 1]
+            where = {key: p for p, key in enumerate(lattice_keys(rule.nodes[None, :], tol))}
+            old = [where.get(key) for key in lattice_keys(low.rule.nodes[low.order][None, :], tol)]
+            if None in old:
+                raise ConfigurationError(f"controls say nested, but the dimension {n + 1} nodes "
+                                         f"of level {v - 1} are not all among those of level {v}")
+            new = np.ones(m, dtype=bool)
+            new[old] = False
+            order, k = np.concatenate([old, np.flatnonzero(new)]), len(old)
+            # the level below's Lagrange basis at the new nodes, in node-number order
+            key = _active_key(state.rules, n, family, k)
+            basis = (np.ones((m - k, 1)) if key is None
+                     else basis_matrix(*state.rules[key], rule.nodes[new])[:, low.order])
+            detail = np.hstack([-basis, np.eye(m - k)])
+            dweights = rule.weights[order] - np.pad(low.rule.weights[low.order], (0, m - k))
+        entry = state.nested_levels[n, v] = _NestedLevel(rule, order, rule.nodes[order[k:]],
+                                                         detail, dweights)
+    return entry
+
+
+def _box_values(state: AdaptState, idx, levels) -> np.ndarray:
+    """Values on the tensor grid of ``idx`` with nested table entries
+    ``levels``, in node-number order (outputs x knots, first dimension
+    fastest), stored once per run.  Only the knots new at ``idx`` are
+    gathered; the others are copied from the indices just below, which a
+    fresh store (a resume) first fills from the stored values."""
+    store = state.box_values
+    vals = store.get(idx)
+    if vals is not None:
+        return vals
+    below = [(n, idx[:n] + (v - 1,) + idx[n + 1:]) for n, v in enumerate(idx) if v > 1]
+    if any(low not in store for _, low in below):
+        # a fresh store: every index below, each after those below it
+        box = _tensor_product_columns([np.arange(1, v + 1) for v in idx])
+        for low in map(tuple, box.T[:-1].tolist()):
+            if low not in store:
+                _box_values(state, low, [_nested_level(state, n, v) for n, v in enumerate(low)])
+    own = _values_at(state, _tensor_product_columns([e.x for e in levels]))
+    # the last dimension first, so that the first varies fastest
+    vals = np.empty((own.shape[0], *(e.order.size for e in reversed(levels))))
+    for n, low in below:
+        part = [slice(None)] * vals.ndim
+        part[-1 - n] = slice(levels[n].order.size - levels[n].x.size)
+        vals[tuple(part)] = store[low].reshape(vals[tuple(part)].shape)
+    corner = tuple(slice(e.order.size - e.x.size, None) for e in reversed(levels))
+    vals[(slice(None),) + corner] = own.reshape(vals[(slice(None),) + corner].shape)
+    vals = store[idx] = vals.reshape(own.shape[0], -1)
+    return vals
+
+
+def _nested_terms(state: AdaptState, candidate) -> tuple[list[_NestedLevel], np.ndarray]:
+    """The candidate's nested table entries and the values on its tensor
+    grid: a fixed function of the candidate and the stored values, however
+    the store was filled."""
+    # every rule first: a level beyond a tabulated family raises before f runs
+    levels = [_nested_level(state, n, v) for n, v in enumerate(candidate)]
+    return levels, _box_values(state, candidate, levels)
+
+
 def error_indicator_quad(candidate, state: AdaptState) -> float:
     """Absolute quadrature change if the candidate joined the accepted set.
 
-    Vector-valued outputs reduce with the max norm.
+    Vector-valued outputs reduce with the max norm.  For nested families
+    the change is the candidate's values against the Kronecker product of
+    its levels' weight differences, for every rule, interpolatory or not.
     """
     candidate = _index_row(candidate)
-    total = None
-    for sign, levels, vals in _detail_terms(state, candidate):
-        q = vals @ _kron_rows([e.rule.weights[None, :] for e in levels])[0]
-        total = sign * q if total is None else total + sign * q
+    if state.controls.nested:
+        levels, vals = _nested_terms(state, candidate)
+        total = vals @ _kron_rows([e.dweights[None, :] for e in levels])[0]
+    else:
+        total = None
+        for sign, levels, vals in _detail_terms(state, candidate):
+            q = vals @ _kron_rows([e.rule.weights[None, :] for e in levels])[0]
+            total = sign * q if total is None else total + sign * q
     return float(np.max(np.abs(total)))
 
 
@@ -267,29 +359,43 @@ def error_indicator_point(candidate, state: AdaptState) -> float:
     """Max interpolant change over the testing points, optionally
     pdf-weighted.
 
-    The testing set is the candidate's genuinely new knots for nested
-    families and its full tensor grid otherwise: the tensor product of its
-    table entries' test nodes.  Each rule's basis at an entry's test nodes
-    is computed once per run; the testing points gather its rows.
+    The testing points are the candidate's new knots for nested families,
+    where the change is their surplus, and its whole tensor grid otherwise,
+    where it is the tensor detail (module docstring).  The surplus weighs
+    each lower rule's Lagrange basis once, as the tensor detail does, so
+    it carries the same round-off where new nodes leave a lower rule's
+    hull.  On the second path each rule's basis at its nodes is computed
+    once per run, and the testing points gather its rows.
     """
     candidate = _index_row(candidate)
-    detail = _detail_terms(state, candidate)
-    own = detail[0][1]
-    rows = _tensor_product_columns([np.arange(e.test_nodes.size) for e in own])
-    terms, bases = [], {}
-    for sign, levels, vals in detail:
-        keys = [e.key for e in levels if e.key is not None]
-        for key in keys:
-            if key not in bases:
-                entry = own[key[0]]
-                basis = entry.bases.get(key)
-                if basis is None:
-                    basis = entry.bases[key] = basis_matrix(*state.rules[key], entry.test_nodes)
-                bases[key] = basis[rows[key[0]]]
-        terms.append((sign, vals, keys))
-    err = np.max(np.abs(_signed_sum(terms, bases, rows.shape[1])), axis=0)  # max over outputs
+    if state.controls.nested:
+        levels, vals = _nested_terms(state, candidate)
+        # the surpluses, one dimension at a time: contract the fastest
+        # axis with its detail rows and move the result to the slowest
+        s = vals
+        for e in levels:
+            s = (s.reshape(-1, e.order.size) @ e.detail.T).T
+        err = np.abs(s.reshape(-1, vals.shape[0])).max(axis=1)  # max over outputs
+        nodes = [e.x for e in levels]
+    else:
+        detail = _detail_terms(state, candidate)
+        own = detail[0][1]
+        nodes = [e.rule.nodes for e in own]
+        rows = _tensor_product_columns([np.arange(x.size) for x in nodes])
+        terms, bases = [], {}
+        for sign, levels, vals in detail:
+            keys = [e.key for e in levels if e.key is not None]
+            for key in keys:
+                if key not in bases:
+                    entry = own[key[0]]
+                    basis = entry.bases.get(key)
+                    if basis is None:
+                        basis = entry.bases[key] = basis_matrix(*state.rules[key], nodes[key[0]])
+                    bases[key] = basis[rows[key[0]]]
+            terms.append((sign, vals, keys))
+        err = np.max(np.abs(_signed_sum(terms, bases, rows.shape[1])), axis=0)
     if state.controls.profit.startswith("weighted"):
-        test_pts = _tensor_product_columns([e.test_nodes for e in own])
+        test_pts = _tensor_product_columns(nodes)
         err = err * np.array([state.controls.pdf_weight(y) for y in test_pts.T])
     return float(np.max(err))
 
@@ -483,6 +589,11 @@ def adapt(
     budget ``max_pts`` is exhausted.  ``f`` is evaluated only at knots not
     seen before.  With buffering enabled, only the leading
     (active + var_buffer_size) dimensions may refine.
+
+    A resume takes the values stored in ``previous`` as values of ``f``:
+    the library cannot know a function's identity, so resuming under
+    another function mixes the two without a word.  The CLI records its
+    ``--fn`` name with the state and refuses such a resume.
     """
     if controls is None:
         raise ConfigurationError("adapt requires controls with the nested flag set")
@@ -499,8 +610,10 @@ def adapt(
         state = AdaptState(dim=dim, families=families, level_map=LevelMap(level_map),
                            controls=controls, f=f)
     try:
-        # new controls act on a copy with fresh tables; margin and controls commit together
-        trial, margin = replace(state, controls=controls), state.margin
+        # new controls act on a copy that shares the records and caches;
+        # margin and controls commit together
+        trial, margin = copy.copy(state), state.margin
+        trial.controls = controls
         if (controls.nested, controls.profit) != (state.controls.nested, state.controls.profit):
             margin = {cand: _profit_of(trial, cand) for cand in margin}  # error and work use both
         if trial.visible_dims() > state.visible_dims():
@@ -508,10 +621,11 @@ def adapt(
             members = set(state.accepted)
             margin.update(_margin_additions(trial, members, trial.visible_dims(), list(members)))
         state.controls, state.margin = controls, margin
-        state.new_nodes.clear()  # test nodes depend on nested
         if not state.accepted:
             root = (1,) * dim
-            _detail_terms(state, root)  # the root's detail is its own tensor
+            # f runs at the root's knots first
+            _values_at(state, _tensor_product_columns(
+                [fam(apply_level_map(state.level_map, 1)).nodes for fam in state.families]))
             additions = _margin_additions(state, {root}, state.visible_dims(), [root])
             state.accepted.append(root)
             state.margin.update(additions)

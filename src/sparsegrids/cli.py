@@ -188,9 +188,13 @@ def _cmd_adapt(args) -> int:
                              f"{list(stored.families)}, {stored.level_map.value}")
         previous = adaptive.restore_state(prev_bundle.adapt_state, fams, level_map,
                                           controls, f)
+        # the record's values are of the function it names; older records name none
+        fn = prev_bundle.adapt_state.get("fn", args.fn)
+        if fn != args.fn:
+            raise UsageError(f"{args.resume} holds values of --fn {fn}, not of --fn {args.fn}")
     result = adapt(f, args.dim, fams, level_map, previous=previous, controls=controls)
     save_grid(args.output, result.extended, result.reduced, result.values_on_reduced,
-              adaptive.serialize_state(result.internal))
+              {**adaptive.serialize_state(result.internal), "fn": args.fn})
     print(f"points: {result.nb_pts}  evaluations: {result.num_evals}  "
           f"integral: {' '.join(repr(float(v)) for v in result.intf)}")
     return 0

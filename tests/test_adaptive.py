@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -10,6 +11,7 @@ from conftest import one_tensor_grid
 
 import sparsegrids as sg
 from sparsegrids import adaptive
+from sparsegrids._bary import barycentric_weights, basis_matrix
 from sparsegrids.adaptive import (
     AdaptControls,
     AdaptEvaluationError,
@@ -417,9 +419,10 @@ def _new_nodes_by_tolerance(fine, coarse):
 
 
 def _direct_point_indicator(state, candidate):
-    """error_indicator_point from its definition: the signed per-tensor sum
-    over the candidate's backward neighbours (product order, the candidate
-    first) on a fresh rule table, at the candidate's test points."""
+    """error_indicator_point from the tensor detail: the signed per-tensor
+    sum over the candidate's backward neighbours (product order, the
+    candidate first) on a fresh rule table, at the candidate's test points
+    (for nested families, its new knots)."""
     fams, lm = state.families, state.level_map
     rules, terms = {}, []
     moving = [n for n, v in enumerate(candidate) if v > 1]
@@ -443,7 +446,16 @@ def _direct_point_indicator(state, candidate):
     return float(np.max(err))
 
 
+def _max_abs_value(state):
+    return max(float(np.max(np.abs(v))) for _, v in state.evaluations.values())
+
+
 class TestRuleTablePath:
+    """Non-nested runs score from the tensor detail, bitwise the direct
+    sum.  Nested runs score from the values on each candidate's tensor
+    grid: a stored error equals its recomputation on a fresh store
+    bitwise, and the tensor detail to round-off."""
+
     RUNS = {
         # several test points per candidate
         "cc-doubling": (3, sg.cc_family(-1, 2), sg.LevelMap.DOUBLING,
@@ -465,19 +477,34 @@ class TestRuleTablePath:
             s = float(y[0] + 0.6 * np.sum(y[1:]))
             return [math.exp(s), math.sin(3.0 * s)][:outputs]
 
-        state = adapt(f, dim, family, level_map, controls=AdaptControls(**controls)).internal
+        controls = AdaptControls(**controls)
+        state = adapt(f, dim, family, level_map, controls=controls).internal
         assert len(state.margin) >= 4
         assert any(max(c) > 2 for c in state.margin)
         evals = state.num_evals
+        fresh = restore_state(serialize_state(state), family, level_map, controls, f)
         for cand, rec in state.margin.items():
             got = error_indicator_point(cand, state)
             assert got == rec.error, cand
-            assert got == _direct_point_indicator(state, cand), cand
-        assert state.num_evals == evals
+            if controls.nested:
+                assert got == error_indicator_point(cand, fresh), cand
+                assert got == pytest.approx(_direct_point_indicator(state, cand), rel=0,
+                                            abs=1e-13 * _max_abs_value(state)), cand
+            else:
+                assert got == _direct_point_indicator(state, cand), cand
+        assert state.num_evals == fresh.num_evals == evals
+        # each path builds only its own cache
+        assert bool(state.tensor_values) is not controls.nested
+        assert bool(state.box_values) is controls.nested
         assert all(v.flags.c_contiguous for v in state.tensor_values.values())
 
 
 class TestTensorValueCache:
+    """The scoring caches (the tensor values of non-nested runs, the box
+    values of nested ones) change nothing but the gathers: a run whose
+    caches are dropped before every indicator call is bitwise the same
+    run."""
+
     RUNS = {
         "leja-point": (3, sg.leja_family(0, 1), sg.LevelMap.LINEAR,
                        dict(nested=True, max_pts=120)),
@@ -504,7 +531,9 @@ class TestTensorValueCache:
             for name in ("error_indicator_point", "error_indicator_quad"):
                 def clearing(candidate, state, indicator=getattr(adaptive, name)):
                     state.tensor_values.clear()
-                    state.new_nodes.clear()
+                    state.levels.clear()
+                    state.nested_levels.clear()
+                    state.box_values.clear()
                     return indicator(candidate, state)
                 monkeypatch.setattr(adaptive, name, clearing)
 
@@ -542,11 +571,18 @@ class TestTensorValueCache:
         with pytest.raises(AdaptEvaluationError) as err:
             adapt(flaky, 2, fam, lm, controls=controls)
         state = err.value.state
-        assert state.tensor_values
-        for idx, vals in state.tensor_values.items():
-            knots = one_tensor_grid(idx, fam, lm).extended()[0]
+        assert state.box_values and not state.tensor_values
+        calls = []
+        fresh = restore_state(serialize_state(state), fam, lm, controls,
+                              lambda y: calls.append(y) or EXPSUM(y))
+        for idx, vals in state.box_values.items():
+            levels = [adaptive._nested_level(state, n, v) for n, v in enumerate(idx)]
+            knots = _tensor_product_columns([e.rule.nodes[e.order] for e in levels])
             assert not np.all(knots == failed[-1][:, None], axis=0).any(), idx
-            assert np.array_equal(vals, adaptive._values_at(state, knots))
+            assert np.array_equal(vals, adaptive._values_at(state, knots)), idx
+            # a fresh store refills it bitwise from the stored values
+            assert np.array_equal(vals, adaptive._nested_terms(fresh, idx)[1]), idx
+        assert not calls
         budget["left"] = 10_000
         resumed = adapt(flaky, 2, fam, lm, previous=state, controls=controls)
         single = adapt(EXPSUM, 2, fam, lm, controls=controls)
@@ -808,7 +844,7 @@ class TestRestoreValidation:
         state = restore_state(doc["adapt_state"], sg.leja_family(-1, 1), sg.LevelMap.LINEAR,
                               AdaptControls(nested=True, max_pts=40), EXPSUM)
         assert len(state.accepted) >= 2 and len(state.margin) >= 1
-        assert serialize_state(state) == doc["adapt_state"]
+        assert {**serialize_state(state), "fn": "expsum"} == doc["adapt_state"]
 
     @pytest.mark.parametrize("case", CASES)
     def test_inconsistent_state_is_named(self, saved_run, case, tmp_path, capsys):
@@ -823,3 +859,262 @@ class TestRestoreValidation:
         assert cli_main(self.ADAPT + ["--max-pts", "60", "--resume", str(path), "-o", out]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"'{name}'" in err
+
+
+def _new_knots(candidate, families, level_map):
+    """The knots of ``candidate``'s tensor grid that no lower index holds."""
+    per_dim = []
+    for fam, v in zip(families, candidate):
+        nodes = fam(sg.apply_level_map(level_map, v)).nodes
+        if v > 1:
+            nodes = _new_nodes_by_tolerance(nodes, fam(sg.apply_level_map(level_map, v - 1)).nodes)
+        per_dim.append(nodes)
+    return _tensor_product_columns(per_dim)
+
+
+def _on(indices, f, families, level_map):
+    grid = sg.build_sparse_grid(sg.MultiIndexSet(sorted(indices)), families, level_map)
+    reduced = sg.reduce_grid(grid)
+    return grid, reduced, evaluate_on_grid(f, reduced)
+
+
+class TestSurplusOracle:
+    """Nested indicators against references outside the scoring code: the
+    change of ``interpolate`` at the candidate's new knots, and of
+    ``quadrature``, when the candidate joins the accepted set."""
+
+    RUNS = {
+        "leja-linear": (3, sg.leja_family(0, 1), sg.LevelMap.LINEAR,
+                        dict(max_pts=60), 1),
+        "leja-two-step-two-outputs": (3, sg.leja_family(-1, 1), sg.LevelMap.TWO_STEP,
+                                      dict(max_pts=80), 2),
+        "cc-doubling": (3, sg.cc_family(-1, 2), sg.LevelMap.DOUBLING, dict(max_pts=120), 1),
+        # levels up to 3; levels 4 and 5 are in test_ill_conditioned_levels
+        "nested-normal-table": (5, sg.gk_family(), sg.LevelMap.GK, dict(max_pts=12), 1),
+        "weighted-leja-normal": (2, sg.weighted_leja_family(sg.DistributionSpec.normal(0, 1)),
+                                 sg.LevelMap.LINEAR, dict(max_pts=60), 1),
+        # rules that do not integrate the level below's interpolant exactly
+        "trap-doubling-deltaint": (2, sg.trap_family(0, 1), sg.LevelMap.DOUBLING,
+                                   dict(profit="deltaint", max_pts=80), 1),
+        "midpoint-tripling-deltaint": (3, sg.midpoint_family(0, 1), sg.LevelMap.TRIPLING,
+                                       dict(profit="deltaint_per_new_points", max_pts=40), 1),
+        "weighted": (2, sg.cc_family(0, 1), sg.LevelMap.DOUBLING,
+                     dict(profit="weighted_Linf_per_new_points", pdf_weight=lambda y: 1.0 + y[0],
+                          max_pts=60), 1),
+        # the four-node Leja rule integrates like Simpson's, so every level-4 change is
+        # round-off; prof_tol 0 refines past it
+        "deltaint": (3, sg.leja_family(0, 1), sg.LevelMap.LINEAR,
+                     dict(profit="deltaint", prof_tol=0.0, max_pts=60), 1),
+    }
+
+    @pytest.mark.parametrize("run", RUNS)
+    def test_indicators_equal_the_grid_differences(self, run):
+        dim, family, level_map, controls, outputs = self.RUNS[run]
+        families = (family,) * dim
+
+        def f(y):
+            s = float(0.8 * y[0] + 0.5 * np.sum(y[1:]))
+            return [math.exp(s), math.cos(2.0 * s)][:outputs]
+
+        controls = AdaptControls(nested=True, **controls)
+        state = adapt(f, dim, families, level_map, controls=controls).internal
+        assert len(state.margin) >= 4
+        assert {v.shape[0] for v in state.box_values.values()} == {outputs}
+        bound = 1e-13 * _max_abs_value(state)
+        small = _on(state.accepted, f, families, level_map)
+        for cand in state.margin:
+            big = _on(state.accepted + [cand], f, families, level_map)
+            pts = _new_knots(cand, families, level_map)
+            change = np.abs(sg.interpolate(*big, pts) - sg.interpolate(*small, pts)).max(axis=0)
+            if controls.profit.startswith("weighted"):
+                change = change * np.array([controls.pdf_weight(y) for y in pts.T])
+            assert error_indicator_point(cand, state) == pytest.approx(
+                float(change.max()), rel=0, abs=bound), cand
+            quad = np.abs(quadrature(big[2], big[1]) - quadrature(small[2], small[1])).max()
+            assert error_indicator_quad(cand, state) == pytest.approx(float(quad), rel=0,
+                                                                      abs=bound), cand
+
+    ILL_CONDITIONED = {
+        # levels 4 and 5 put nodes beyond the hull of the level below
+        "nested-normal-table": (sg.gk_family(), sg.LevelMap.GK),
+        # 27, then 81 equispaced midpoints
+        "midpoint-tripling": (sg.midpoint_family(0, 1), sg.LevelMap.TRIPLING),
+    }
+
+    @pytest.mark.parametrize("run", ILL_CONDITIONED)
+    def test_ill_conditioned_levels(self, run):
+        """Where the level below's Lagrange basis is large at the new nodes,
+        a surplus is a sum of large terms that cancel, however it is
+        computed.  Up to level 5, the point indicator agrees with the
+        reference and with the tensor detail to 1e-14 times the sum of
+        those terms' magnitudes; the quadrature indicator stays within
+        1e-13 x max|f|."""
+        family, level_map = self.ILL_CONDITIONED[run]
+        families = (family,)
+        m = functools.partial(sg.apply_level_map, level_map)
+
+        def f(y):
+            return [math.exp(0.8 * y[0])]
+
+        state = adapt(f, 1, families, level_map,
+                      controls=AdaptControls(nested=True, profit="Linf", max_pts=m(4) + 1)).internal
+        assert state.accepted == [(1,), (2,), (3,), (4,)] and list(state.margin) == [(5,)]
+        bound_quad = 1e-13 * _max_abs_value(state)
+        for v in range(2, 6):
+            low = family(m(v - 1)).nodes
+            new = _new_nodes_by_tolerance(family(m(v)).nodes, low)
+            f_low, f_new = (np.abs([f([x])[0] for x in nodes]) for nodes in (low, new))
+            terms = np.abs(basis_matrix(low, barycentric_weights(low), new)) @ f_low + f_new
+            bound = 1e-14 * float(terms.max())
+            small = _on([(u,) for u in range(1, v)], f, families, level_map)
+            big = _on([(u,) for u in range(1, v + 1)], f, families, level_map)
+            change = float(np.abs(sg.interpolate(*big, new[None, :])
+                                  - sg.interpolate(*small, new[None, :])).max())
+            got = error_indicator_point((v,), state)
+            assert got == pytest.approx(change, rel=0, abs=bound), v
+            assert got == pytest.approx(_direct_point_indicator(state, (v,)), rel=0, abs=bound), v
+            quad = float(np.abs(quadrature(big[2], big[1]) - quadrature(small[2], small[1])).max())
+            assert error_indicator_quad((v,), state) == pytest.approx(quad, rel=0,
+                                                                      abs=bound_quad), v
+
+
+_ANISO = ["adapt", "--dim", "3", "--fn", "expsum", "--knots", "leja",
+          "--domain=0,1x-0.5,1.5x-1,0.25", "--lev2knots", "linear", "--nested"]
+_ANISO_DOMAIN = ((0, 1), (-0.5, 1.5), (-1, 0.25))
+
+
+class TestPinnedHistory:
+    """Two nested runs without exact ties between profits, pinned to the
+    histories and integrals the tensor-detail scoring gave."""
+
+    RUNS = {
+        "leja-linear": (sg.leja_family, sg.LevelMap.LINEAR, "Linf_per_new_points", 200,
+                        "111 121 112 211 122 221 212 222 131 132 231 113 123 232 311 213 321 "
+                        "223 312 322 141 133 142 241 331 233 242 332 114 313 124 151 323 214 "
+                        "411 152 224 251 421 412 252 422 143 341 243 134 333 342 115 125 234 "
+                        "431 215 225 153 432 511 314 521 324 413 351 512 253 423 522 352 161 "
+                        "135 144 162 343 261 235 244 262 441 531 334 315 433 442 325 532 513 "
+                        "154 523 353 171 414 116 145 254 424 172 126 451 163 271 216 245 452 "
+                        "361 272 226 335 263 541 344 362 611 443 533 542 621 612 155 622 434 "
+                        "136 415 255 425 514 173 524 236 551 354 117 371 127 453 181 273 552 "
+                        "316 345 631 164 372 217 326 363 182 227 281 632 543 264 461 282 613 "
+                        "435 623 711 444 534 462 146 721 515 712 525 137 722 355 246 336 237 "
+                        "553 165 174 373 641", 2.4401047184238793),
+        "cc-doubling": (sg.cc_family, sg.LevelMap.DOUBLING, "Linf", 300,
+                        "111 121 112 122 211 221 212 222 131 132 231 232 113 123 213 223 311 "
+                        "321 312 322 133 141 142 233 241 331 242 332 313 323 114 124 214 224 "
+                        "411 421 412", 2.440105071986236),
+    }
+
+    @pytest.mark.parametrize("run", RUNS)
+    def test_history_and_integral(self, run):
+        family, level_map, profit, max_pts, history, intf = self.RUNS[run]
+        res = adapt(get_test_function("expsum"), 3, tuple(family(a, b) for a, b in _ANISO_DOMAIN),
+                    level_map, controls=AdaptControls(nested=True, profit=profit,
+                                                      max_pts=max_pts))
+        assert " ".join("".join(map(str, i)) for i in res.internal.history) == history
+        assert float(res.intf[0]) == intf
+
+
+class TestSurplusResume:
+    """The box store of nested runs is a cache: a resumed run refills it
+    from the stored values without calling f and scores bitwise like an
+    uninterrupted run."""
+
+    FAMILIES = tuple(sg.leja_family(a, b) for a, b in _ANISO_DOMAIN)
+
+    def test_restored_margin_rescores_bitwise_without_calls(self, tmp_path):
+        path = str(tmp_path / "A.json")
+        assert cli_main(_ANISO + ["--max-pts", "150", "-o", path]) == 0
+        record = load_grid(path).adapt_state
+        calls = []
+        f = get_test_function("expsum")
+        state = restore_state(record, self.FAMILIES, sg.LevelMap.LINEAR,
+                              AdaptControls(nested=True), lambda y: calls.append(y) or f(y))
+        assert len(state.margin) >= 20
+        for cand, rec in state.margin.items():
+            assert adaptive._profit_of(state, cand) == rec, cand
+        assert not calls
+        # the refill stores what the scores need: the margin and the indices below it
+        assert set(state.margin) <= set(state.box_values) <= set(state.accepted) | set(
+            state.margin)
+
+    def test_cli_resume_scores_like_an_uninterrupted_run(self, tmp_path):
+        first, path = str(tmp_path / "A.json"), str(tmp_path / "B.json")
+        assert cli_main(_ANISO + ["--max-pts", "100", "-o", first]) == 0
+        assert cli_main(_ANISO + ["--max-pts", "250", "--resume", first, "-o", path]) == 0
+        record = load_grid(path).adapt_state
+        single = adapt(get_test_function("expsum"), 3, self.FAMILIES, sg.LevelMap.LINEAR,
+                       controls=AdaptControls(nested=True, max_pts=250)).internal
+        want = serialize_state(single)
+        assert record["history"] == want["history"]
+        assert record["margin"] == want["margin"]
+
+    def test_resume_after_an_evaluation_error_scores_like_an_uninterrupted_run(self):
+        f = get_test_function("expsum")
+        budget = {"left": 90}
+
+        def flaky(y):
+            if budget["left"] <= 0:
+                raise RuntimeError("quota exhausted")
+            budget["left"] -= 1
+            return f(y)
+
+        controls = AdaptControls(nested=True, max_pts=250)
+        with pytest.raises(AdaptEvaluationError) as err:
+            adapt(flaky, 3, self.FAMILIES, sg.LevelMap.LINEAR, controls=controls)
+        state = restore_state(serialize_state(err.value.state), self.FAMILIES,
+                              sg.LevelMap.LINEAR, controls, f)
+        resumed = adapt(f, 3, self.FAMILIES, sg.LevelMap.LINEAR, previous=state,
+                        controls=controls).internal
+        single = adapt(f, 3, self.FAMILIES, sg.LevelMap.LINEAR, controls=controls).internal
+        assert resumed.history == single.history
+        assert resumed.margin == single.margin
+
+    @pytest.mark.parametrize("profit", ["Linf", "deltaint", "weighted_Linf_per_new_points"])
+    def test_nested_runs_never_reach_the_tensor_detail(self, profit, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("the tensor detail ran in a nested run")
+
+        for name in ("_detail_terms", "_tensor_values", "_level"):
+            monkeypatch.setattr(adaptive, name, unreachable)
+        res = adapt(EXPSUM, 2, sg.cc_family(0, 1), sg.LevelMap.DOUBLING,
+                    controls=AdaptControls(nested=True, profit=profit, max_pts=80,
+                                           pdf_weight=lambda y: 1.0 + y[1]))
+        assert len(res.internal.box_values) == res.extended.index_set.rows.shape[0]
+        assert not res.internal.tensor_values and not res.internal.levels
+
+    def test_non_nested_runs_never_build_the_store(self):
+        res = adapt(EXPSUM, 2, sg.gauss_family(sg.DistributionSpec.uniform(0, 1)),
+                    sg.LevelMap.LINEAR, controls=AdaptControls(nested=False, max_pts=60))
+        assert not res.internal.box_values and not res.internal.nested_levels
+        assert res.internal.tensor_values
+
+
+class TestResumeUnderAnotherFunction:
+    ADAPT = ["adapt", "--dim", "3", "--knots", "leja", "--domain=0,1", "--lev2knots", "linear",
+             "--nested"]
+
+    def test_cli_refuses_a_resume_under_another_fn(self, tmp_path, capsys):
+        first, out = str(tmp_path / "E.json"), tmp_path / "F.json"
+        assert cli_main(self.ADAPT + ["--fn", "expsum", "--max-pts", "100", "-o", first]) == 0
+        assert load_grid(first).adapt_state["fn"] == "expsum"
+        capsys.readouterr()
+        assert cli_main(self.ADAPT + ["--fn", "runge", "--max-pts", "200", "--resume", first,
+                                      "-o", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "expsum" in err and "runge" in err
+        assert not out.exists()
+        assert cli_main(self.ADAPT + ["--fn", "expsum", "--max-pts", "200", "--resume", first,
+                                      "-o", str(out)]) == 0
+
+    def test_a_record_without_a_name_resumes(self, tmp_path):
+        # records written before the name was kept cannot be checked
+        first, out = tmp_path / "E.json", str(tmp_path / "F.json")
+        assert cli_main(self.ADAPT + ["--fn", "expsum", "--max-pts", "30", "-o", str(first)]) == 0
+        doc = json.loads(first.read_text())
+        del doc["adapt_state"]["fn"]
+        first.write_text(json.dumps(doc))
+        assert cli_main(self.ADAPT + ["--fn", "runge", "--max-pts", "60", "--resume", str(first),
+                                      "-o", out]) == 0
+        assert load_grid(out).adapt_state["fn"] == "runge"

@@ -639,6 +639,28 @@ class TestStructuralValidation:
         assert cli_main(["quad", "--grid", str(path), "--fn", "expsum"]) == 1
         assert "stored knots of tensor (1, 3) do not match" in capsys.readouterr().err
 
+    def test_each_stored_rule_is_compared_once(self, saved_bundle, monkeypatch):
+        path, grid = saved_bundle[:2]
+        calls = []
+        allclose = np.allclose
+        monkeypatch.setattr(np, "allclose", lambda *a, **k: calls.append(a) or allclose(*a, **k))
+        load_grid(path)
+        rules = {(n, c) for t in grid.tensors for n, c in enumerate(t.m)}
+        # one comparison per distinct (dimension, node count), one of the reduced knots
+        assert len(calls) == len(rules) + 1 < grid.dim * len(grid.tensors) + 1
+
+    def test_a_mismatch_held_twice_names_the_first_tensor(self, saved_bundle):
+        path = saved_bundle[0]
+        doc = json.loads(path.read_text())
+        holders = [rec for rec in doc["tensors"] if rec["m"][1] == 5]
+        assert len(holders) >= 2
+        for rec in holders:
+            rec["knots_per_dim"][1][2] += 1e-3
+        path.write_text(json.dumps(doc))
+        first = tuple(holders[0]["idx"])
+        with pytest.raises(GridFileError, match=re.escape(f"stored knots of tensor {first} do not")):
+            load_grid(path)
+
     @pytest.mark.parametrize("nodes", [[[0.5], [1.0, 2.0]], ["a"]], ids=["ragged", "string"])
     def test_non_numeric_stored_knots_reported(self, saved_bundle, nodes, capsys):
         path = saved_bundle[0]
