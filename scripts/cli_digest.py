@@ -75,6 +75,10 @@ RUNS = [
     ("adapt-gauss", ["adapt", "--dim", "2", "--fn", "expsum", "--knots", "gauss-legendre",
                      "--domain=0,1", "--max-pts", "200", "--prof", "Linf", "-o", "G.json"],
      ["G.json"]),
+    # non-nested, tie-free: one interval per dimension
+    ("adapt-gauss-aniso", ["adapt", "--dim", "3", "--fn", "expsum", "--knots", "gauss-legendre",
+                           "--domain=0,1x-0.5,1.5x-1,0.25", "--max-pts", "400", "-o", "GA.json"],
+     ["GA.json"]),
     ("build", ["build", "--dim", "3", "--preset", "SM", "--w", "4", "--knots", "cc",
                "--domain=-1,1", "-o", "grid.json"], ["grid.json"]),
     ("pce", ["pce", "--grid", "grid.json", "--fn", "expsum", "-o", "pce.csv"], ["pce.csv"]),

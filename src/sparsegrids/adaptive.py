@@ -4,13 +4,15 @@ The algorithm grows a downward-closed multi-index set greedily: starting
 from the root index, it repeatedly promotes the reduced-margin candidate
 with the largest profit (error indicator, optionally divided by a work
 indicator).  A candidate's error indicator measures its hierarchical
-detail, which only involves the tensor grids below it and is therefore
-fixed once the candidate enters the margin.  Nested runs read it from
-the hierarchical surpluses at the candidate's new knots: one product of
-the values on its tensor grid (``_box_values``, a cache that a resume
-refills without calling f) with the Kronecker product of its levels'
-detail rows (``_nested_level``), applied one dimension at a time.
-Others sum the 2^k tensors of the tensor detail (``_detail_terms``).
+detail, the tensor product of its levels' 1D details, which only
+involves the tensor grids below it and is therefore fixed once the
+candidate enters the margin.  It is one product of the values on the
+candidate's box (``_box_values``, a cache that a resume refills without
+calling f) with the Kronecker product of its levels' detail rows
+(``_level``), applied one dimension at a time.  Each dimension's box axis
+holds the level below's nodes, then the nodes the level adds: the new
+ones for nested families, all of the level's own otherwise, so that the
+box is the union of the 2^k tensor grids the detail sums.
 The returned grid covers the accepted set and its reduced margin,
 fully evaluated.
 """
@@ -18,14 +20,14 @@ fully evaluated.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 
 from ._bary import basis_matrix
-from .evalkit import (EvaluationError, EvaluationTable, _active_key, _gather, _signed_sum,
-                      quadrature)
+from .evalkit import EvaluationError, EvaluationTable, _active_key, _gather, quadrature
 from .gridio import _fields
 from .grid import (
     ReducedGrid,
@@ -40,8 +42,7 @@ from .grid import (
 )
 from .knots import KnotFamily, Rule1D
 from .levels import LevelMap, UnsupportedLevelError, apply_level_map
-from .midx import (MultiIndexSet, _backward_closed, _backward_neighbours, _forward_neighbours,
-                   _index_row)
+from .midx import MultiIndexSet, _backward_closed, _forward_neighbours, _index_row
 
 __all__ = [
     "AdaptControls",
@@ -121,26 +122,19 @@ class _Candidate:
 
 @dataclass
 class _Level:
-    """One (dimension, level) entry of a non-nested run's rule table."""
+    """One (dimension, level) entry of a run's node table: the level's box
+    axis.  Its first positions hold the last m(v - 1) of the level below's
+    axis, the rest are ``x``: the nodes new at the level for nested
+    families, all of its nodes otherwise.  The rule's nodes are the last
+    m(v) of the axis, in the order ``order``."""
 
     rule: Rule1D
-    key: tuple[int, int] | None  # in AdaptState.rules; None for a one-node rule
-    bases: dict  # active key of the dimension -> its basis at the rule's nodes
-
-
-@dataclass
-class _NestedLevel:
-    """One (dimension, level) entry of a nested run's node table.  Nodes are
-    numbered in order of first appearance, so level v's rule holds nodes
-    0 .. m(v) - 1 and the nodes new at v are the last of them."""
-
-    rule: Rule1D
-    order: np.ndarray  # the rule's node positions, in that numbering
-    x: np.ndarray  # the nodes new at the level
-    # new nodes x m(v): a function's value at a new node minus the level
-    # below's interpolant there, as weights of its values at the nodes
+    order: np.ndarray  # the rule's node positions, in axis order
+    x: np.ndarray  # the nodes the level adds to its axis
+    # one row per node of x: a function's value there minus the level
+    # below's interpolant there, as weights of its values on the axis
     detail: np.ndarray
-    dweights: np.ndarray  # m(v): the rule's weights minus those of the level below
+    dweights: np.ndarray  # axis: the rule's weights minus those of the level below
 
 
 @dataclass
@@ -159,15 +153,11 @@ class AdaptState:
     evaluations: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
     active_dims: int = 0
     tols: np.ndarray | None = None
-    # caches, not serialized; none depends on the controls
+    # caches, not serialized
     rules: dict = field(default_factory=dict, init=False, repr=False, compare=False)  # evalkit._active_key
-    # non-nested: multi-index -> value matrix of its tensor grid, from _tensor_values
-    tensor_values: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # non-nested: (dimension, level) -> _Level, from _level
+    # (dimension, level) -> _Level, from _level; its axis layout follows controls.nested
     levels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # nested: (dimension, level) -> _NestedLevel, from _nested_level
-    nested_levels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # nested: multi-index -> values on its tensor grid in node-number order, from _box_values
+    # multi-index -> values on its box in axis order, from _box_values; follows levels
     box_values: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     # read-only views of the records above
@@ -234,75 +224,51 @@ def _values_at(state: AdaptState, knots: np.ndarray) -> np.ndarray:
 
 
 def _level(state: AdaptState, n: int, v: int) -> _Level:
-    """The non-nested rule table entry of dimension ``n`` at level ``v``,
-    made on first use."""
+    """The node table entry of dimension ``n`` at level ``v``, made on
+    first use, after the level below."""
     entry = state.levels.get((n, v))
-    if entry is None:
-        rule = state.families[n](apply_level_map(state.level_map, v))
-        key = _active_key(state.rules, n, state.families[n], rule.nodes.size)
-        entry = state.levels[n, v] = _Level(rule, key, {})
-    return entry
-
-
-def _tensor_values(state: AdaptState, idx, levels) -> np.ndarray:
-    """Values on the tensor grid of ``idx`` with table entries ``levels``
-    (outputs x knots), gathered once per run.  The entry is committed only
-    after every value arrived, so a failing function leaves none for the
-    tensor."""
-    vals = state.tensor_values.get(idx)
-    if vals is None:
-        vals = _values_at(state, _tensor_product_columns([e.rule.nodes for e in levels]))
-        state.tensor_values[idx] = vals
-    return vals
-
-
-def _detail_terms(state: AdaptState, candidate):
-    """(sign, table entries, values) of each tensor in the candidate's
-    hierarchical detail, the candidate's own tensor first."""
-    # every rule first: a level beyond a tabulated family raises before f runs
-    terms = [(sign, idx, [_level(state, n, v) for n, v in enumerate(idx)])
-             for sign, idx in _backward_neighbours(candidate, 1)]
-    return [(sign, levels, _tensor_values(state, idx, levels)) for sign, idx, levels in terms]
-
-
-def _nested_level(state: AdaptState, n: int, v: int) -> _NestedLevel:
-    """The nested node table entry of dimension ``n`` at level ``v``, made
-    on first use, after the level below."""
-    entry = state.nested_levels.get((n, v))
     if entry is None:
         family = state.families[n]
         rule = family(apply_level_map(state.level_map, v))
         m = rule.nodes.size
+        _active_key(state.rules, n, family, m)  # the duplicate-node check
+        fresh = order = np.arange(m)
         if v == 1:
-            order, k, detail, dweights = np.arange(m), 0, np.eye(m), rule.weights
+            detail, dweights = np.eye(m), rule.weights
         else:
-            low = _nested_level(state, n, v - 1)
-            tol = _reference_tolerances(state)[n : n + 1]
-            where = {key: p for p, key in enumerate(lattice_keys(rule.nodes[None, :], tol))}
-            old = [where.get(key) for key in lattice_keys(low.rule.nodes[low.order][None, :], tol)]
-            if None in old:
-                raise ConfigurationError(f"controls say nested, but the dimension {n + 1} nodes "
-                                         f"of level {v - 1} are not all among those of level {v}")
-            new = np.ones(m, dtype=bool)
-            new[old] = False
-            order, k = np.concatenate([old, np.flatnonzero(new)]), len(old)
-            # the level below's Lagrange basis at the new nodes, in node-number order
+            low = _level(state, n, v - 1)
+            k = low.rule.nodes.size
+            if state.controls.nested:
+                tol = _reference_tolerances(state)[n : n + 1]
+                where = {key: p for p, key in enumerate(lattice_keys(rule.nodes[None, :], tol))}
+                old = [where.get(key) for key in lattice_keys(low.rule.nodes[low.order][None, :],
+                                                              tol)]
+                if None in old:
+                    raise ConfigurationError(f"controls say nested, but the dimension {n + 1} "
+                                             f"nodes of level {v - 1} are not all among those "
+                                             f"of level {v}")
+                new = np.ones(m, dtype=bool)
+                new[old] = False
+                fresh = np.flatnonzero(new)
+                order = np.concatenate([old, fresh])
+            # the level below's Lagrange basis at x, in its axis order
             key = _active_key(state.rules, n, family, k)
-            basis = (np.ones((m - k, 1)) if key is None
-                     else basis_matrix(*state.rules[key], rule.nodes[new])[:, low.order])
-            detail = np.hstack([-basis, np.eye(m - k)])
-            dweights = rule.weights[order] - np.pad(low.rule.weights[low.order], (0, m - k))
-        entry = state.nested_levels[n, v] = _NestedLevel(rule, order, rule.nodes[order[k:]],
-                                                         detail, dweights)
+            basis = (np.ones((fresh.size, 1)) if key is None
+                     else basis_matrix(*state.rules[key], rule.nodes[fresh])[:, low.order])
+            detail = np.hstack([-basis, np.eye(fresh.size)])
+            size = k + fresh.size
+            dweights = (np.pad(rule.weights[order], (size - m, 0))
+                        - np.pad(low.rule.weights[low.order], (0, size - k)))
+        entry = state.levels[n, v] = _Level(rule, order, rule.nodes[fresh], detail, dweights)
     return entry
 
 
 def _box_values(state: AdaptState, idx, levels) -> np.ndarray:
-    """Values on the tensor grid of ``idx`` with nested table entries
-    ``levels``, in node-number order (outputs x knots, first dimension
-    fastest), stored once per run.  Only the knots new at ``idx`` are
-    gathered; the others are copied from the indices just below, which a
-    fresh store (a resume) first fills from the stored values."""
+    """Values on the box of ``idx`` with table entries ``levels``, in axis
+    order (outputs x knots, first dimension fastest), stored once per run.
+    Only the corner of the ``x`` nodes is gathered; the rest is copied from
+    the boxes just below, which a fresh store (a resume) first fills from
+    the stored values."""
     store = state.box_values
     vals = store.get(idx)
     if vals is not None:
@@ -313,45 +279,40 @@ def _box_values(state: AdaptState, idx, levels) -> np.ndarray:
         box = _tensor_product_columns([np.arange(1, v + 1) for v in idx])
         for low in map(tuple, box.T[:-1].tolist()):
             if low not in store:
-                _box_values(state, low, [_nested_level(state, n, v) for n, v in enumerate(low)])
+                _box_values(state, low, [_level(state, n, v) for n, v in enumerate(low)])
     own = _values_at(state, _tensor_product_columns([e.x for e in levels]))
     # the last dimension first, so that the first varies fastest
-    vals = np.empty((own.shape[0], *(e.order.size for e in reversed(levels))))
+    vals = np.empty((own.shape[0], *(e.dweights.size for e in reversed(levels))))
     for n, low in below:
-        part = [slice(None)] * vals.ndim
-        part[-1 - n] = slice(levels[n].order.size - levels[n].x.size)
-        vals[tuple(part)] = store[low].reshape(vals[tuple(part)].shape)
-    corner = tuple(slice(e.order.size - e.x.size, None) for e in reversed(levels))
+        # the first k positions of the axis are the last k of the level below's
+        k = levels[n].dweights.size - levels[n].x.size
+        part, take, shape = [slice(None)] * vals.ndim, [slice(None)] * vals.ndim, list(vals.shape)
+        part[-1 - n], take[-1 - n], shape[-1 - n] = slice(k), slice(-k, None), -1
+        vals[tuple(part)] = store[low].reshape(shape)[tuple(take)]
+    corner = tuple(slice(e.dweights.size - e.x.size, None) for e in reversed(levels))
     vals[(slice(None),) + corner] = own.reshape(vals[(slice(None),) + corner].shape)
     vals = store[idx] = vals.reshape(own.shape[0], -1)
     return vals
 
 
-def _nested_terms(state: AdaptState, candidate) -> tuple[list[_NestedLevel], np.ndarray]:
-    """The candidate's nested table entries and the values on its tensor
-    grid: a fixed function of the candidate and the stored values, however
-    the store was filled."""
+def _terms(state: AdaptState, candidate) -> tuple[list[_Level], np.ndarray]:
+    """The candidate's table entries and the values on its box: a fixed
+    function of the candidate and the stored values, however the store
+    was filled."""
     # every rule first: a level beyond a tabulated family raises before f runs
-    levels = [_nested_level(state, n, v) for n, v in enumerate(candidate)]
+    levels = [_level(state, n, v) for n, v in enumerate(candidate)]
     return levels, _box_values(state, candidate, levels)
 
 
 def error_indicator_quad(candidate, state: AdaptState) -> float:
     """Absolute quadrature change if the candidate joined the accepted set.
 
-    Vector-valued outputs reduce with the max norm.  For nested families
-    the change is the candidate's values against the Kronecker product of
-    its levels' weight differences, for every rule, interpolatory or not.
+    Vector-valued outputs reduce with the max norm.  The change is the
+    candidate's box values against the Kronecker product of its levels'
+    weight differences, for every rule, interpolatory or not.
     """
-    candidate = _index_row(candidate)
-    if state.controls.nested:
-        levels, vals = _nested_terms(state, candidate)
-        total = vals @ _kron_rows([e.dweights[None, :] for e in levels])[0]
-    else:
-        total = None
-        for sign, levels, vals in _detail_terms(state, candidate):
-            q = vals @ _kron_rows([e.rule.weights[None, :] for e in levels])[0]
-            total = sign * q if total is None else total + sign * q
+    levels, vals = _terms(state, _index_row(candidate))
+    total = vals @ _kron_rows([e.dweights[None, :] for e in levels])[0]
     return float(np.max(np.abs(total)))
 
 
@@ -359,43 +320,22 @@ def error_indicator_point(candidate, state: AdaptState) -> float:
     """Max interpolant change over the testing points, optionally
     pdf-weighted.
 
-    The testing points are the candidate's new knots for nested families,
-    where the change is their surplus, and its whole tensor grid otherwise,
-    where it is the tensor detail (module docstring).  The surplus weighs
-    each lower rule's Lagrange basis once, as the tensor detail does, so
-    it carries the same round-off where new nodes leave a lower rule's
-    hull.  On the second path each rule's basis at its nodes is computed
-    once per run, and the testing points gather its rows.
+    The testing points are the tensor product of the levels' ``x``: the
+    candidate's new knots for nested families, its whole tensor grid
+    otherwise.  The change there is the hierarchical detail (module
+    docstring), which weighs each lower rule's Lagrange basis once, so it
+    carries that basis's round-off where new nodes leave a lower rule's
+    hull.
     """
-    candidate = _index_row(candidate)
-    if state.controls.nested:
-        levels, vals = _nested_terms(state, candidate)
-        # the surpluses, one dimension at a time: contract the fastest
-        # axis with its detail rows and move the result to the slowest
-        s = vals
-        for e in levels:
-            s = (s.reshape(-1, e.order.size) @ e.detail.T).T
-        err = np.abs(s.reshape(-1, vals.shape[0])).max(axis=1)  # max over outputs
-        nodes = [e.x for e in levels]
-    else:
-        detail = _detail_terms(state, candidate)
-        own = detail[0][1]
-        nodes = [e.rule.nodes for e in own]
-        rows = _tensor_product_columns([np.arange(x.size) for x in nodes])
-        terms, bases = [], {}
-        for sign, levels, vals in detail:
-            keys = [e.key for e in levels if e.key is not None]
-            for key in keys:
-                if key not in bases:
-                    entry = own[key[0]]
-                    basis = entry.bases.get(key)
-                    if basis is None:
-                        basis = entry.bases[key] = basis_matrix(*state.rules[key], nodes[key[0]])
-                    bases[key] = basis[rows[key[0]]]
-            terms.append((sign, vals, keys))
-        err = np.max(np.abs(_signed_sum(terms, bases, rows.shape[1])), axis=0)
+    levels, vals = _terms(state, _index_row(candidate))
+    # one dimension at a time: contract the fastest axis with its detail
+    # rows and move the result to the slowest
+    s = vals
+    for e in levels:
+        s = (s.reshape(-1, e.dweights.size) @ e.detail.T).T
+    err = np.abs(s.reshape(-1, vals.shape[0])).max(axis=1)  # max over outputs
     if state.controls.profit.startswith("weighted"):
-        test_pts = _tensor_product_columns(nodes)
+        test_pts = _tensor_product_columns([e.x for e in levels])
         err = err * np.array([state.controls.pdf_weight(y) for y in test_pts.T])
     return float(np.max(err))
 
@@ -406,7 +346,8 @@ def _profit_of(state: AdaptState, candidate) -> _Candidate:
         err = error_indicator_quad(candidate, state)
     else:
         err = error_indicator_point(candidate, state)
-    work = work_indicator(candidate, state.controls.nested, state.level_map)
+    # work_indicator: the knots the candidate adds, the new ones if nested
+    work = math.prod(_level(state, n, v).x.size for n, v in enumerate(candidate))
     profit = err / work if kind.endswith("per_new_points") else err
     return _Candidate(error=err, work=work, profit=profit)
 
@@ -611,9 +552,11 @@ def adapt(
                            controls=controls, f=f)
     try:
         # new controls act on a copy that shares the records and caches;
-        # margin and controls commit together
+        # margin, controls and the caches that follow nested commit together
         trial, margin = copy.copy(state), state.margin
         trial.controls = controls
+        if controls.nested != state.controls.nested:
+            trial.levels, trial.box_values = {}, {}
         if (controls.nested, controls.profit) != (state.controls.nested, state.controls.profit):
             margin = {cand: _profit_of(trial, cand) for cand in margin}  # error and work use both
         if trial.visible_dims() > state.visible_dims():
@@ -621,6 +564,7 @@ def adapt(
             members = set(state.accepted)
             margin.update(_margin_additions(trial, members, trial.visible_dims(), list(members)))
         state.controls, state.margin = controls, margin
+        state.levels, state.box_values = trial.levels, trial.box_values
         if not state.accepted:
             root = (1,) * dim
             # f runs at the root's knots first

@@ -237,23 +237,17 @@ def _compile(grid: SparseGrid, reduced: ReducedGrid, values) -> tuple[dict, list
                    for t, start in zip(grid.tensors, grid.tensor_offsets())]
 
 
-def _signed_sum(tensors, bases: dict, count: int) -> np.ndarray:
-    """Sum over compiled (coefficient, value matrix, active keys) tensors of
-    the coefficient times the tensor interpolant at ``count`` points, given
-    ``bases``: each active key's 1D basis matrix at those points."""
-    out = np.zeros((tensors[0][1].shape[0], count))
-    for coeff, tv, keys in tensors:
-        basis = _kron_rows([bases[key] for key in keys]) if keys else np.ones((count, 1))
-        out += coeff * (tv @ basis.T)
-    return out
-
-
 def _tensor_sum(rules: dict, tensors, points: np.ndarray) -> np.ndarray:
-    """``_signed_sum`` at ``points`` (dim x Q); each 1D basis the tensors use
-    is evaluated once and shared."""
+    """Sum over compiled (coefficient, value matrix, active keys) tensors of
+    the coefficient times the tensor interpolant at ``points`` (dim x Q);
+    each 1D basis the tensors use is evaluated once and shared."""
     used = {key for _, _, keys in tensors for key in keys}
     bases = {key: basis_matrix(*rules[key], points[key[0]]) for key in used}
-    return _signed_sum(tensors, bases, points.shape[1])
+    out = np.zeros((tensors[0][1].shape[0], points.shape[1]))
+    for coeff, tv, keys in tensors:
+        basis = _kron_rows([bases[key] for key in keys]) if keys else np.ones((points.shape[1], 1))
+        out += coeff * (tv @ basis.T)
+    return out
 
 
 class _ReducedWeights:

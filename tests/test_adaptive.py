@@ -451,10 +451,9 @@ def _max_abs_value(state):
 
 
 class TestRuleTablePath:
-    """Non-nested runs score from the tensor detail, bitwise the direct
-    sum.  Nested runs score from the values on each candidate's tensor
-    grid: a stored error equals its recomputation on a fresh store
-    bitwise, and the tensor detail to round-off."""
+    """Every run scores from the values on each candidate's box: a stored
+    error equals its recomputation on a fresh store bitwise, and the
+    tensor detail to round-off."""
 
     RUNS = {
         # several test points per candidate
@@ -486,24 +485,17 @@ class TestRuleTablePath:
         for cand, rec in state.margin.items():
             got = error_indicator_point(cand, state)
             assert got == rec.error, cand
-            if controls.nested:
-                assert got == error_indicator_point(cand, fresh), cand
-                assert got == pytest.approx(_direct_point_indicator(state, cand), rel=0,
-                                            abs=1e-13 * _max_abs_value(state)), cand
-            else:
-                assert got == _direct_point_indicator(state, cand), cand
+            assert got == error_indicator_point(cand, fresh), cand
+            assert got == pytest.approx(_direct_point_indicator(state, cand), rel=0,
+                                        abs=1e-13 * _max_abs_value(state)), cand
         assert state.num_evals == fresh.num_evals == evals
-        # each path builds only its own cache
-        assert bool(state.tensor_values) is not controls.nested
-        assert bool(state.box_values) is controls.nested
-        assert all(v.flags.c_contiguous for v in state.tensor_values.values())
+        assert all(v.flags.c_contiguous for v in state.box_values.values())
 
 
 class TestTensorValueCache:
-    """The scoring caches (the tensor values of non-nested runs, the box
-    values of nested ones) change nothing but the gathers: a run whose
-    caches are dropped before every indicator call is bitwise the same
-    run."""
+    """The scoring caches (the node table and the box values) change
+    nothing but the gathers: a run whose caches are dropped before every
+    indicator call is bitwise the same run."""
 
     RUNS = {
         "leja-point": (3, sg.leja_family(0, 1), sg.LevelMap.LINEAR,
@@ -530,9 +522,7 @@ class TestTensorValueCache:
         if cleared:
             for name in ("error_indicator_point", "error_indicator_quad"):
                 def clearing(candidate, state, indicator=getattr(adaptive, name)):
-                    state.tensor_values.clear()
                     state.levels.clear()
-                    state.nested_levels.clear()
                     state.box_values.clear()
                     return indicator(candidate, state)
                 monkeypatch.setattr(adaptive, name, clearing)
@@ -571,17 +561,17 @@ class TestTensorValueCache:
         with pytest.raises(AdaptEvaluationError) as err:
             adapt(flaky, 2, fam, lm, controls=controls)
         state = err.value.state
-        assert state.box_values and not state.tensor_values
+        assert state.box_values
         calls = []
         fresh = restore_state(serialize_state(state), fam, lm, controls,
                               lambda y: calls.append(y) or EXPSUM(y))
         for idx, vals in state.box_values.items():
-            levels = [adaptive._nested_level(state, n, v) for n, v in enumerate(idx)]
+            levels = [adaptive._level(state, n, v) for n, v in enumerate(idx)]
             knots = _tensor_product_columns([e.rule.nodes[e.order] for e in levels])
             assert not np.all(knots == failed[-1][:, None], axis=0).any(), idx
             assert np.array_equal(vals, adaptive._values_at(state, knots)), idx
             # a fresh store refills it bitwise from the stored values
-            assert np.array_equal(vals, adaptive._nested_terms(fresh, idx)[1]), idx
+            assert np.array_equal(vals, adaptive._terms(fresh, idx)[1]), idx
         assert not calls
         budget["left"] = 10_000
         resumed = adapt(flaky, 2, fam, lm, previous=state, controls=controls)
@@ -645,24 +635,26 @@ class TestResumeRescoring:
         assert load_grid(path).adapt_state["history"] == [list(i) for i in lib.internal.history]
         assert printed == [repr(float(v)) for v in lib.intf]
 
+    @pytest.mark.parametrize("nested", [False, True], ids=["to-non-nested", "to-nested"])
     @pytest.mark.parametrize("via", ["library", "cli"])
-    def test_flipped_nested_rescores_every_margin_entry(self, via, tmp_path, capsys):
+    def test_flipped_nested_rescores_every_margin_entry(self, via, nested, tmp_path, capsys):
         # the first run stopped past 100 points, so the resume stops at once
         # and its margin is the first run's, rescored
         f = get_test_function("expsum")
-        controls = AdaptControls(nested=False, max_pts=100)
+        controls = AdaptControls(nested=nested, max_pts=100)
         if via == "library":
-            first = adapt(f, 3, *_LEJA_3D, controls=AdaptControls(nested=True, max_pts=100))
+            first = adapt(f, 3, *_LEJA_3D, controls=AdaptControls(nested=not nested, max_pts=100))
             record = serialize_state(adapt(f, 3, *_LEJA_3D, previous=first,
                                            controls=controls).internal)
         else:
             first, path = str(tmp_path / "A.json"), str(tmp_path / "B.json")
-            assert cli_main(_ADAPT_3D + ["--max-pts", "100", "-o", first]) == 0
-            assert cli_main(_ADAPT_3D[:-1] + ["--max-pts", "100", "--resume", first,
-                                              "-o", path]) == 0
+            args = {True: _ADAPT_3D, False: _ADAPT_3D[:-1]}
+            assert cli_main(args[not nested] + ["--max-pts", "100", "-o", first]) == 0
+            assert cli_main(args[nested] + ["--max-pts", "100", "--resume", first,
+                                            "-o", path]) == 0
             record = load_grid(path).adapt_state
         state = restore_state(record, *_LEJA_3D, controls, f)  # a fresh rule table
-        assert not state.controls.nested and len(state.margin) >= 6
+        assert state.controls.nested is nested and len(state.margin) >= 6
         for cand, rec in state.margin.items():
             assert adaptive._profit_of(state, cand) == rec, cand
 
@@ -861,12 +853,13 @@ class TestRestoreValidation:
         assert err.startswith("error: ") and f"'{name}'" in err
 
 
-def _new_knots(candidate, families, level_map):
-    """The knots of ``candidate``'s tensor grid that no lower index holds."""
+def _new_knots(candidate, families, level_map, nested=True):
+    """The knots of ``candidate``'s tensor grid that no lower index holds,
+    or all of them unless ``nested``."""
     per_dim = []
     for fam, v in zip(families, candidate):
         nodes = fam(sg.apply_level_map(level_map, v)).nodes
-        if v > 1:
+        if nested and v > 1:
             nodes = _new_nodes_by_tolerance(nodes, fam(sg.apply_level_map(level_map, v - 1)).nodes)
         per_dim.append(nodes)
     return _tensor_product_columns(per_dim)
@@ -879,8 +872,9 @@ def _on(indices, f, families, level_map):
 
 
 class TestSurplusOracle:
-    """Nested indicators against references outside the scoring code: the
-    change of ``interpolate`` at the candidate's new knots, and of
+    """The indicators against references outside the scoring code: the
+    change of ``interpolate`` at the candidate's testing points (its new
+    knots if nested, its whole tensor grid otherwise), and of
     ``quadrature``, when the candidate joins the accepted set."""
 
     RUNS = {
@@ -905,6 +899,22 @@ class TestSurplusOracle:
         # round-off; prof_tol 0 refines past it
         "deltaint": (3, sg.leja_family(0, 1), sg.LevelMap.LINEAR,
                      dict(profit="deltaint", prof_tol=0.0, max_pts=60), 1),
+        # non-nested runs
+        "gauss-legendre-two-outputs": (3, sg.gauss_family(sg.DistributionSpec.uniform(0, 1)),
+                                       sg.LevelMap.LINEAR, dict(nested=False, max_pts=80), 2),
+        "gauss-hermite-deltaint": (2, sg.gauss_family(sg.DistributionSpec.normal(0.3, 2)),
+                                   sg.LevelMap.LINEAR,
+                                   dict(nested=False, profit="deltaint", max_pts=60), 1),
+        # Clenshaw-Curtis rules under the linear map share only some nodes
+        "cc-linear": (3, sg.cc_family(-1, 2), sg.LevelMap.LINEAR,
+                      dict(nested=False, max_pts=80), 1),
+        "midpoint-doubling-deltaint": (3, sg.midpoint_family(0, 1), sg.LevelMap.DOUBLING,
+                                       dict(nested=False, profit="deltaint_per_new_points",
+                                            max_pts=60), 1),
+        "gauss-legendre-weighted": (2, sg.gauss_family(sg.DistributionSpec.uniform(0, 1)),
+                                    sg.LevelMap.LINEAR,
+                                    dict(nested=False, profit="weighted_Linf_per_new_points",
+                                         pdf_weight=lambda y: 1.0 + y[0], max_pts=60), 1),
     }
 
     @pytest.mark.parametrize("run", RUNS)
@@ -916,7 +926,7 @@ class TestSurplusOracle:
             s = float(0.8 * y[0] + 0.5 * np.sum(y[1:]))
             return [math.exp(s), math.cos(2.0 * s)][:outputs]
 
-        controls = AdaptControls(nested=True, **controls)
+        controls = AdaptControls(**{"nested": True} | controls)
         state = adapt(f, dim, families, level_map, controls=controls).internal
         assert len(state.margin) >= 4
         assert {v.shape[0] for v in state.box_values.values()} == {outputs}
@@ -924,7 +934,7 @@ class TestSurplusOracle:
         small = _on(state.accepted, f, families, level_map)
         for cand in state.margin:
             big = _on(state.accepted + [cand], f, families, level_map)
-            pts = _new_knots(cand, families, level_map)
+            pts = _new_knots(cand, families, level_map, controls.nested)
             change = np.abs(sg.interpolate(*big, pts) - sg.interpolate(*small, pts)).max(axis=0)
             if controls.profit.startswith("weighted"):
                 change = change * np.array([controls.pdf_weight(y) for y in pts.T])
@@ -983,9 +993,13 @@ _ANISO = ["adapt", "--dim", "3", "--fn", "expsum", "--knots", "leja",
 _ANISO_DOMAIN = ((0, 1), (-0.5, 1.5), (-1, 0.25))
 
 
+def _gauss_legendre(a, b):
+    return sg.gauss_family(sg.DistributionSpec.uniform(a, b))
+
+
 class TestPinnedHistory:
-    """Two nested runs without exact ties between profits, pinned to the
-    histories and integrals the tensor-detail scoring gave."""
+    """Runs without exact ties between profits, pinned to the histories
+    and integrals the tensor-detail scoring gave."""
 
     RUNS = {
         "leja-linear": (sg.leja_family, sg.LevelMap.LINEAR, "Linf_per_new_points", 200,
@@ -1004,22 +1018,31 @@ class TestPinnedHistory:
                         "111 121 112 122 211 221 212 222 131 132 231 232 113 123 213 223 311 "
                         "321 312 322 133 141 142 233 241 331 242 332 313 323 114 124 214 224 "
                         "411 421 412", 2.440105071986236),
+        # non-nested
+        "gauss-legendre-linear": (_gauss_legendre, sg.LevelMap.LINEAR, "Linf_per_new_points", 300,
+                                  "111 121 112 211 122 221 131 212 113 222 311 132 231 123 141 "
+                                  "321 213 312 232 114 142 223 133 241 322 411 331 151 124 421 "
+                                  "313 214 242 233 412", 2.4401050624925813),
+        "gauss-legendre-deltaint": (_gauss_legendre, sg.LevelMap.LINEAR, "deltaint", 300,
+                                    "111 121 112 211 122 221 131 212 113 222 132 311 231 123 321 "
+                                    "141 213 312 232 223 322 133 142 114 241 331 411 124 151 313 "
+                                    "233 242 421 214 332 412", 2.4401050624925813),
     }
 
     @pytest.mark.parametrize("run", RUNS)
     def test_history_and_integral(self, run):
         family, level_map, profit, max_pts, history, intf = self.RUNS[run]
         res = adapt(get_test_function("expsum"), 3, tuple(family(a, b) for a, b in _ANISO_DOMAIN),
-                    level_map, controls=AdaptControls(nested=True, profit=profit,
-                                                      max_pts=max_pts))
+                    level_map, controls=AdaptControls(nested=family is not _gauss_legendre,
+                                                      profit=profit, max_pts=max_pts))
         assert " ".join("".join(map(str, i)) for i in res.internal.history) == history
         assert float(res.intf[0]) == intf
 
 
 class TestSurplusResume:
-    """The box store of nested runs is a cache: a resumed run refills it
-    from the stored values without calling f and scores bitwise like an
-    uninterrupted run."""
+    """The box store is a cache: a resumed run refills it from the stored
+    values without calling f and scores bitwise like an uninterrupted
+    run."""
 
     FAMILIES = tuple(sg.leja_family(a, b) for a, b in _ANISO_DOMAIN)
 
@@ -1070,25 +1093,6 @@ class TestSurplusResume:
         single = adapt(f, 3, self.FAMILIES, sg.LevelMap.LINEAR, controls=controls).internal
         assert resumed.history == single.history
         assert resumed.margin == single.margin
-
-    @pytest.mark.parametrize("profit", ["Linf", "deltaint", "weighted_Linf_per_new_points"])
-    def test_nested_runs_never_reach_the_tensor_detail(self, profit, monkeypatch):
-        def unreachable(*args):
-            raise AssertionError("the tensor detail ran in a nested run")
-
-        for name in ("_detail_terms", "_tensor_values", "_level"):
-            monkeypatch.setattr(adaptive, name, unreachable)
-        res = adapt(EXPSUM, 2, sg.cc_family(0, 1), sg.LevelMap.DOUBLING,
-                    controls=AdaptControls(nested=True, profit=profit, max_pts=80,
-                                           pdf_weight=lambda y: 1.0 + y[1]))
-        assert len(res.internal.box_values) == res.extended.index_set.rows.shape[0]
-        assert not res.internal.tensor_values and not res.internal.levels
-
-    def test_non_nested_runs_never_build_the_store(self):
-        res = adapt(EXPSUM, 2, sg.gauss_family(sg.DistributionSpec.uniform(0, 1)),
-                    sg.LevelMap.LINEAR, controls=AdaptControls(nested=False, max_pts=60))
-        assert not res.internal.box_values and not res.internal.nested_levels
-        assert res.internal.tensor_values
 
 
 class TestResumeUnderAnotherFunction:
