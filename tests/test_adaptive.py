@@ -635,8 +635,10 @@ class TestResumeRescoring:
         assert load_grid(path).adapt_state["history"] == [list(i) for i in lib.internal.history]
         assert printed == [repr(float(v)) for v in lib.intf]
 
-    @pytest.mark.parametrize("nested", [False, True], ids=["to-non-nested", "to-nested"])
-    @pytest.mark.parametrize("via", ["library", "cli"])
+    # a nested record resumed as non-nested, then a non-nested one resumed as nested
+    @pytest.mark.parametrize("via, nested", [("library", False), ("cli", False),
+                                             ("library", True), ("cli", True)],
+                             ids=["library", "cli", "library-to-nested", "cli-to-nested"])
     def test_flipped_nested_rescores_every_margin_entry(self, via, nested, tmp_path, capsys):
         # the first run stopped past 100 points, so the resume stops at once
         # and its margin is the first run's, rescored
