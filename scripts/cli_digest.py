@@ -14,11 +14,15 @@ output line reads ``<run> <stdout|file> <sha256>``.  Two commits are
 bitwise equal on these runs when the printed lines are identical.  Given
 two directories, the script runs the list against each and prints only
 the lines that differ, as a ``-`` line of OLD_SRC and a ``+`` line of
-NEW_SRC; it exits 1 if any differ.
+NEW_SRC, each pair followed by the size of the difference: how many of
+the numbers in that stdout or file changed and the largest relative
+change among them (or that the text around the numbers differs); it
+exits 1 if any differ.
 """
 
 import hashlib
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -127,12 +131,35 @@ RUNS = [
 ]
 
 
+_NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:inf|nan)\b")
+
+
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _digest(src: str) -> list[str] | None:
-    """The output lines of every run against ``src``; None if a run fails."""
+def _size(old: bytes, new: bytes) -> str:
+    """How many numbers differ between two outputs, and the largest
+    relative change |new - old| / max(|old|, |new|) among them with the
+    pair of numbers it was read from."""
+    a, b = _NUMBER.findall(old), _NUMBER.findall(new)
+    if len(a) != len(b) or _NUMBER.sub(b"#", old) != _NUMBER.sub(b"#", new):
+        return "the text around the numbers differs"
+    # not empty: equal numbers in equal surrounding text would be equal bytes
+    changed = [(x.decode(), y.decode()) for x, y in zip(a, b) if x != y]
+
+    def rel(pair):
+        x, y = map(float, pair)
+        return abs(y - x) / max(abs(x), abs(y)) if x != y else 0.0
+
+    worst = max(changed, key=rel)
+    return (f"{len(changed)} of {len(a)} numbers changed, largest relative change "
+            f"{rel(worst):.2g} ({worst[0]} -> {worst[1]})")
+
+
+def _digest(src: str) -> list[tuple[str, bytes]] | None:
+    """The output lines of every run against ``src``, each with the bytes
+    it hashes; None if a run fails."""
     env = dict(os.environ, PYTHONPATH=src)
     lines = []
     with tempfile.TemporaryDirectory() as tmp:
@@ -143,10 +170,11 @@ def _digest(src: str) -> list[str] | None:
                 sys.stderr.write(proc.stderr.decode())
                 print(f"{name} failed with exit code {proc.returncode}", file=sys.stderr)
                 return None
-            lines.append(f"{name} stdout {_sha256(proc.stdout)}")
+            lines.append((f"{name} stdout {_sha256(proc.stdout)}", proc.stdout))
             for path in outputs:
                 with open(os.path.join(tmp, path), "rb") as fh:
-                    lines.append(f"{name} {path} {_sha256(fh.read())}")
+                    data = fh.read()
+                lines.append((f"{name} {path} {_sha256(data)}", data))
     return lines
 
 
@@ -155,11 +183,11 @@ def main(argv) -> int:
     if None in digests:
         return 1
     if len(digests) == 1:
-        print("\n".join(digests[0]))
+        print("\n".join(line for line, _ in digests[0]))
         return 0
-    changed = [(a, b) for a, b in zip(*digests) if a != b]
-    for a, b in changed:
-        print(f"- {a}\n+ {b}")
+    changed = [(a, b) for a, b in zip(*digests) if a[0] != b[0]]
+    for (a, old), (b, new) in changed:
+        print(f"- {a}\n+ {b}\n  {_size(old, new)}")
     return 1 if changed else 0
 
 

@@ -7,10 +7,10 @@ computed once when the interpolant is built.
 
 * Per tensor (``_tensor_sum``), for large chunks: each distinct rule's
   basis is evaluated once per chunk; each tensor gathers its values from
-  the reduced table through the extended->reduced map, forms the row-wise
-  Kronecker product of its active dimensions' bases (those with more than
-  one node) and adds its share with the combination coefficient.  The
-  Kronecker products share partial products across a tensor's knots.
+  the reduced table through the extended->reduced map, contracts them
+  with its active dimensions' bases (those with more than one node) one
+  dimension at a time, never forming their Kronecker product, and adds
+  its share with the combination coefficient.
 * Reduced weights (``_ReducedWeights``), for small chunks: the
   interpolant at Q points is ``V @ W`` with V the reduced value table and
   W (reduced knots x Q) the reduced-knot weights.  Each extended knot's
@@ -35,8 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (ReducedGrid, SparseGrid, _extended_positions, _kron_rows, lattice_keys,
-                   reduce_grid)
+from .grid import ReducedGrid, SparseGrid, _extended_positions, lattice_keys, reduce_grid
 from ._bary import barycentric_weights, basis_matrix
 
 __all__ = [
@@ -53,8 +52,9 @@ __all__ = [
 _QUERY_CHUNK = 512
 # a chunk of Q query points on a grid of E extended knots and T tensors
 # takes the reduced weights when E * Q <= _REDUCED_WEIGHTS_PER_TENSOR * T
-# (module docstring); about where both paths took equal time on a d=10
-# Smolyak grid, while smaller grids cross over at larger E * Q / T
+# (module docstring); about where both paths took equal time on the d=10
+# w=4 Smolyak grid (E * Q / T = 379: 11.8 against 12.0 ms a chunk; 421:
+# 11.6 against 15.0 ms), while smaller grids cross over at larger E * Q / T
 _REDUCED_WEIGHTS_PER_TENSOR = 400
 
 
@@ -240,13 +240,17 @@ def _compile(grid: SparseGrid, reduced: ReducedGrid, values) -> tuple[dict, list
 def _tensor_sum(rules: dict, tensors, points: np.ndarray) -> np.ndarray:
     """Sum over compiled (coefficient, value matrix, active keys) tensors of
     the coefficient times the tensor interpolant at ``points`` (dim x Q);
-    each 1D basis the tensors use is evaluated once and shared."""
+    each 1D basis the tensors use is evaluated once (nodes x Q) and shared,
+    and a tensor contracts its values with them one dimension at a time."""
     used = {key for _, _, keys in tensors for key in keys}
-    bases = {key: basis_matrix(*rules[key], points[key[0]]) for key in used}
+    bases = {key: basis_matrix(*rules[key], points[key[0]]).T for key in used}
     out = np.zeros((tensors[0][1].shape[0], points.shape[1]))
     for coeff, tv, keys in tensors:
-        basis = _kron_rows([bases[key] for key in keys]) if keys else np.ones((points.shape[1], 1))
-        out += coeff * (tv @ basis.T)
+        s = tv  # each step contracts the fastest remaining dimension
+        for k, key in enumerate(keys):
+            B = bases[key]
+            s = s.reshape(-1, len(B)) @ B if k == 0 else (s.reshape(-1, *B.shape) * B).sum(axis=1)
+        out += coeff * s
     return out
 
 
@@ -443,12 +447,16 @@ def _gradient(interp: Interpolant, domain: Domain, points, h: float | None = Non
 def hessian(grid: SparseGrid, reduced: ReducedGrid, values, domain: Domain,
             point, h: float | None = None) -> np.ndarray:
     """Centered second-difference Hessian of a scalar surrogate at one point."""
-    vals = _value_matrix(values)
-    if vals.shape[0] != 1:
+    return _hessian(Interpolant(grid, reduced, values), domain, point, h)
+
+
+def _hessian(interp: Interpolant, domain: Domain, point, h: float | None = None) -> np.ndarray:
+    """``hessian`` of a compiled surrogate."""
+    if interp.n_outputs != 1:
         raise ValueError("hessian requires a single-output value table")
     x = np.asarray(point, dtype=float).ravel()
     N = x.size
-    _warn_outside(domain, x[:, None], "hessian")
+    _warn_outside(domain, x[:, None], "hessian", stacklevel=4)
     steps = _default_steps(domain, x[:, None], h)[:, 0]
     pts = [x]
     for n in range(N):
@@ -463,7 +471,7 @@ def hessian(grid: SparseGrid, reduced: ReducedGrid, values, domain: Domain,
             p[n] += sn * steps[n]
             p[k] += sk * steps[k]
             pts.append(p)
-    fv = interpolate(grid, reduced, vals, np.array(pts).T)[0]
+    fv = interp(np.array(pts).T)[0]
     H = np.empty((N, N))
     f0 = fv[0]
     for n in range(N):

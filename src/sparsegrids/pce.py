@@ -147,15 +147,14 @@ def convert_to_modal(grid: SparseGrid, reduced: ReducedGrid, values, domain: Dom
                for key, (nodes, _) in rules.items()}
     terms = []
     for coeff, tv, keys in tensors:
-        n_out = tv.shape[0]
-        # one-node dimensions solve a 1x1 system [[1.0]] exactly; skip them
-        block = tv.T.reshape([len(vanders[key]) for key in keys] + [n_out], order="F")
-        for axis, key in enumerate(keys):
-            moved = np.moveaxis(block, axis, 0)
-            solved = np.linalg.solve(vanders[key], moved.reshape(moved.shape[0], -1))
-            block = np.moveaxis(solved.reshape(moved.shape), 0, axis)
-        # one column per multi-degree of the block, first dim fastest
-        terms.append(coeff * block.reshape(-1, n_out, order="F").T)
+        # one-node dimensions solve a 1x1 system [[1.0]] exactly; skip them.
+        # Each solve takes the fastest axis and puts it slowest, so after
+        # every key the axes are back in order: one column per multi-degree
+        # of the block, first dim fastest
+        block = tv
+        for key in keys:
+            block = np.linalg.solve(vanders[key], block.reshape(-1, len(vanders[key])).T)
+        terms.append(coeff * block.reshape(-1, tv.shape[0]).T)
     # a column's degrees are its extended knot's node positions
     degrees = np.array(list(_extended_positions(grid)))
     m, _, sums, lex = _group_columns(degrees, np.concatenate(terms, axis=1))

@@ -400,6 +400,24 @@ class TestInterpolant:
         assert interp._reduced_weights is not None
         assert np.max(np.abs(got - table.values)) <= 1e-14 * np.max(np.abs(table.values))
 
+    def test_per_tensor_path_on_the_d10_grid(self, rng):
+        # 1,001 tensors with 0 to 4 active dimensions, so every step of the
+        # contraction runs; a third of the points lie on knots in all
+        # dimensions or in some
+        grid, reduced = _input_box_grid(10, 4)
+        assert {sum(m > 1 for m in t.m) for t in grid.tensors} == {0, 1, 2, 3, 4}
+        values = rng.standard_normal((2, reduced.size))
+        pts = rng.uniform(-math.sqrt(3.0), math.sqrt(3.0), (grid.dim, 512))
+        on = rng.choice(reduced.size, 170, replace=False)
+        pts[:, :85] = reduced.knots[:, on[:85]]
+        pts[:4, 85:170] = reduced.knots[:4, on[85:]]
+        interp = Interpolant(grid, reduced, values)
+        got = interp(pts)
+        assert interp._reduced_weights is None
+        want = loop_interpolate(grid, reduced, values, pts)
+        magnitude = loop_interpolate(grid, reduced, values, pts, magnitude=True)
+        assert np.all(np.abs(got - want) <= 16 * np.finfo(float).eps * magnitude)
+
     @pytest.mark.parametrize("case", ["forward-d10", "posterior"])
     def test_full_chunks_take_the_per_tensor_path(self, case, rng):
         if case == "forward-d10":
@@ -570,6 +588,19 @@ class TestGradientHessian:
         H = hessian(grid, reduced, table, domain, np.array([0.5, 0.5]))
         center = interpolate(grid, reduced, table, np.array([[0.5], [0.5]]))[0, 0]
         assert np.max(np.abs(H - center)) < 1e-3
+
+    def test_hessian_of_a_compiled_surrogate(self):
+        grid, reduced, table, domain = self._setup(EXPSUM)
+        interp = Interpolant(grid, reduced, table)
+        for point in ([0.3, 0.7], [0.0, 1.0]):
+            assert np.array_equal(evalkit._hessian(interp, domain, np.array(point)),
+                                  hessian(grid, reduced, table, domain, np.array(point)))
+
+    def test_hessian_outside_the_domain_warns_at_the_caller(self):
+        grid, reduced, table, domain = self._setup(EXPSUM)
+        with pytest.warns(RuntimeWarning, match="hessian") as record:
+            hessian(grid, reduced, table, domain, np.array([1.5, 0.5]))
+        assert record[0].filename == __file__
 
     def test_hessian_needs_a_single_output(self):
         grid, reduced, table, domain = self._setup(lambda y: [EXPSUM(y), y[0]])
