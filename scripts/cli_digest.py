@@ -46,6 +46,8 @@ RUNS = [
                       "--samples", "1000", "-o", "leja.json"], ["leja.json"]),
     ("forward-mesh37", ["demo", "forward", "--N", "3", "--sigmas", "0.5,0.3,0.2", "--mesh", "37",
                         "--knots", "gauss-legendre", "-o", "mesh37.json"], ["mesh37.json"]),
+    ("forward-gauss", ["demo", "forward", "--N", "3", "--sigmas", "0.5,0.3,0.2", "--knots",
+                       "gauss-legendre", "-o", "gauss.json"], ["gauss.json"]),
     ("inverse", ["demo", "inverse", "--N", "3", "--sigmas", "0.5,0.5,0.5",
                  "--y-star", "0.9,-1.1,0.3", "-o", "inverse.json",
                  "--samples-csv", "inverse.csv"],
@@ -53,6 +55,9 @@ RUNS = [
     ("inverse-leja", ["demo", "inverse", "--N", "3", "--sigmas", "0.5,0.5,0.5",
                       "--y-star", "0.9,-1.1,0.3", "--knots", "leja", "-o", "inverse-leja.json"],
      ["inverse-leja.json"]),
+    ("inverse-gauss", ["demo", "inverse", "--N", "3", "--sigmas", "0.5,0.5,0.5",
+                       "--y-star", "0.9,-1.1,0.3", "--knots", "gauss-legendre",
+                       "-o", "inverse-gauss.json"], ["inverse-gauss.json"]),
     ("adapt", _ADAPT + ["--max-pts", "300", "-o", "A.json"], ["A.json"]),
     ("adapt-resume", _ADAPT + ["--max-pts", "600", "--resume", "A.json", "-o", "B.json"],
      ["B.json"]),

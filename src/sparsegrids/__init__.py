@@ -51,6 +51,7 @@ from .evalkit import (
     hessian,
     interpolate,
     quadrature,
+    vectorized,
 )
 from .adaptive import (
     AdaptControls,

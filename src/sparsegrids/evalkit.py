@@ -47,6 +47,7 @@ __all__ = [
     "interpolate",
     "gradient",
     "hessian",
+    "vectorized",
 ]
 
 _QUERY_CHUNK = 512
@@ -61,8 +62,9 @@ _REDUCED_WEIGHTS_PER_TENSOR = 400
 class EvaluationError(RuntimeError):
     """A user function failed at a grid knot."""
 
-    def __init__(self, knot, cause):
-        super().__init__(f"function evaluation failed at knot {knot}: {cause}")
+    def __init__(self, knot, cause, block: int = 1):
+        where = f"knot {knot}" if block == 1 else f"the block of {block} knots from knot {knot}"
+        super().__init__(f"function evaluation failed at {where}: {cause}")
         self.knot = np.asarray(knot)
         self.cause = cause
 
@@ -134,33 +136,89 @@ class Domain:
         return np.all((pts >= self.lower[:, None]) & (pts <= self.upper[:, None]), axis=0)
 
 
-def _call_f(f, knot, outputs: int | None) -> np.ndarray:
-    """f(knot) as a flat float vector; a failure, a non-finite value or an
-    output count other than ``outputs`` (None: any) raises an
-    EvaluationError naming the knot."""
-    try:
-        out = np.atleast_1d(np.asarray(f(knot), dtype=float)).ravel()
-    except Exception as exc:  # attach the offending knot
-        raise EvaluationError(knot, exc) from exc
-    if not np.isfinite(out).all():
-        raise EvaluationError(knot, ValueError(f"non-finite value {out}"))
-    if outputs is not None and out.size != outputs:
-        raise EvaluationError(knot, ValueError(f"function returns {out.size} outputs, "
-                                               f"the stored values have {outputs}"))
-    return out
+class vectorized:
+    """Mark ``f`` as a block function of the knots.
+
+    ``evaluate_on_grid``, ``quadrature`` and ``adapt`` call a marked f once
+    per block of at most 512 new knots, in knot order: it takes the
+    dim x M matrix of the block's knots and returns the outputs x M matrix
+    of their values (a length-M vector is one output), column j the value
+    at knot column j.  Every column is checked as a one-knot value is, so
+    a marked f whose columns are bitwise the one-knot values gives the
+    same table and adaptive run as the unmarked f.  Calling the marker
+    calls f.
+    """
+
+    __slots__ = ("f",)
+
+    def __init__(self, f):
+        self.f = f
+
+    def __call__(self, knots):
+        return self.f(knots)
 
 
-def _gather(f, knots: np.ndarray, keys, store: dict) -> np.ndarray:
-    """Values at the knot columns (outputs x knots).  ``store`` maps a key
-    to (knot, value vector); a knot whose key is stored takes its vector,
-    any other calls ``f`` once, in knot order.  An entry is committed only
-    after its value passed ``_call_f``'s checks, so a failing ``f`` leaves
-    every earlier value stored."""
-    outputs = next(iter(store.values()))[1].size if store else None
-    for key, knot in zip(keys, knots.T):
+def _call_f(f, knots: np.ndarray, cols, outputs: int | None):
+    """Yield (i, checked values) for the knot columns ``cols`` in order, i
+    the position in ``cols`` of the values' first column: a ``vectorized``
+    f is called once per block of at most ``_QUERY_CHUNK`` columns
+    (dim x M), any other f once per column, and each call gives an
+    outputs x M float matrix.  A failure of f, a non-finite value or an
+    output count other than ``outputs`` (None: that of the first value)
+    raises an EvaluationError naming the knot, after the values of the
+    columns before it were yielded; a failure of f on a block names the
+    block's first knot and its size."""
+    marked = isinstance(f, vectorized)
+    step = _QUERY_CHUNK if marked else 1
+    for lo in range(0, len(cols), step):
+        block = cols[lo : lo + step]
+        size = len(block)
+        try:
+            if marked:
+                out = np.atleast_2d(np.array(f(knots[:, block]), dtype=float))
+                if out.ndim != 2 or out.shape[1] != size:
+                    raise ValueError(f"function returns a {out.shape} array for {size} knots, "
+                                     f"not one column per knot")
+            else:
+                out = np.asarray(f(knots[:, block[0]]), dtype=float).reshape(-1, 1)
+        except Exception as exc:  # attach the offending knot
+            raise EvaluationError(knots[:, block[0]], exc, size) from exc
+        finite = np.isfinite(out)
+        n_ok = size if finite.all() else int(finite.all(axis=0).argmin())
+        if n_ok and outputs is not None and out.shape[0] != outputs:
+            raise EvaluationError(knots[:, block[0]], ValueError(
+                f"function returns {out.shape[0]} outputs, the stored values have {outputs}"))
+        outputs = out.shape[0]
+        if n_ok:
+            yield lo, out[:, :n_ok]
+        if n_ok < size:
+            raise EvaluationError(knots[:, block[n_ok]],
+                                  ValueError(f"non-finite value {out[:, n_ok]}"))
+
+
+def _gather(f, knots: np.ndarray, keys=None, store: dict | None = None) -> np.ndarray:
+    """Values at the knot columns (outputs x knots) through ``_call_f``.
+    ``store`` maps a key to (knot, value vector); a knot whose key is
+    stored takes its vector, and the others are evaluated in knot order,
+    each committed once its value passed the checks, so a failing ``f``
+    leaves every earlier value stored.  Without a store every knot is new
+    and the values go straight into the result."""
+    if store is None:
+        values = None
+        for lo, vals in _call_f(f, knots, range(knots.shape[1]), None):
+            if values is None:
+                values = np.empty((vals.shape[0], knots.shape[1]))
+            values[:, lo : lo + vals.shape[1]] = vals
+        return values
+    new: dict = {}  # each key not yet stored, at its first column
+    for p, key in enumerate(keys):
         if key not in store:
-            store[key] = knot.copy(), _call_f(f, knot, outputs)
-            outputs = store[key][1].size
+            new.setdefault(key, p)
+    cols, new_keys = list(new.values()), list(new)
+    outputs = next(iter(store.values()))[1].size if store else None
+    for i, vals in _call_f(f, knots, cols, outputs):
+        for j, value in enumerate(vals.T, i):
+            store[new_keys[j]] = knots[:, cols[j]].copy(), value
     # knots x outputs in Fortran order, so its transpose is C-contiguous
     return np.array([store[key][1] for key in keys], order="F").T
 
@@ -169,20 +227,22 @@ def evaluate_on_grid(f, reduced: ReducedGrid, old=None) -> EvaluationTable:
     """Evaluate ``f`` at every reduced knot through ``_gather``, recycling
     old evaluations.
 
+    ``f`` takes one knot and returns its value vector, or, marked with
+    ``vectorized``, takes blocks of at most 512 knots (dim x M) and returns
+    outputs x M.  Either way the new knots are evaluated in knot order.
     ``old`` is a previous (EvaluationTable, SparseGrid, ReducedGrid) triple
     (the grid entry may be None; only the reduced knots are matched).  A
     knot of the old reduced grid is not evaluated again: its column is
     copied bitwise.  Every failure of ``f`` raises an EvaluationError.
     """
-    keys, store = range(reduced.size), {}
-    if old is not None:
-        old_table, _, old_reduced = old
-        old_vals = _value_matrix(old_table, old_reduced)
-        keys = lattice_keys(reduced.knots, reduced.tol)
-        store = dict(zip(lattice_keys(old_reduced.knots, reduced.tol),
-                         zip(old_reduced.knots.T, old_vals.T)))
+    if old is None:
+        return EvaluationTable(_gather(f, reduced.knots), new_evaluations=reduced.size)
+    old_table, _, old_reduced = old
+    old_vals = _value_matrix(old_table, old_reduced)
+    store = dict(zip(lattice_keys(old_reduced.knots, reduced.tol),
+                     zip(old_reduced.knots.T, old_vals.T)))
     recycled = len(store)
-    values = _gather(f, reduced.knots, keys, store)
+    values = _gather(f, reduced.knots, lattice_keys(reduced.knots, reduced.tol), store)
     return EvaluationTable(values, new_evaluations=len(store) - recycled)
 
 

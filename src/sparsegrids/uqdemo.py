@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .evalkit import (Domain, EvaluationTable, Interpolant, _gradient, evaluate_on_grid,
-                      interpolate, quadrature)
+                      interpolate, quadrature, vectorized)
 from .grid import ReducedGrid, SparseGrid, build_sparse_grid_from_rule, reduce_grid
 from .knots import cc_family, gauss_family, leja_family, DistributionSpec
 from .levels import LevelMap
@@ -103,11 +103,17 @@ class DiffusionModel:
         return Domain(np.array([[-SQRT3] * self.n_random, [SQRT3] * self.n_random]))
 
     def coefficient(self, x: np.ndarray, y) -> np.ndarray:
-        """Diffusivity a(x, y) on the subinterval decomposition."""
-        y = np.asarray(y, dtype=float).ravel()
+        """Diffusivity a(x, y) on the subinterval decomposition; for an
+        n_random x M block ``y``, one column per sample."""
+        y = np.asarray(y, dtype=float)
+        y = y if y.ndim == 2 else y.ravel()
         assembly = self._assembly
         cell = assembly.cells if x is assembly.mids else self._cells(x)
-        return self.mu + self._sigma_array[cell] * y[cell]
+        sigma = self._sigma_array[cell]
+        a = y[cell]  # mu + sigma * y, in place
+        a *= sigma if y.ndim == 1 else sigma[:, None]
+        a += self.mu
+        return a
 
     def _cells(self, x) -> np.ndarray:
         """The subinterval of each point of ``x``."""
@@ -154,30 +160,60 @@ def fem_solve(model: DiffusionModel, y, query_points=None) -> np.ndarray:
     the coefficient and the solve depend on ``y``: the mesh and the lumped
     load are assembled once per model, so a custom ``rhs`` is evaluated
     once and must be a pure function of x.
+
+    ``y`` is one sample, or an n_random x M block of samples (a 2D
+    array), which one Thomas sweep solves together: the result then has
+    one column per sample, each bitwise that of its one-sample solve.  An
+    overridden ``coefficient`` is called once per sample.
     """
-    y = np.asarray(y, dtype=float).ravel()
-    if y.size != model.n_random:
-        raise ModelError(f"y has {y.size} entries, but the model has {model.n_random} "
+    y = np.asarray(y, dtype=float)
+    block = y.ndim == 2
+    y = y if block else y.ravel()
+    if y.shape[0] != model.n_random:
+        raise ModelError(f"y has {y.shape[0]} entries, but the model has {model.n_random} "
                          "random variables")
     h, mids, _, load, _ = model._assembly
-    a_el = model.coefficient(mids, y)
-    if (a_el <= 0.0).any():
-        raise ModelError(f"nonpositive diffusion coefficient for y = {y}")
-    main = (a_el[:-1] + a_el[1:]) / h
-    off = -a_el[1:-1] / h
+    if block and type(model).coefficient is not DiffusionModel.coefficient:
+        a_el = np.column_stack([model.coefficient(mids, col) for col in np.ascontiguousarray(y.T)])
+    else:
+        a_el = model.coefficient(mids, y)
+    bad = (a_el <= 0.0).any(axis=0)
+    if bad.any():
+        where = f"y = {y[:, bad.argmax()]} (column {bad.argmax()})" if block else f"y = {y}"
+        raise ModelError(f"nonpositive diffusion coefficient for {where}")
+    main = a_el[:-1] + a_el[1:]
+    main /= h
+    off = a_el[1:-1] / -h  # bitwise -a_el[1:-1] / h
+    del a_el
     # bitwise as LAPACK gtsv, which never pivots here: pivot i = a_i/h + 1/sum_{e<i} h/a_e > |off_i|
-    u = np.fromiter([0.0, *_tridiagonal_solve(main.tolist(), off.tolist(), list(load)), 0.0],
-                    float, model.mesh + 1)
+    if block:  # the sweep runs over rows, elementwise on each sample's column, in place in u
+        u = np.zeros((model.mesh + 1, y.shape[1]))
+        u[1:-1] = np.array(load)[:, None]
+        _tridiagonal_solve(main, off, u[1:-1])
+    else:  # Python floats: faster than 1-column rows for one sample
+        u = np.fromiter([0.0, *_tridiagonal_solve(main.tolist(), off.tolist(), list(load)), 0.0],
+                        float, model.mesh + 1)
     if query_points is None:
         return u
-    return np.interp(np.asarray(query_points, dtype=float), model.nodes, u)
+    query_points = np.asarray(query_points, dtype=float)
+    if block:
+        return np.stack([np.interp(query_points, model.nodes, col) for col in u.T], axis=-1)
+    return np.interp(query_points, model.nodes, u)
 
 
-def qoi_integral(model: DiffusionModel, y) -> float:
-    """Spatial integral of the solution, by the trapezoid rule on the mesh."""
-    u = fem_solve(model, y)
-    # np.trapezoid(u, model.nodes) with the node spacings taken from the model
-    return float((model._assembly.dx * (u[1:] + u[:-1]) / 2.0).sum())
+def qoi_integral(model: DiffusionModel, y):
+    """Spatial integral of the solution, by the trapezoid rule on the mesh;
+    for an n_random x M block ``y``, the M integrals, each bitwise that of
+    its one-sample call."""
+    # one contiguous row per sample, so a block's sums run in one-sample order
+    rows = np.ascontiguousarray(fem_solve(model, y).T)
+    # np.trapezoid(u, model.nodes) with the node spacings taken from the model,
+    # dx * (u[1:] + u[:-1]) / 2.0 in place
+    terms = rows[..., 1:] + rows[..., :-1]
+    terms *= model._assembly.dx
+    terms /= 2.0
+    q = terms.sum(axis=-1)
+    return float(q) if q.ndim == 0 else q
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +268,7 @@ def forward_uq(model: DiffusionModel, config: ForwardConfig | None = None) -> Fo
     """Mean, variance, sensitivity indices, and pdf samples of the QoI."""
     config = config or ForwardConfig()
     grid, reduced = _input_box_grid(model.n_random, config.w, config.knots)
-    table = evaluate_on_grid(lambda y: qoi_integral(model, y), reduced)
+    table = evaluate_on_grid(vectorized(lambda ys: qoi_integral(model, ys)), reduced)
     mean = float(quadrature(table, reduced)[0])
     second = float(quadrature(table.values**2, reduced)[0])
     variance = second - mean**2
@@ -303,7 +339,8 @@ def build_solution_surrogate(model: DiffusionModel, problem: InverseProblem,
                              w: int = 5, knots: str = "cc") -> SolutionSurrogate:
     """Vector surrogate of the solution values at all measurement points."""
     grid, reduced = _input_box_grid(model.n_random, w, knots)
-    table = evaluate_on_grid(lambda y: fem_solve(model, y, problem.x_points), reduced)
+    table = evaluate_on_grid(vectorized(lambda ys: fem_solve(model, ys, problem.x_points)),
+                             reduced)
     return SolutionSurrogate(grid=grid, reduced=reduced, table=table,
                              domain=model.domain())
 
@@ -465,7 +502,9 @@ def posterior_forward_uq(model: DiffusionModel, y_map, cov: np.ndarray,
         gauss_family(DistributionSpec.normal(0.0, 1.0)), LevelMap.LINEAR, rule,
     )
     reduced = reduce_grid(grid)
-    table = evaluate_on_grid(lambda z: qoi_integral(model, to_model_space(z)), reduced)
+    # each column mapped on its own: one matrix product would round differently
+    table = evaluate_on_grid(vectorized(lambda zs: qoi_integral(
+        model, np.column_stack([to_model_space(z) for z in zs.T]))), reduced)
     mean = float(quadrature(table, reduced)[0])
     second = float(quadrature(table.values**2, reduced)[0])
     rng = np.random.default_rng(config.seed)

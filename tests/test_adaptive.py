@@ -314,6 +314,31 @@ class TestFailureRecovery:
         assert resumed.internal.history == single.internal.history
         assert np.array_equal(resumed.intf, single.intf)
 
+    def test_a_failing_block_leaves_a_resumable_state(self):
+        controls = AdaptControls(nested=True, max_pts=200)
+        calls = []
+
+        def blocks(ys):
+            calls.append(ys.shape[1])
+            out = np.array([EXPSUM(y) for y in ys.T])
+            if len(calls) == 6:  # a non-finite column inside the sixth block
+                assert ys.shape[1] > 2
+                out[2] = float("nan")
+            return out
+
+        with pytest.raises(AdaptEvaluationError) as err:
+            adapt(sg.vectorized(blocks), 2, sg.cc_family(0, 1), sg.LevelMap.DOUBLING,
+                  controls=controls)
+        state = err.value.state
+        # every column before the bad one was committed, the bad one was not
+        assert state.num_evals == sum(calls[:5]) + 2
+        resumed = adapt(sg.vectorized(lambda ys: np.array([EXPSUM(y) for y in ys.T])), 2,
+                        sg.cc_family(0, 1), sg.LevelMap.DOUBLING, previous=state,
+                        controls=controls)
+        single = adapt(EXPSUM, 2, sg.cc_family(0, 1), sg.LevelMap.DOUBLING, controls=controls)
+        assert resumed.internal.history == single.internal.history
+        assert np.array_equal(resumed.intf, single.intf)
+
     def test_runs_past_32_dimensions(self):
         f = lambda y: math.exp(float(np.sum(y)) / 33)
         res = adapt(f, 33, sg.cc_family(0, 1), sg.LevelMap.DOUBLING,
@@ -321,6 +346,35 @@ class TestFailureRecovery:
         # the root's 33 forward neighbours enter the margin at once
         assert res.num_evals == res.nb_pts >= 1 + 2 * 33
         assert res.intf[0] == pytest.approx((33 * math.expm1(1 / 33)) ** 33, rel=1e-6)
+
+
+class TestVectorizedAdapt:
+    """A ``vectorized`` f is called once per candidate's new knots, and the
+    run is bitwise that of the one-knot f."""
+
+    RUNS = {
+        "leja-nested": (3, sg.leja_family(-1.3, 1.7), sg.LevelMap.LINEAR, True),
+        "cc-nested": (2, sg.cc_family(0, 1), sg.LevelMap.DOUBLING, True),
+        "gauss": (2, sg.gauss_family(sg.DistributionSpec.uniform(0, 1)), sg.LevelMap.LINEAR,
+                  False),
+    }
+
+    @pytest.mark.parametrize("run", list(RUNS))
+    def test_blocks_give_the_one_knot_run_bitwise(self, run):
+        dim, family, level_map, nested = self.RUNS[run]
+        controls = AdaptControls(nested=nested, max_pts=300)
+        sizes = []
+
+        def blocks(ys):
+            sizes.append(ys.shape[1])
+            return np.array([EXPSUM(y) for y in ys.T])
+
+        want = adapt(EXPSUM, dim, family, level_map, controls=controls)
+        got = adapt(sg.vectorized(blocks), dim, family, level_map, controls=controls)
+        assert got.internal.history == want.internal.history
+        assert got.intf.tobytes() == want.intf.tobytes()
+        assert got.nb_pts == want.nb_pts
+        assert got.num_evals == want.num_evals == sum(sizes)
 
 
 class TestResumeMismatch:

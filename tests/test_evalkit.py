@@ -224,6 +224,123 @@ class TestEvaluateOnGrid:
         assert err.value.knot[0] > 0.9
 
 
+def two_outputs(y):
+    """Two outputs of one knot, from correctly rounded operations only, so
+    the block form below gives the same bits."""
+    return np.array([y[0] * y[1] + y[2], (y[0] - y[2]) / (1.0 + y[1] * y[1])])
+
+
+def two_outputs_block(ys):
+    return np.array([ys[0] * ys[1] + ys[2], (ys[0] - ys[2]) / (1.0 + ys[1] * ys[1])])
+
+
+@pytest.fixture(scope="module")
+def cc_d3_w5_w6():
+    """Nested CC grids on [0, 1]^3: 441 knots at w=5, 1,073 at w=6."""
+    rule, lm = sg.preset("SM")
+    grids = [sg.build_sparse_grid_from_rule(3, w, sg.cc_family(0, 1), lm, rule) for w in (5, 6)]
+    return [(g, sg.reduce_grid(g)) for g in grids]
+
+
+class CountedBlocks:
+    """A ``vectorized`` function that records the size of each block and
+    can fail on its ``fail_on``-th call."""
+
+    def __init__(self, block_f, fail_on=None, failure=None):
+        self.sizes, self.block_f, self.fail_on, self.failure = [], block_f, fail_on, failure
+
+    def __call__(self, ys):
+        self.sizes.append(ys.shape[1])
+        out = self.block_f(ys)
+        if len(self.sizes) == self.fail_on:
+            return self.failure(ys, out)
+        return out
+
+
+class TestVectorized:
+    @pytest.mark.parametrize("recycled", [False, True], ids=["cold", "old"])
+    def test_blocks_equal_the_one_knot_loop_bitwise(self, cc_d3_w5_w6, recycled):
+        (old_grid, old_reduced), (_, reduced) = cc_d3_w5_w6
+        old = None
+        if recycled:
+            old = (evaluate_on_grid(two_outputs, old_reduced), old_grid, old_reduced)
+        want = evaluate_on_grid(two_outputs, reduced, old=old)
+        counted = CountedBlocks(two_outputs_block)
+        got = evaluate_on_grid(sg.vectorized(counted), reduced, old=old)
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got.values.shape == (2, reduced.size)
+        new = reduced.size - (old_reduced.size if recycled else 0)
+        assert got.new_evaluations == want.new_evaluations == new
+        assert counted.sizes == [512] * (new // 512) + [new % 512]  # 2 or 3 blocks
+
+    def test_quadrature_takes_the_block_form(self, cc_d3_w5_w6):
+        _, (_, reduced) = cc_d3_w5_w6
+        counted = CountedBlocks(lambda ys: ys.sum(axis=0))
+        integral, table = quadrature(sg.vectorized(counted), reduced)
+        want, _ = quadrature(lambda y: y.sum(), reduced)
+        assert integral.tobytes() == want.tobytes()
+        assert len(counted.sizes) == 3 and table.values.shape == (1, reduced.size)
+
+    @staticmethod
+    def _failing_gather(reduced, failure):
+        """``_gather`` into a fresh store of a block function whose second
+        call goes through ``failure``; returns the error and the store."""
+        keys = lattice_keys(reduced.knots, reduced.tol)
+        store = {}
+        f = sg.vectorized(CountedBlocks(two_outputs_block, 2, failure))
+        with pytest.raises(EvaluationError) as err:
+            evalkit._gather(f, reduced.knots, keys, store)
+        return err.value, store, keys
+
+    def _assert_prefix_stored(self, store, keys, reduced, n):
+        assert list(store) == keys[:n]
+        for p, key in enumerate(keys[:n]):
+            knot, value = store[key]
+            assert np.array_equal(knot, reduced.knots[:, p])
+            assert value.tobytes() == two_outputs(reduced.knots[:, p]).tobytes()
+
+    def test_a_raising_block_names_its_first_knot_and_size(self, cc_d3_w5_w6):
+        _, (_, reduced) = cc_d3_w5_w6
+
+        def boom(ys, out):
+            raise RuntimeError("solver diverged")
+
+        err, store, keys = self._failing_gather(reduced, boom)
+        assert np.array_equal(err.knot, reduced.knots[:, 512])
+        assert "the block of 512 knots from knot" in str(err) and "solver diverged" in str(err)
+        assert isinstance(err.cause, RuntimeError)
+        self._assert_prefix_stored(store, keys, reduced, 512)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_a_non_finite_column_names_its_knot(self, cc_d3_w5_w6, bad):
+        _, (_, reduced) = cc_d3_w5_w6
+
+        def poison(ys, out):
+            out[1, 7] = bad
+            return out
+
+        err, store, keys = self._failing_gather(reduced, poison)
+        assert np.array_equal(err.knot, reduced.knots[:, 519])
+        assert "non-finite value" in str(err)
+        self._assert_prefix_stored(store, keys, reduced, 519)
+
+    def test_an_output_count_change_names_the_knot(self, cc_d3_w5_w6):
+        _, (_, reduced) = cc_d3_w5_w6
+        err, store, keys = self._failing_gather(reduced, lambda ys, out: out[:1])
+        assert np.array_equal(err.knot, reduced.knots[:, 512])
+        assert "returns 1 outputs, the stored values have 2" in str(err)
+        self._assert_prefix_stored(store, keys, reduced, 512)
+
+    def test_a_block_without_one_column_per_knot_is_an_error(self, smolyak_cc_unit_w3):
+        _, reduced = smolyak_cc_unit_w3
+        n = reduced.size
+        with pytest.raises(EvaluationError, match=rf"the block of {n} knots from knot .* "
+                                                  rf"for {n} knots, not one column per knot"
+                           ) as err:
+            evaluate_on_grid(sg.vectorized(lambda ys: ys.T), reduced)
+        assert np.array_equal(err.value.knot, reduced.knots[:, 0])
+
+
 class TestQuadrature:
     def test_constant(self, smolyak_cc_unit_w3):
         _, reduced = smolyak_cc_unit_w3

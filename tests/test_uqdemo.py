@@ -157,11 +157,21 @@ class TestAssemblyOncePerModel:
         corners = [list(c) for c in itertools.product((-SQRT3, SQRT3), repeat=3)]
         draws = np.random.default_rng(mesh).uniform(-SQRT3, SQRT3, (10, 3))
         queries = np.array([0.0, 1.0 / 3.0, 0.5, 2.0 / 3.0, 0.99])
-        for y in [[0.0, 0.0, 0.0], *corners, *draws]:
+        samples = [[0.0, 0.0, 0.0], *corners, *draws]
+        for y in samples:
             want_u, want_q = per_call_reference(model, y)
             assert_bitwise(fem_solve(model, y), want_u)
             assert_bitwise(qoi_integral(model, y), want_q)
             assert_bitwise(fem_solve(model, y, queries), per_call_reference(model, y, queries)[0])
+        # the same samples as one block: one column each
+        ys = np.array(samples).T
+        u, uq, q = fem_solve(model, ys), fem_solve(model, ys, queries), qoi_integral(model, ys)
+        assert u.shape == (mesh + 1, len(samples)) and uq.shape == (queries.size, len(samples))
+        for j, y in enumerate(samples):
+            want_u, want_q = per_call_reference(model, y)
+            assert_bitwise(u[:, j], want_u)
+            assert_bitwise(q[j], np.float64(want_q))
+            assert_bitwise(uq[:, j], per_call_reference(model, y, queries)[0])
 
     def test_models_never_share_assembly(self):
         models = [DiffusionModel(3, (0.5, 0.1, 0.3), mesh=37),
@@ -187,6 +197,27 @@ class TestAssemblyOncePerModel:
         want = np.array([per_call_reference(model, y)[1] for y in reduced.knots.T])
         assert_bitwise(table.values[0], want)
 
+    def test_demo_pipelines_solve_blocks(self, monkeypatch):
+        model = DiffusionModel(n_random=3, sigmas=(0.5, 0.3, 0.2), mesh=37)
+        blocks = []
+
+        def recorded(model, y, query_points=None, solve=uqdemo.fem_solve):
+            blocks.append(np.shape(y))
+            return solve(model, y, query_points)
+
+        monkeypatch.setattr(uqdemo, "fem_solve", recorded)
+        report = forward_uq(model, ForwardConfig(w=4, samples=10))
+        problem = make_synthetic_data(model, [0.9, -1.1, 0.3], 0.01)
+        surrogate = build_solution_surrogate(model, problem, w=3)
+        posterior = posterior_forward_uq(model, [0.1, 0.2, -0.3], 0.01 * np.eye(3),
+                                         ForwardConfig(w=3, samples=10))
+        sizes = [report.n_grid_points, 1, surrogate.reduced.size, posterior.n_grid_points]
+        assert blocks == [(3, n) if n > 1 else (3,) for n in sizes]
+        monkeypatch.undo()
+        _, reduced = _input_box_grid(3, 4, "cc")
+        want = sg.quadrature(lambda y: qoi_integral(model, y), reduced)[0][0]
+        assert_bitwise(np.float64(report.mean), want)
+
     def test_overridden_coefficient_is_used(self):
         class Graded(DiffusionModel):
             def coefficient(self, x, y):
@@ -199,6 +230,14 @@ class TestAssemblyOncePerModel:
             assert_bitwise(fem_solve(graded, y), want_u)
             assert_bitwise(qoi_integral(graded, y), want_q)
             assert not np.array_equal(fem_solve(plain, y), want_u)
+        # a block calls the override once per column
+        ys = np.array([[0.0, 1.0, -1.5], [0.0, -0.5, 1.2]])
+        u, q = fem_solve(graded, ys), qoi_integral(graded, ys)
+        for j, y in enumerate(ys.T):
+            want_u, want_q = per_call_reference(graded, y)
+            assert_bitwise(u[:, j], want_u)
+            assert_bitwise(q[j], np.float64(want_q))
+            assert not np.array_equal(fem_solve(plain, ys)[:, j], want_u)
 
     @pytest.mark.parametrize("y", [[0.1], [0.1, 0.2, 0.9], []])
     def test_length_of_y_checked(self, y):
@@ -207,6 +246,21 @@ class TestAssemblyOncePerModel:
             qoi_integral(model, y)
         with pytest.raises(ModelError, match=rf"y has {len(y)} entries"):
             make_synthetic_data(model, np.array(y), 0.01)
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_row_count_of_a_block_checked(self, rows):
+        model = DiffusionModel(n_random=2, sigmas=(0.5, 0.5))
+        with pytest.raises(ModelError, match=rf"y has {rows} entries, but the model has 2 "):
+            fem_solve(model, np.zeros((rows, 4)))
+        with pytest.raises(ModelError, match=rf"y has {rows} entries"):
+            qoi_integral(model, np.zeros((rows, 4)))
+
+    def test_nonpositive_coefficient_names_its_column(self):
+        model = DiffusionModel(n_random=2, sigmas=(0.5, 0.5))
+        ys = np.array([[0.0, 1.0, 0.3, -10.0], [0.0, 0.5, -10.0, 0.0]])
+        with pytest.raises(ModelError, match=r"nonpositive diffusion coefficient for "
+                                             r"y = \[ *0\.3 -10\. *\] \(column 2\)"):
+            fem_solve(model, ys)
 
 
 class TestQoI:
