@@ -37,39 +37,52 @@ def _index_row(r) -> tuple[int, ...]:
         return tuple(int(v) for v in r)
 
 
+def _index_matrix(rows, dim: int | None) -> np.ndarray:
+    """``rows`` as an (n, d) integer matrix, d = ``dim`` if given: a 2D
+    ndarray of a type int64 holds exactly as it is, anything else one
+    ``_index_row`` per row."""
+    if isinstance(rows, np.ndarray) and rows.ndim == 2 and np.can_cast(rows.dtype, np.int64):
+        arr = rows
+    else:
+        rows = [_index_row(r) for r in rows]
+        if not rows and dim is None:
+            raise ValueError("cannot infer dim of an empty set")
+        if any(len(r) != len(rows[0]) for r in rows):
+            raise ValueError("rows of mixed length")
+        arr = np.array(rows, dtype=np.int64).reshape(len(rows), len(rows[0]) if rows else dim)
+    if dim is not None and dim != arr.shape[1]:
+        raise ValueError(f"rows have length {arr.shape[1]}, expected {dim}")
+    return arr
+
+
 class MultiIndexSet:
     """A lexicographically sorted set of integer multi-indices.
 
     Rows are stored as an immutable (n, dim) integer matrix; membership
     queries go through an internal set of tuples.  ``base`` records the
     smallest admissible entry (1 for collocation levels, 0 for polynomial
-    degrees).
+    degrees).  An (n, dim) integer ndarray is taken as it is; any other
+    iterable of rows is read one row at a time.
     """
 
     __slots__ = ("_rows", "_members", "dim", "base")
 
     def __init__(self, rows: Iterable, dim: int | None = None, base: int = 1):
-        rows = [_index_row(r) for r in rows]
-        if not rows:
-            if dim is None:
-                raise ValueError("cannot infer dim of an empty set")
-            self.dim = dim
-        else:
-            self.dim = len(rows[0])
-            if any(len(r) != self.dim for r in rows):
-                raise ValueError("rows of mixed length")
-            if dim is not None and dim != self.dim:
-                raise ValueError(f"rows have length {self.dim}, expected {dim}")
+        arr = _index_matrix(rows, dim)
+        self.dim = arr.shape[1]
+        if self.dim < 1:
+            raise ValueError("dim must be >= 1")
         if base not in (0, 1):
             raise ValueError("base must be 0 or 1")
-        if any(v < base for r in rows for v in r):
+        if arr.size and arr.min() < base:
             raise ValueError(f"entries must be >= base ({base})")
         self.base = base
-        self._members = frozenset(rows)
-        arr = np.array(sorted(self._members), dtype=np.int64)
-        arr = arr.reshape(len(self._members), self.dim)
+        arr = arr[np.lexsort(arr.T[::-1])].astype(np.int64, copy=False)
+        if len(arr) > 1:  # drop each row equal to the one before it
+            arr = arr[np.r_[True, (arr[1:] != arr[:-1]).any(axis=1)]]
         arr.flags.writeable = False
         self._rows = arr
+        self._members = frozenset(map(tuple, arr.tolist()))
 
     @property
     def rows(self) -> np.ndarray:
@@ -98,7 +111,8 @@ class MultiIndexSet:
         return f"MultiIndexSet({self._rows.tolist()}, base={self.base})"
 
     def union(self, indices: Iterable) -> "MultiIndexSet":
-        return MultiIndexSet(list(self._members) + list(indices), dim=self.dim, base=self.base)
+        new = _index_matrix(indices, self.dim)
+        return MultiIndexSet(np.concatenate([self._rows, new]), dim=self.dim, base=self.base)
 
 
 def generate_rule_set(
@@ -138,7 +152,7 @@ def generate_rule_set(
                 raise ValueError("rule admits too many levels in one dimension")
 
     descend()
-    return MultiIndexSet(rows, dim=dim, base=base)
+    return MultiIndexSet(np.array(rows, dtype=np.int64).reshape(len(rows), dim), dim=dim, base=base)
 
 
 def box_set(upper: Iterable[int]) -> MultiIndexSet:
@@ -203,6 +217,10 @@ def preset(name: str, weights=None):
 
     if name == "TP":
         rule = lambda idx: float(np.max(wof(idx) * (np.asarray(idx) - 1)))
+    elif name in ("TD", "SM") and weights is None:
+        # integer arithmetic is exact, so this is bitwise the weighted rule
+        # at unit weights, without a numpy call per index
+        rule = lambda idx: float(sum(idx) - len(idx))
     elif name in ("TD", "SM"):
         rule = lambda idx: float(np.sum(wof(idx) * (np.asarray(idx) - 1)))
     else:

@@ -145,21 +145,32 @@ def convert_to_modal(grid: SparseGrid, reduced: ReducedGrid, values, domain: Dom
     # rule key -> orthonormal Vandermonde matrix, rows: nodes, cols: degrees
     vanders = {key: _orthonormal_table(_family_dist(family, params[key[0]]), nodes.size - 1, nodes).T
                for key, (nodes, _) in rules.items()}
-    terms = []
-    for coeff, tv, keys in tensors:
+    # tensors whose active rules have the same node counts, in order, solve
+    # in lockstep: one stacked solve per dimension, each item of which is
+    # the LAPACK call that solving the tensor on its own would make
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for k, (_, _, keys) in enumerate(tensors):
+        groups.setdefault(tuple(len(vanders[key]) for key in keys), []).append(k)
+    terms = [None] * len(tensors)
+    for counts, group in groups.items():
         # one-node dimensions solve a 1x1 system [[1.0]] exactly; skip them.
         # Each solve takes the fastest axis and puts it slowest, so after
-        # every key the axes are back in order: one column per multi-degree
+        # every step the axes are back in order: one column per multi-degree
         # of the block, first dim fastest
-        block = tv
-        for key in keys:
-            block = np.linalg.solve(vanders[key], block.reshape(-1, len(vanders[key])).T)
-        terms.append(coeff * block.reshape(-1, tv.shape[0]).T)
+        block = np.stack([tensors[k][1] for k in group])
+        n_values = block.shape[1]
+        for step, count in enumerate(counts):
+            A = np.stack([vanders[tensors[k][2][step]] for k in group])
+            block = np.linalg.solve(A, block.reshape(len(group), -1, count).transpose(0, 2, 1))
+        coeffs = np.array([tensors[k][0] for k in group])[:, None, None]
+        block = coeffs * block.reshape(len(group), -1, n_values).transpose(0, 2, 1)
+        for k, term in zip(group, block):
+            terms[k] = term
     # a column's degrees are its extended knot's node positions
     degrees = np.array(list(_extended_positions(grid)))
     m, _, sums, lex = _group_columns(degrees, np.concatenate(terms, axis=1))
     rows = degrees[:, m[lex]].T
-    lam = MultiIndexSet(rows.tolist(), dim=grid.dim, base=0)
+    lam = MultiIndexSet(rows, dim=grid.dim, base=0)
     if not np.array_equal(lam.rows, rows):
         raise AssertionError("MultiIndexSet rows are not in lexicographic order")
     return PCExpansion(family=family, params=params, lambda_set=lam, coeffs=sums[:, lex])

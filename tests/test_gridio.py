@@ -601,6 +601,14 @@ class TestStructuralValidation:
         with pytest.raises(GridFileError, match=r"structurally invalid: multi-index \[1\.5, "):
             load_grid(path)
 
+    def test_zero_dimensional_index_set_reported(self, saved_bundle):
+        path = saved_bundle[0]
+        doc = json.loads(path.read_text())
+        doc["dim"], doc["multi_index_set"] = 0, [[]]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(GridFileError, match=r"structurally invalid: dim must be >= 1"):
+            load_grid(path)
+
     def test_missing_sections_reported(self, tmp_path):
         path = tmp_path / "partial.json"
         path.write_text('{"format_version": 1, "dim": 2}')

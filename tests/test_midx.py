@@ -88,6 +88,86 @@ class TestMultiIndexSet:
         assert (2, 1) not in s and (1,) not in s and (1, 2, 1) not in s
 
 
+class TestMatrixInput:
+    """An integer matrix and the same rows as tuples give the same set."""
+
+    CASES = {
+        "duplicates": ([[2, 1], [1, 1], [2, 1], [1, 2], [1, 1]], 1),
+        "unsorted": ([[3, 1, 2], [1, 2, 3], [2, 2, 2], [1, 1, 9], [1, 2, 1]], 1),
+        "base0": ([[0, 1], [1, 0], [0, 0], [1, 0], [2, 0]], 0),
+    }
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8, np.uint32])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_same_set_as_rows(self, case, dtype):
+        rows, base = self.CASES[case]
+        matrix = np.array(rows, dtype=dtype)
+        got = MultiIndexSet(matrix, base=base)
+        want = MultiIndexSet([tuple(r) for r in rows], base=base)
+        assert got.rows.dtype == want.rows.dtype == np.int64
+        assert got.rows.tobytes() == want.rows.tobytes()
+        assert got.rows.tolist() == [list(r) for r in sorted({tuple(r) for r in rows})]
+        assert got == want and hash(got) == hash(want) and got.base == want.base == base
+        assert all(tuple(r) in got for r in rows) and (5,) * len(rows[0]) not in got
+        assert not got.rows.flags.writeable
+        assert matrix.flags.writeable and np.array_equal(matrix, np.array(rows, dtype=dtype))
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint8])
+    def test_empty_matrix(self, dtype):
+        got = MultiIndexSet(np.empty((0, 3), dtype=dtype), dim=3)
+        want = MultiIndexSet([], dim=3)
+        assert got.rows.shape == want.rows.shape == (0, 3)
+        assert got == want and hash(got) == hash(want) and len(got) == 0
+        assert (1, 1, 1) not in got
+
+    def test_union_of_a_matrix(self):
+        s = MultiIndexSet([[1, 1], [2, 1]])
+        got = s.union(np.array([[1, 2], [2, 1]], dtype=np.int32))
+        want = s.union([(1, 2), (2, 1)])
+        assert got.rows.tobytes() == want.rows.tobytes() and got == want
+        assert s.union([]) == s == s.union(np.empty((0, 2), dtype=np.int64))
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint8])
+    def test_entries_below_base_rejected(self, dtype):
+        with pytest.raises(ValueError, match=r"entries must be >= base \(1\)"):
+            MultiIndexSet(np.array([[1, 1], [0, 2]], dtype=dtype))
+
+    def test_dim_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="rows have length 3, expected 2"):
+            MultiIndexSet(np.ones((2, 3), dtype=np.int64), dim=2)
+        with pytest.raises(ValueError, match="rows have length 3, expected 2"):
+            MultiIndexSet([[1, 1]]).union(np.ones((1, 3), dtype=np.int64))
+
+    @pytest.mark.parametrize("bad", [1.7, math.nan, math.inf])
+    def test_non_integer_matrix_rejected(self, bad):
+        with pytest.raises(ValueError, match=r"multi-index \[.*\] has a non-integer entry"):
+            MultiIndexSet(np.array([[1.0, 1.0], [1.0, bad]]))
+        with pytest.raises(ValueError, match="non-integer entry"):
+            MultiIndexSet([[1, 1]]).union(np.array([[bad, 1.0]]))
+
+    def test_integral_float_matrix_accepted(self):
+        got = MultiIndexSet(np.array([[2.0, 1.0], [1.0, 1.0]]))
+        assert got.rows.tolist() == [[1, 1], [2, 1]] and got == MultiIndexSet([[1, 1], [2, 1]])
+
+
+class TestZeroDimensional:
+    """A set of 0-dimensional indices is rejected where it is made."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: MultiIndexSet([()]),
+        lambda: MultiIndexSet([], dim=0),
+        lambda: MultiIndexSet(np.ones((1, 0), dtype=np.int64)),
+        lambda: MultiIndexSet([()], dim=0),
+        lambda: box_set([]),
+        lambda: generate_rule_set(0, TD_RULE, 2),
+        lambda: fast_td_set(0, 2),
+    ], ids=["rows", "empty", "matrix", "rows-dim0", "box_set", "generate_rule_set",
+            "fast_td_set"])
+    def test_rejected(self, make):
+        with pytest.raises(ValueError, match=r"dim (must be )?>= 1"):
+            make()
+
+
 class TestGenerateRuleSet:
     def test_td_level_three(self):
         s = generate_rule_set(2, TD_RULE, 3)
@@ -184,6 +264,43 @@ class TestPresets:
         rule, _ = preset("TD", weights=[1.0, 2.0, 3.0])
         assert generate_rule_set(3, rule, 2) == generate_rule_set(3, lambda i: sum(
             w * (v - 1) for w, v in zip([1.0, 2.0, 3.0], i)), 2)
+
+
+def _unit_weight_boxes():
+    """Per dimension 1..12, a box of at most about 4,000 indices, from 1 and from 0."""
+    for dim in range(1, 13):
+        side = max(2, int(3000 ** (1 / dim)))
+        rows = box_set([side] * dim).rows
+        yield dim, [tuple(r) for r in rows.tolist()] + [tuple(r) for r in (rows - 1).tolist()]
+
+
+class TestUnweightedPresetRules:
+    """Without weights, TD and SM sum the index in integers; with unit
+    weights they sum floats through numpy, pairwise from 8 terms on."""
+
+    @pytest.mark.parametrize("name", ["TD", "SM"])
+    def test_bitwise_equal_to_unit_weights(self, name):
+        rule, level_map = preset(name)
+        for dim, indices in _unit_weight_boxes():
+            weighted, weighted_map = preset(name, [1.0] * dim)
+            assert level_map is weighted_map
+            for idx in indices:
+                got, want = rule(idx), weighted(idx)
+                assert type(got) is type(want) is float
+                assert np.float64(got).tobytes() == np.float64(want).tobytes(), idx
+
+    @pytest.mark.parametrize("name", ["TD", "SM"])
+    def test_same_rule_sets(self, name):
+        rule, _ = preset(name)
+        for dim in range(1, 13):
+            weighted, _ = preset(name, [1.0] * dim)
+            for level in (0, 2, 3.5):
+                got = generate_rule_set(dim, rule, level)
+                want = generate_rule_set(dim, weighted, level)
+                assert got == want and got.rows.tobytes() == want.rows.tobytes()
+
+    def test_fast_td_set_at_d60(self):
+        assert fast_td_set(60, 2) == generate_rule_set(60, preset("TD")[0], 2)
 
 
 class TestDownwardClosed:

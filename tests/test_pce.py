@@ -6,7 +6,8 @@ import pytest
 import sparsegrids as sg
 from sparsegrids import pce
 from sparsegrids.adaptive import AdaptControls, adapt
-from sparsegrids.evalkit import Domain, evaluate_on_grid, interpolate, quadrature
+from sparsegrids.evalkit import Domain, _compile, evaluate_on_grid, interpolate, quadrature
+from sparsegrids.grid import _extended_positions, _group_columns
 from sparsegrids.pce import (
     DegenerateInputError,
     convert_to_modal,
@@ -161,6 +162,57 @@ class TestConvertToModal:
         pts = rng.uniform(-1, 1, (3, 25))
         assert np.allclose(evaluate_pce(got, pts), interpolate(grid, reduced, table, pts),
                            rtol=0, atol=1e-12)
+
+
+def per_tensor_modal(grid, reduced, values, domain, family):
+    """convert_to_modal's (degree rows, coefficients), one solve per tensor
+    and active dimension."""
+    params = pce._params_from_grid(grid, domain, family)
+    rules, tensors = _compile(grid, reduced, values)
+    vanders = {key: pce._orthonormal_table(pce._family_dist(family, params[key[0]]),
+                                           nodes.size - 1, nodes).T
+               for key, (nodes, _) in rules.items()}
+    terms = []
+    for coeff, tv, keys in tensors:
+        block = tv
+        for key in keys:
+            block = np.linalg.solve(vanders[key], block.reshape(-1, len(vanders[key])).T)
+        terms.append(coeff * block.reshape(-1, tv.shape[0]).T)
+    degrees = np.array(list(_extended_positions(grid)))
+    m, _, sums, lex = _group_columns(degrees, np.concatenate(terms, axis=1))
+    return degrees[:, m[lex]].T, sums[:, lex]
+
+
+class TestLockstepSolves:
+    @pytest.mark.parametrize("setup", ["cc-smolyak-d4", "gauss-legendre-td-d3", "cc-leja-d3"])
+    def test_bitwise_equal_to_per_tensor_solves(self, setup):
+        if setup == "cc-smolyak-d4":
+            rule, lm = sg.preset("SM")
+            grid = sg.build_sparse_grid_from_rule(4, 4, sg.cc_family(-1, 1), lm, rule)
+        elif setup == "gauss-legendre-td-d3":
+            rule, lm = sg.preset("TD")
+            fam = sg.gauss_family(sg.DistributionSpec.uniform(-1, 1))
+            grid = sg.build_sparse_grid_from_rule(3, 5, fam, lm, rule)
+        else:
+            rule, lm = sg.preset("SM")
+            fams = (sg.cc_family(-1, 1), sg.leja_family(-1, 1, "symmetric"), sg.cc_family(-1, 1))
+            grid = sg.build_sparse_grid_from_rule(3, 4, fams, lm, rule)
+        reduced = sg.reduce_grid(grid)
+        x = reduced.knots
+        values = np.vstack([np.exp(0.4 * x.sum(axis=0)), np.sin(x[0] - x[-1] ** 2),
+                            np.cos(2 * x[1])])
+        # tensors of one (active node counts) group are spread over the grid,
+        # so the columns must be put back in tensor order
+        rules, tensors = _compile(grid, reduced, values)
+        counts = [tuple(rules[key][0].size for key in keys) for _, _, keys in tensors]
+        sizes = {counts.count(c) for c in counts}
+        assert 1 in sizes and max(sizes) > 2
+        assert any(counts[k - 1] == counts[k + 1] != counts[k] for k in range(1, len(counts) - 1))
+        rows, coeffs = per_tensor_modal(grid, reduced, values, unit_domain(grid.dim), "legendre")
+        got = convert_to_modal(grid, reduced, values, unit_domain(grid.dim), "legendre")
+        assert got.lambda_set.rows.tobytes() == rows.astype(np.int64).tobytes()
+        assert got.coeffs.shape == coeffs.shape == (3, len(rows))
+        assert got.coeffs.tobytes() == coeffs.tobytes()
 
 
 class TestEvaluatePCE:
