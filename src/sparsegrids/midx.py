@@ -39,8 +39,9 @@ def _index_row(r) -> tuple[int, ...]:
 
 def _index_matrix(rows, dim: int | None) -> np.ndarray:
     """``rows`` as an (n, d) integer matrix, d = ``dim`` if given: a 2D
-    ndarray of a type int64 holds exactly as it is, anything else one
-    ``_index_row`` per row."""
+    ndarray whose values int64 holds exactly (any signed or shorter
+    unsigned integer type) as it is, anything else one ``_index_row`` per
+    row."""
     if isinstance(rows, np.ndarray) and rows.ndim == 2 and np.can_cast(rows.dtype, np.int64):
         arr = rows
     else:
