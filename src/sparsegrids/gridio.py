@@ -166,7 +166,11 @@ def load_grid(path) -> GridBundle:
                 continue
             ours = fam(c).nodes
             if theirs.shape != ours.shape or not np.allclose(ours, theirs, rtol=0, atol=1e-12):
-                raise GridFileError(f"stored knots of tensor {t.idx} do not match")
+                off = (f"largest deviation {np.abs(ours - theirs).max():.3g} > 1e-12"
+                       if theirs.shape == ours.shape else f"{theirs.size} stored")
+                raise GridFileError(
+                    f"stored knots of tensor {t.idx} do not match: dimension {n + 1}, "
+                    f"{c} nodes of {json.dumps(fam.descriptor())}, {off}")
             checked.add(key)
     values = EvaluationTable(np.asarray(doc["values"], dtype=float)) if "values" in doc else None
     if reduced is not None:

@@ -3,11 +3,11 @@
 Every rule is normalized against the probability density of its
 distribution, so weights always sum to one.  Gauss rules come from the
 eigendecomposition of the three-term recurrence matrix; Clenshaw-Curtis
-weights from an FFT; Leja-type sequences from a greedy log-domain search
-with quadrature weights obtained by integrating the Lagrange basis with
-an auxiliary Gauss rule.  The densities, the standard-variable maps and
-the recurrence coefficients also serve the orthonormal polynomials of
-``pce``.
+weights from an FFT; Leja-type sequences as affine images of one canonical
+sequence per shape, tabulated or found by a greedy log-domain search, with
+quadrature weights from integrating the Lagrange basis with an auxiliary
+Gauss rule.  The densities, the standard-variable maps and the recurrence
+coefficients also serve the orthonormal polynomials of ``pce``.
 """
 
 from __future__ import annotations
@@ -200,13 +200,9 @@ def recurrence_coefficients(dist: DistributionSpec, n: int):
     """
     k = np.arange(n, dtype=float)
     if dist.kind == "uniform":
-        alpha = np.zeros(n)
-        beta = np.empty(n)
-        beta[0] = 1.0
-        if n > 1:
-            kk = k[1:]
-            beta[1:] = kk**2 / (4.0 * kk**2 - 1.0)
-        return alpha, beta
+        beta = np.ones(n)
+        beta[1:] = k[1:] ** 2 / (4.0 * k[1:] ** 2 - 1.0)
+        return np.zeros(n), beta
     if dist.kind == "normal":
         alpha = np.zeros(n)
         beta = k.copy()
@@ -236,17 +232,8 @@ def recurrence_coefficients(dist: DistributionSpec, n: int):
         kk = k[1:]
         s = 2.0 * kk + A + B
         alpha[1:] = (B**2 - A**2) / (s * (s + 2.0))
-        if n > 2:
-            kk = k[2:]
-            s = 2.0 * kk + A + B
-            beta[2:] = (
-                4.0
-                * kk
-                * (kk + A)
-                * (kk + B)
-                * (kk + A + B)
-                / (s**2 * (s + 1.0) * (s - 1.0))
-            )
+        kk, s = kk[1:], s[1:]
+        beta[2:] = 4.0 * kk * (kk + A) * (kk + B) * (kk + A + B) / (s**2 * (s + 1.0) * (s - 1.0))
     return alpha, beta
 
 
@@ -389,13 +376,12 @@ def _golden_max(fun, lo: float, hi: float) -> float:
     return (lo + hi) / 2.0
 
 
-def _argmax_rightmost(grid: np.ndarray, vals: np.ndarray) -> int:
+def _argmax_rightmost(vals: np.ndarray) -> int:
     """Index of the rightmost near-maximal value, walked to its local peak.
 
-    The tolerance groups symmetric maxima whose grid samples differ only
-    by their offset from the continuous peak; the hill climb recovers the
-    peak of the chosen group when the near-ties form a plateau.
-    """
+    The tolerance groups symmetric maxima whose grid samples differ only by
+    their offset from the continuous peak; the hill climb recovers the peak
+    of the chosen group when the near-ties form a plateau."""
     top = np.max(vals)
     ties = np.nonzero(vals >= top - 1e-9)[0]
     j = int(ties[-1])
@@ -420,11 +406,10 @@ def _next_leja_node(prefix: "_LejaPrefix") -> float:
         return v
 
     vals = prefix.logsum if prefix.logw is None else prefix.logsum + prefix.logw
-    j = _argmax_rightmost(grid, vals)
+    j = _argmax_rightmost(vals)
     step = grid[1] - grid[0]
-    blo = max(prefix.lo, grid[j] - step)
-    bhi = min(prefix.hi, grid[j] + step)
-    refined = _golden_max(lambda t: objective(t)[0], blo, bhi)
+    refined = _golden_max(lambda t: objective(t)[0], max(prefix.lo, grid[j] - step),
+                          min(prefix.hi, grid[j] + step))
     # the refinement cannot resolve differences below the float noise of
     # the objective; ties still break to the rightmost point
     pair = objective(np.array([refined, grid[j]]))
@@ -435,13 +420,20 @@ def _next_leja_node(prefix: "_LejaPrefix") -> float:
 
 
 class _LejaPrefix:
-    """The longest greedy Leja sequence computed so far for one set of inputs,
-    with the search interval where its anchor doubling stopped, its search
-    grid, and on it the running sum of log|grid - x_k| and the log weight."""
+    """The longest canonical Leja sequence computed so far for one shape.
 
-    def __init__(self, nodes: list, lo: float, hi: float, log_weight):
-        self.nodes, self.log_weight = nodes, log_weight
-        self.move(lo, hi)
+    Each further node maximizes the distance product to the nodes before it,
+    times exp(log_weight), over [lo, hi], and its mirror image about
+    ``centre`` follows it.  With ``anchor`` the interval truncates an
+    unbounded support: a node within 1% of the width from an end other than
+    the anchor doubles the interval about the anchor, and the search repeats.
+    The search grid and the running sum of log|grid - x_k| and the log weight
+    on it are built on the first search."""
+
+    def __init__(self, nodes: list, lo: float, hi: float, log_weight, centre, anchor):
+        self.nodes, self.lo, self.hi = nodes, lo, hi
+        self.log_weight, self.centre, self.anchor = log_weight, centre, anchor
+        self.grid = None
 
     def move(self, lo: float, hi: float) -> None:
         """Search on [lo, hi] from here on; the sum is rebuilt from the nodes."""
@@ -454,7 +446,26 @@ class _LejaPrefix:
 
     def append(self, x: float) -> None:
         self.nodes.append(x)
-        self.logsum += self._log_distances(x)
+        if self.grid is not None:
+            self.logsum += self._log_distances(x)
+
+    def extend(self, count: int, polish=None) -> None:
+        """Search nodes until there are ``count``; ``polish(nodes, t)``, if
+        given, refines each found node before it is kept."""
+        if len(self.nodes) < count and self.grid is None:
+            self.move(self.lo, self.hi)
+        anchor, centre = self.anchor, self.centre
+        while len(self.nodes) < count:
+            t = _next_leja_node(self)
+            while anchor is not None and (
+                (self.hi > anchor and self.hi - t <= 0.01 * (self.hi - self.lo))
+                or (self.lo < anchor and t - self.lo <= 0.01 * (self.hi - self.lo))
+            ):
+                self.move(anchor - 2 * (anchor - self.lo), anchor + 2 * (self.hi - anchor))
+                t = _next_leja_node(self)
+            self.append(t if polish is None else polish(self.nodes, t))
+            if centre is not None:
+                self.append(centre - (self.nodes[-1] - centre))
 
     def _log_distances(self, x: float) -> np.ndarray:
         d = np.abs(self.grid - x)
@@ -462,52 +473,53 @@ class _LejaPrefix:
             return np.log(d, out=d)
 
 
-# one prefix per Leja sequence, shared by every family instance in the
+def _canonical_prefix(key: tuple, table: dict) -> _LejaPrefix:
+    """A new prefix of the canonical sequence ``key``, from ``table[key]`` =
+    (lo, hi, nodes) if there is one: ``("leja", variant)`` on [-1, 1] from
+    1, -1, 0, or ``("weighted_leja", kind, *params, variant)``."""
+    log_weight, anchor = None, None
+    if key[0] == "leja":
+        start, lo, hi = [1.0, -1.0, 0.0], -1.0, 1.0
+        centre = 0.0 if key[1] == "symmetric" else None
+    else:
+        dist = DistributionSpec(key[1], key[2:-1])
+        lo, hi = dist.support
+        if dist.kind == "normal":
+            lo, hi, anchor = -10.0, 10.0, 0.0
+        elif dist.kind in ("exponential", "gamma"):
+            hi, anchor = 40.0 * (dist.params[0] + 1.0 if dist.kind == "gamma" else 1.0), 0.0
+        centre = (lo + hi) / 2.0 if key[-1] == "symmetric" else None
+        start = [] if centre is None else [centre]
+
+        def log_weight(t):
+            return 0.5 * dist.log_pdf(t)
+    lo, hi, start = table.get(key, (lo, hi, start))
+    return _LejaPrefix(list(start), lo, hi, log_weight, centre, anchor)
+
+
+# one prefix per canonical sequence, shared by every domain and family in the
 # process; extension holds the lock, so concurrent callers never search twice
 _LEJA_PREFIXES: dict[tuple, _LejaPrefix] = {}
 _LEJA_LOCK = threading.Lock()
 
 
-def _leja_sequence(key: tuple, count: int, start, lo: float, hi: float, log_weight=None,
-                   centre: float | None = None, anchor: float | None = None) -> np.ndarray:
-    """First ``count`` nodes of the greedy Leja sequence that begins with
-    ``start``.
-
-    Each further node maximizes the distance product to the nodes before
-    it, times exp(log_weight), over [lo, hi]; with ``centre`` its mirror
-    image ``centre - (t - centre)`` follows it.  With ``anchor`` the
-    interval truncates an unbounded support: a node within 1% of the
-    interval's width from an end other than the anchor doubles the
-    interval about the anchor, and the search repeats.
-
-    ``key`` names the sequence the other arguments define.  The longest
-    prefix computed so far is kept under it and extended, so every count
-    is a prefix of the same sequence and no node is searched for twice.
-    """
+def _leja_sequence(key: tuple, count: int) -> np.ndarray:
+    """First ``count`` nodes of the canonical Leja sequence ``key``: the
+    uniform and normal ones from ``_leja_table`` (imported on the first
+    call), every other node searched for once."""
     with _LEJA_LOCK:
         prefix = _LEJA_PREFIXES.get(key)
         if prefix is None:
-            prefix = _LEJA_PREFIXES[key] = _LejaPrefix(list(map(float, start)), lo, hi, log_weight)
-        nodes, lo, hi = prefix.nodes, prefix.lo, prefix.hi
-        while len(nodes) < count:
-            t = _next_leja_node(prefix)
-            while anchor is not None and (
-                (hi > anchor and hi - t <= 0.01 * (hi - lo))
-                or (lo < anchor and t - lo <= 0.01 * (hi - lo))
-            ):
-                lo, hi = anchor - 2 * (anchor - lo), anchor + 2 * (hi - anchor)
-                prefix.move(lo, hi)
-                t = _next_leja_node(prefix)
-            prefix.append(t)
-            if centre is not None:
-                prefix.append(centre - (t - centre))
-        return np.asarray(nodes[:count])
+            from ._leja_table import LEJA_TABLE
+
+            prefix = _LEJA_PREFIXES[key] = _canonical_prefix(key, LEJA_TABLE)
+        prefix.extend(count)
+        return np.array(prefix.nodes[:count])
 
 
 def _lagrange_quadrature_weights(nodes: np.ndarray, dist: DistributionSpec) -> np.ndarray:
     """Integrate each Lagrange basis polynomial with an auxiliary Gauss rule."""
-    count = nodes.size
-    aux = gauss_knots(dist, (count + 1) // 2 + 10)
+    aux = gauss_knots(dist, (nodes.size + 1) // 2 + 10)
     basis = basis_matrix(nodes, barycentric_weights(nodes), aux.nodes)
     return basis.T @ aux.weights
 
@@ -518,7 +530,9 @@ def leja_knots(count: int, a: float, b: float, variant: str = "standard") -> Rul
     The first three nodes are b, a, (a+b)/2 for every variant; later nodes
     greedily maximize the distance product (``standard``), with odd entries
     mirrored about the midpoint (``symmetric``), or follow the angle-halving
-    cosine recursion (``p_disk``).
+    cosine recursion (``p_disk``).  The greedy variants are the image
+    (a+b)/2 + (b-a)/2 * t of the sequence t on [-1, 1], with the first three
+    nodes exact and each mirror formed from its mapped partner.
     """
     if not a < b:
         raise ParameterError("leja_knots requires a < b")
@@ -528,16 +542,15 @@ def leja_knots(count: int, a: float, b: float, variant: str = "standard") -> Rul
         raise UnsupportedVariantError(f"unknown Leja variant {variant!r}")
     if variant == "p_disk":
         phi = [0.0, math.pi, math.pi / 2.0]
-        j = 0
-        while len(phi) < count:
-            phi.append(phi[j + 2] / 2.0)
-            phi.append(phi[j + 2] / 2.0 + math.pi)
-            j += 1
+        for j in range(2, count):
+            phi += [phi[j] / 2.0, phi[j] / 2.0 + math.pi]
         nodes = a + (b - a) * (np.cos(phi[:count]) + 1.0) / 2.0
     else:
         mid = (a + b) / 2.0
-        centre = mid if variant == "symmetric" else None
-        nodes = _leja_sequence(("leja", variant, a, b), count, [b, a, mid], a, b, centre=centre)
+        nodes = mid + (b - a) / 2.0 * _leja_sequence(("leja", variant), count)
+        nodes[:3] = [b, a, mid][:count]
+        if variant == "symmetric":
+            nodes[4::2] = mid - (nodes[3:-1:2] - mid)
     w = _lagrange_quadrature_weights(nodes, DistributionSpec.uniform(a, b))
     return _freeze(nodes, w)
 
@@ -549,30 +562,28 @@ def weighted_leja_knots(count: int, dist: DistributionSpec, variant: str = "stan
     (possibly truncated) support.  The symmetric variant exists only for
     normal and beta variables: it starts at the centre (the mean, or the
     interval midpoint) and follows each computed node by its mirror image.
+    The nodes are the image loc + scale * t of the shape's canonical
+    sequence t; the centre is exact and each mirror is formed from its
+    mapped partner.
     """
     if count < 1:
         raise ParameterError("count must be >= 1")
     if variant not in ("standard", "symmetric"):
         raise UnsupportedVariantError(f"unknown weighted Leja variant {variant!r}")
     if variant == "symmetric" and dist.kind not in ("normal", "beta"):
-        raise UnsupportedVariantError(
-            f"symmetric weighted Leja not available for {dist.kind} variables"
-        )
-    p = dist.params
-    lo, hi = dist.support
-    anchor = None
-    if dist.kind == "normal":
-        lo, hi, anchor = p[0] - 10.0 * p[1], p[0] + 10.0 * p[1], p[0]
-    elif dist.kind == "exponential":
-        hi, anchor = 40.0 / p[0], 0.0
-    elif dist.kind == "gamma":
-        hi, anchor = 40.0 * (p[0] + 1.0) / p[1], 0.0
-    start, centre = [], None
+        raise UnsupportedVariantError(f"symmetric weighted Leja not available for {dist.kind} variables")
+    # canonical shape (N(0, 1), rate 1, gamma beta 1, [0, 1]), then loc + scale * t
+    kind, p = dist.kind, dist.params
+    if kind == "normal":
+        shape, loc, scale = (0.0, 1.0), p[0], p[1]
+    elif kind in ("exponential", "gamma"):
+        shape, loc, scale = p[:-1] + (1.0,), 0.0, 1.0 / p[-1]
+    else:
+        shape, loc, scale = (0.0, 1.0) + p[2:], p[0], p[1] - p[0]
+    nodes = loc + scale * _leja_sequence(("weighted_leja", kind) + shape + (variant,), count)
     if variant == "symmetric":
-        centre = p[0] if dist.kind == "normal" else (p[0] + p[1]) / 2.0
-        start = [centre]
-    nodes = _leja_sequence(("weighted_leja", dist, variant), count, start, lo, hi,
-                           lambda t: 0.5 * dist.log_pdf(t), centre, anchor)
+        centre = nodes[0] = p[0] if dist.kind == "normal" else (p[0] + p[1]) / 2.0
+        nodes[2::2] = centre - (nodes[1:-1:2] - centre)
     w = _lagrange_quadrature_weights(nodes, dist)
     return _freeze(nodes, w)
 
@@ -587,9 +598,7 @@ GK_SIZES = tuple(sorted(NESTED_NORMAL_RULES))
 def gk_knots(count: int) -> Rule1D:
     """Tabulated nested rule for the standard normal; count in {1,3,9,19,35}."""
     if count not in NESTED_NORMAL_RULES:
-        raise ParameterError(
-            f"nested normal rules exist only for sizes {GK_SIZES}, got {count}"
-        )
+        raise ParameterError(f"nested normal rules exist only for sizes {GK_SIZES}, got {count}")
     nodes, weights = NESTED_NORMAL_RULES[count]
     return _freeze(np.array(nodes), np.array(weights))
 
@@ -613,10 +622,7 @@ class KnotFamily:
     """
 
     def __init__(self, tag: str, params: tuple, dist: DistributionSpec | None, maker):
-        self.tag = tag
-        self.params = params
-        self.dist = dist
-        self._maker = maker
+        self.tag, self.params, self.dist, self._maker = tag, params, dist, maker
 
     def __call__(self, count: int) -> Rule1D:
         key = (self.tag, self.params, count)
@@ -626,11 +632,7 @@ class KnotFamily:
         return rule
 
     def __eq__(self, other):
-        return (
-            isinstance(other, KnotFamily)
-            and self.tag == other.tag
-            and self.params == other.params
-        )
+        return isinstance(other, KnotFamily) and (self.tag, self.params) == (other.tag, other.params)
 
     def __hash__(self):
         return hash((self.tag, self.params))
@@ -658,10 +660,8 @@ def leja_family(a: float, b: float, variant: str = "standard") -> KnotFamily:
 
 
 def weighted_leja_family(dist: DistributionSpec, variant: str = "standard") -> KnotFamily:
-    return KnotFamily(
-        "weighted_leja", (dist.kind,) + dist.params + (variant,), dist,
-        lambda n: weighted_leja_knots(n, dist, variant),
-    )
+    return KnotFamily("weighted_leja", (dist.kind,) + dist.params + (variant,), dist,
+                      lambda n: weighted_leja_knots(n, dist, variant))
 
 
 def trap_family(a: float, b: float) -> KnotFamily:
@@ -670,10 +670,8 @@ def trap_family(a: float, b: float) -> KnotFamily:
     midpoint belongs to every odd-count equispaced set, so nesting holds).
     """
     dist = DistributionSpec.uniform(a, b)
-    return KnotFamily(
-        "trap", (a, b), dist,
-        lambda n: midpoint_knots(1, a, b) if n == 1 else trap_knots(n, a, b),
-    )
+    return KnotFamily("trap", (a, b), dist,
+                      lambda n: midpoint_knots(1, a, b) if n == 1 else trap_knots(n, a, b))
 
 
 def midpoint_family(a: float, b: float) -> KnotFamily:

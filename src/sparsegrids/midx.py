@@ -33,7 +33,8 @@ def _index_row(r) -> tuple[int, ...]:
         return tuple(map(operator.index, r))
     except TypeError:
         if not all(float(v).is_integer() for v in r):
-            raise ValueError(f"multi-index {list(r)} has a non-integer entry") from None
+            plain = [v.item() if isinstance(v, np.generic) else v for v in r]
+            raise ValueError(f"multi-index {plain} has a non-integer entry") from None
         return tuple(int(v) for v in r)
 
 

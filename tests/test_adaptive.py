@@ -1069,7 +1069,7 @@ class TestPinnedHistory:
                         "136 415 255 425 514 173 524 236 551 354 117 371 127 453 181 273 552 "
                         "316 345 631 164 372 217 326 363 182 227 281 632 543 264 461 282 613 "
                         "435 623 711 444 534 462 146 721 515 712 525 137 722 355 246 336 237 "
-                        "553 165 174 373 641", 2.4401047184238793),
+                        "553 165 174 373 641", 2.440104718423872),
         "cc-doubling": (sg.cc_family, sg.LevelMap.DOUBLING, "Linf", 300,
                         "111 121 112 122 211 221 212 222 131 132 231 232 113 123 213 223 311 "
                         "321 312 322 133 141 142 233 241 331 242 332 313 323 114 124 214 224 "

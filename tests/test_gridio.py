@@ -669,6 +669,25 @@ class TestStructuralValidation:
         with pytest.raises(GridFileError, match=re.escape(f"stored knots of tensor {first} do not")):
             load_grid(path)
 
+    def test_stale_leja_knots_name_the_rule(self, tmp_path, capsys):
+        # Leja files written before the canonical tables hold nodes off by up
+        # to about 1e-8 of the width; the tolerance stays 1e-12
+        grid = sg.build_sparse_grid_from_rule(2, 4, sg.leja_family(-1.3, 1.7), sg.LevelMap.LINEAR,
+                                              sg.preset("TD")[0])
+        path = tmp_path / "leja.json"
+        save_grid(path, grid)
+        doc = json.loads(path.read_text())
+        rec = next(rec for rec in doc["tensors"] if rec["m"][1] == 5)
+        rec["knots_per_dim"][1][3] += 5e-9
+        path.write_text(json.dumps(doc))
+        want = (f"stored knots of tensor {tuple(rec['idx'])} do not match: dimension 2, 5 nodes "
+                'of {"family": "leja", "params": [-1.3, 1.7, "standard"]}, '
+                "largest deviation 5e-09 > 1e-12")
+        with pytest.raises(GridFileError, match=f"^{re.escape(want)}$"):
+            load_grid(path)
+        assert cli_main(["quad", "--grid", str(path), "--fn", "expsum"]) == 1
+        assert want in capsys.readouterr().err
+
     @pytest.mark.parametrize("nodes", [[[0.5], [1.0, 2.0]], ["a"]], ids=["ragged", "string"])
     def test_non_numeric_stored_knots_reported(self, saved_bundle, nodes, capsys):
         path = saved_bundle[0]

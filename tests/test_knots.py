@@ -1,6 +1,8 @@
 import json
 import math
+import os
 import random
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -452,17 +454,22 @@ class TestLejaPrefixStore:
         cold = weighted_leja_knots(16, dist)
         self.empty_store(monkeypatch)
         weighted_leja_knots(14, dist)
-        assert knots._LEJA_PREFIXES[("weighted_leja", dist, "standard")].hi == 80.0
+        assert knots._LEJA_PREFIXES[("weighted_leja", "exponential", 1.0, "standard")].hi == 80.0
         assert weighted_leja_knots(16, dist).nodes.tobytes() == cold.nodes.tobytes()
 
-    @pytest.mark.parametrize("make,expected", [
-        (lambda: leja_family(0.0, 1.0), 9),  # nodes 4..12
-        (lambda: leja_family(-1.3, 1.7, "symmetric"), 5),  # each search adds a mirrored pair
-        (lambda: weighted_leja_family(DistributionSpec.normal(0.3, 2.0)), None),
-        (lambda: weighted_leja_family(DistributionSpec.gamma(2.0, 1.0)), None),
-    ], ids=["leja", "leja-sym", "wleja-normal", "wleja-gamma"])
-    def test_equal_families_search_each_node_once(self, make, expected, searches, monkeypatch):
-        cold = make()(12)
+    # (family, top count, searches for the nodes up to it): the tabulated
+    # families search only past their 65-node tables, the others from the start
+    @pytest.mark.parametrize("make,top,expected", [
+        (lambda: leja_family(0.0, 1.0), 70, 5),  # nodes 66..70
+        (lambda: leja_family(-1.3, 1.7, "symmetric"), 70, 3),  # each search adds a mirrored pair
+        (lambda: weighted_leja_family(DistributionSpec.normal(0.3, 2.0)), 68, 3),
+        (lambda: weighted_leja_family(DistributionSpec.beta(0.5, 2.0, 0.5, 1.5)), 12, 12),
+        (lambda: weighted_leja_family(DistributionSpec.gamma(2.0, 1.0)), 12, None),
+        (lambda: weighted_leja_family(DistributionSpec.exponential(2.5)), 16, None),
+    ], ids=["leja", "leja-sym", "wleja-normal", "wleja-beta", "wleja-gamma", "wleja-exp"])
+    def test_equal_families_search_each_node_once(self, make, top, expected, searches,
+                                                  monkeypatch):
+        cold = make()(top)
         if expected is None:  # the anchor doubling may repeat a node's search
             expected = len(searches)
         assert len(searches) == expected
@@ -470,22 +477,35 @@ class TestLejaPrefixStore:
         searches.clear()
         first, second = make(), make()
         families = (first, second, family_from_descriptor(first.descriptor()))
-        for n in (5, 2, 12, 8, 1, 11):
+        for n in (top - 7, 2, top, top - 4, 1, top - 1):
             for fam in families:
                 fam(n)
         assert len(searches) == expected
         for fam in families:
-            assert fam(12).nodes.tobytes() == cold.nodes.tobytes()
+            assert fam(top).nodes.tobytes() == cold.nodes.tobytes()
+
+    @pytest.mark.parametrize("make", [
+        lambda a, b: leja_family(a, b),
+        lambda a, b: weighted_leja_family(DistributionSpec.beta(a, b, 0.5, 1.5)),
+        lambda a, b: weighted_leja_family(DistributionSpec.normal(a, b - a)),
+    ], ids=["leja", "wleja-beta", "wleja-normal"])
+    def test_domains_share_one_sequence(self, make, searches):
+        make(0.0, 1.0)(68)
+        found = len(searches)
+        for a, b in _adapt_leja_intervals(3):
+            make(a, b)(68)
+        assert len(searches) == found and len(knots._LEJA_PREFIXES) == 1
 
     def test_concurrent_requests_search_each_node_once(self, searches, monkeypatch):
-        cold = leja_knots(12, -1.0, 2.0).nodes
+        dist = DistributionSpec.beta(-1.0, 2.0, 0.5, 1.5)  # searched from its first node
+        cold = weighted_leja_knots(12, dist).nodes
         self.empty_store(monkeypatch)
         searches.clear()
         results = []
 
         def request(counts):
             for n in counts:
-                results.append((n, leja_knots(n, -1.0, 2.0).nodes))
+                results.append((n, weighted_leja_knots(n, dist).nodes))
 
         orders = [list(range(4, 13)), list(range(12, 3, -1)), [8, 12, 5], [12], [6, 7, 11]]
         threads = [threading.Thread(target=request, args=(o,)) for o in orders]
@@ -500,14 +520,19 @@ class TestLejaPrefixStore:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert len(results) == sum(map(len, orders))
-        assert len(searches) == 9
+        assert len(searches) == 12
         for n, nodes in results:
             assert nodes.tobytes() == cold[:n].tobytes()
 
 
-def _direct_leja_sequence(key, count, start, lo, hi, log_weight=None, centre=None, anchor=None):
-    """Reference: the greedy search that sums the (grid x nodes) matrix of
-    log-distances afresh for every node, with no prefix store."""
+def _direct_leja_sequence(key, count):
+    """Reference: the greedy search from the same canonical prefix, summing
+    log|grid - x_k| over the nodes afresh for every node, with no store."""
+    from sparsegrids._leja_table import LEJA_TABLE
+
+    prefix = knots._canonical_prefix(key, LEJA_TABLE)
+    nodes, lo, hi, anchor = list(prefix.nodes), prefix.lo, prefix.hi, prefix.anchor
+    log_weight, centre = prefix.log_weight, prefix.centre
 
     def objective(t, existing):
         t = np.atleast_1d(np.asarray(t, dtype=float))
@@ -517,7 +542,13 @@ def _direct_leja_sequence(key, count, start, lo, hi, log_weight=None, centre=Non
 
     def next_node(existing, lo, hi):
         grid = np.linspace(lo, hi, knots._LEJA_GRID)
-        j = knots._argmax_rightmost(grid, objective(grid, existing))
+        vals = np.zeros(grid.size)
+        with np.errstate(divide="ignore"):
+            for x in existing:
+                vals += np.log(np.abs(grid - x))
+        if log_weight is not None:
+            vals = vals + log_weight(grid)
+        j = knots._argmax_rightmost(vals)
         step = grid[1] - grid[0]
         blo, bhi = max(lo, grid[j] - step), min(hi, grid[j] + step)
         refined = knots._golden_max(lambda t: objective(t, existing)[0], blo, bhi)
@@ -527,7 +558,6 @@ def _direct_leja_sequence(key, count, start, lo, hi, log_weight=None, centre=Non
             return float(grid[j])
         return refined
 
-    nodes = [float(v) for v in start]
     while len(nodes) < count:
         arr = np.asarray(nodes)
         t = next_node(arr, lo, hi)
@@ -552,13 +582,15 @@ def _adapt_leja_intervals(n):
 
 class TestRunningLogSum:
     """The Leja search keeps a running sum of log-distances over its grid
-    instead of summing a (grid x nodes) matrix for every node."""
+    instead of summing them afresh for every node."""
 
+    # every case calls make(n) with n past its table (65 nodes) or, for the
+    # searched shapes, from the first node on
     @pytest.mark.parametrize("make", [
-        *(lambda n, a=a, b=b, v=v: leja_knots(n, a, b, v)
+        *(lambda n, a=a, b=b, v=v: leja_knots(n + 50, a, b, v)
           for a, b in _adapt_leja_intervals(6) for v in ("standard", "symmetric")),
-        lambda n: weighted_leja_knots(n, DistributionSpec.normal(0.3, 2.0)),
-        lambda n: weighted_leja_knots(n, DistributionSpec.normal(0.3, 2.0), "symmetric"),
+        lambda n: weighted_leja_knots(n + 50, DistributionSpec.normal(0.3, 2.0)),
+        lambda n: weighted_leja_knots(n + 50, DistributionSpec.normal(0.3, 2.0), "symmetric"),
         lambda n: weighted_leja_knots(n, DistributionSpec.gamma(2.0, 1.0)),
         lambda n: weighted_leja_knots(n, DistributionSpec.exponential(1.0)),  # doubles at node 14
     ])
@@ -570,12 +602,20 @@ class TestRunningLogSum:
             direct = make(16).nodes
         assert fast.tobytes() == direct.tobytes()
 
+    def test_beta_nodes_bitwise_equal_the_direct_search(self, monkeypatch):
+        TestLejaPrefixStore.empty_store(monkeypatch)
+        dist = DistributionSpec.beta(-1.0, 2.0, 0.5, 1.5)
+        fast = weighted_leja_knots(16, dist).nodes
+        monkeypatch.setattr(knots, "_leja_sequence", _direct_leja_sequence)
+        assert fast.tobytes() == weighted_leja_knots(16, dist).nodes.tobytes()
+
     def test_extension_keeps_no_node_matrix(self, monkeypatch):
         TestLejaPrefixStore.empty_store(monkeypatch)
-        leja_knots(3, -1.3, 1.7)
+        dist = DistributionSpec.beta(-1.3, 1.7, 0.5, 1.5)  # searched, no anchor doubling
+        weighted_leja_knots(3, dist)
         tracemalloc.start()
         try:
-            leja_knots(13, -1.3, 1.7)
+            weighted_leja_knots(13, dist)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -598,6 +638,80 @@ class TestRunningLogSum:
             rules = [fam(n) for fam in families]
             assert all(rule is rules[0] for rule in rules)
         assert sorted(built) == [1, 2, 5, 8, 11, 12]
+
+
+_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+class TestCanonicalLeja:
+    """Every Leja family is the affine image loc + scale * t of one canonical
+    sequence t per shape, apart from its exact start nodes and mirrors."""
+
+    @given(a=st.floats(-1e3, 1e3), width=st.floats(1e-3, 1e3),
+           variant=st.sampled_from(["standard", "symmetric"]))
+    @settings(max_examples=30, deadline=None)
+    def test_leja_is_the_image_of_the_canonical_sequence(self, a, width, variant):
+        b = a + width
+        t = knots._leja_sequence(("leja", variant), 33)
+        nodes = leja_knots(33, a, b, variant).nodes
+        mid = (a + b) / 2.0
+        image = mid + (b - a) / 2.0 * t
+        assert nodes[:3].tolist() == [b, a, mid]
+        free = slice(3, None, 2 if variant == "symmetric" else 1)
+        assert nodes[free].tobytes() == image[free].tobytes()
+        if variant == "symmetric":
+            assert nodes[4::2].tobytes() == (mid - (nodes[3:-1:2] - mid)).tobytes()
+
+    @given(mu=st.floats(-1e3, 1e3), sigma=st.floats(1e-3, 1e3),
+           variant=st.sampled_from(["standard", "symmetric"]))
+    @settings(max_examples=30, deadline=None)
+    def test_weighted_normal_is_the_image_of_the_canonical_sequence(self, mu, sigma, variant):
+        t = knots._leja_sequence(("weighted_leja", "normal", 0.0, 1.0, variant), 33)
+        nodes = weighted_leja_knots(33, DistributionSpec.normal(mu, sigma), variant).nodes
+        image = mu + sigma * t
+        assert nodes[0] == mu
+        free = slice(1, None, 2 if variant == "symmetric" else 1)
+        assert nodes[free].tobytes() == image[free].tobytes()
+        if variant == "symmetric":
+            assert nodes[2::2].tobytes() == (mu - (nodes[1:-1:2] - mu)).tobytes()
+
+    def test_closed_form_nodes(self):
+        # |t^3 - t| peaks at 1/sqrt(3); |t| exp(-t^2/4) at sqrt(2); exp(-t^2/4) at 0
+        r3, r2 = 1.0 / math.sqrt(3.0), math.sqrt(2.0)
+        assert abs(leja_knots(4, -1.0, 1.0).nodes[3] - r3) <= 2 * math.ulp(r3)
+        sym = weighted_leja_knots(2, DistributionSpec.normal(0.0, 1.0), "symmetric")
+        assert abs(sym.nodes[1] - r2) <= 2 * math.ulp(r2)
+        assert weighted_leja_knots(1, DistributionSpec.normal(0.0, 1.0)).nodes[0] == 0.0
+
+    def test_mirror_is_bitwise_on_a_shifted_domain(self):
+        nodes = leja_knots(65, -1.3, 1.7, "symmetric").nodes
+        mid = (-1.3 + 1.7) / 2.0
+        for k in range(3, 64, 2):
+            assert nodes[k + 1] == mid - (nodes[k] - mid), k
+
+    def test_table_regenerates_bitwise(self):
+        script = os.path.join(_ROOT, "scripts", "gen_leja_table.py")
+        proc = subprocess.run([sys.executable, script, "--check"], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+
+    def test_table_is_imported_on_the_first_leja_call(self, tmp_path):
+        code = "\n".join([
+            "import sys",
+            "import sparsegrids",
+            "from sparsegrids.cli import cli_main",
+            "table = 'sparsegrids._leja_table'",
+            "assert table not in sys.modules",
+            "assert cli_main(['build', '--dim', '2', '--preset', 'SM', '--w', '3', '--knots', 'cc',",
+            "                 '--domain=-1,1', '-o', 'g.json']) == 0",
+            "assert cli_main(['quad', '--grid', 'g.json', '--fn', 'expsum']) == 0",
+            "assert table not in sys.modules",
+            "sparsegrids.leja_knots(4, 0.0, 1.0)",
+            "assert table in sys.modules",
+        ])
+        env = dict(os.environ, PYTHONPATH=os.path.join(_ROOT, "src"))
+        proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestTrapFamilyFallback:

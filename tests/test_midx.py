@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -140,7 +141,8 @@ class TestMatrixInput:
 
     @pytest.mark.parametrize("bad", [1.7, math.nan, math.inf])
     def test_non_integer_matrix_rejected(self, bad):
-        with pytest.raises(ValueError, match=r"multi-index \[.*\] has a non-integer entry"):
+        plain = re.escape(f"multi-index [1.0, {bad}] has a non-integer entry")
+        with pytest.raises(ValueError, match=f"^{plain}$"):
             MultiIndexSet(np.array([[1.0, 1.0], [1.0, bad]]))
         with pytest.raises(ValueError, match="non-integer entry"):
             MultiIndexSet([[1, 1]]).union(np.array([[bad, 1.0]]))
