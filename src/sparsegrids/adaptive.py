@@ -410,9 +410,6 @@ def serialize_state(state: AdaptState) -> dict:
             {"idx": list(i), "error": c.error, "work": c.work, "profit": c.profit}
             for i, c in state.margin.items()
         ],
-        "history": [list(i) for i in state.history],
-        "num_evals": state.num_evals,
-        "active_dims": state.active_dims,
         "points": pts.tolist(),
         "values": vals.tolist(),
         "controls": {
@@ -461,9 +458,8 @@ def restore_state(data: dict, families, level_map: LevelMap,
     """
     _check(isinstance(data, dict), "adapt_state", "is not an object")
     try:
-        accepted, margin, history, num_evals, active, pts, vals, stored = _fields(
-            data, "", "accepted", "margin", "history", "num_evals", "active_dims", "points",
-            "values", "controls")
+        accepted, margin, pts, vals, stored = _fields(
+            data, "", "accepted", "margin", "points", "values", "controls")
         _check(isinstance(stored, dict), "controls", "is not an object")
         nested, profit, buffer = _fields(stored, "controls.", "nested", "profit",
                                          "var_buffer_size")
@@ -482,7 +478,6 @@ def restore_state(data: dict, families, level_map: LevelMap,
     pts, vals = _matrix(pts, "points"), _matrix(vals, "values")
     dim, size = pts.shape
     _check(vals.shape[1] == size, "values", f"has {vals.shape[1]} columns for {size} points")
-    _check(num_evals == size, "num_evals", f"is {num_evals!r} for {size} points")
     try:
         families = _normalize_families(families, dim)
     except ValueError as exc:
@@ -498,11 +493,8 @@ def restore_state(data: dict, families, level_map: LevelMap,
     members = set(state.accepted)
     _check(len(members) == len(accepted) and all(_backward_closed(i, members) for i in members),
            "accepted", "is not a downward-closed set without repeats")
-    _check(history == accepted, "history", "differs from 'accepted'")
     state.active_dims = max((n + 1 for idx in members for n, v in enumerate(idx) if v > 1),
                             default=0)
-    _check(type(active) is int and active == state.active_dims, "active_dims",
-           f"is {active!r}, but the last dimension 'accepted' refines is {state.active_dims}")
     for k, rec in enumerate(margin):
         idx = _index(rec["idx"], f"margin[{k}].idx", dim)
         _check(idx not in members and idx not in state.margin and _backward_closed(idx, members),

@@ -228,7 +228,7 @@ def build_sparse_grid_from_rule(
     previous: SparseGrid | None = None,
 ) -> SparseGrid:
     """Generate the multi-index set from ``rule`` and build the grid."""
-    index_set = generate_rule_set(dim, rule, level, base=1)
+    index_set = generate_rule_set(dim, rule, level)
     return build_sparse_grid(index_set, families, level_map, previous=previous)
 
 
@@ -319,7 +319,12 @@ def reduce_grid(grid: SparseGrid, tol: float | None = None) -> ReducedGrid:
     if not grid.tensors:
         raise ValueError("cannot reduce an empty sparse grid")
     extended, ext_weights = grid.extended()
-    tols = dedup_tolerances(extended, tol)
+    return _reduce_extended(extended, ext_weights, dedup_tolerances(extended, tol))
+
+
+def _reduce_extended(extended: np.ndarray, ext_weights: np.ndarray,
+                     tols: np.ndarray) -> ReducedGrid:
+    """The extended knots and weights deduplicated on the lattice of ``tols``."""
     m_arr, n_map, w, _ = _group_columns(_lattice(extended, tols), ext_weights)
     knots = extended[:, m_arr]
     for a in (knots, w, m_arr, n_map):

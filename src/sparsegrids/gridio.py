@@ -2,27 +2,30 @@
 
 Grids are stored as JSON with decimal floats (Python's shortest
 round-trip representation, at most 17 significant digits), so numeric
-arrays survive a save/load cycle bitwise.  Exports are plain CSV: comma
-separator, '.' decimal, LF line endings, mandatory header row.
+arrays survive a save/load cycle bitwise.  A file stores each fact once;
+``load_grid`` rebuilds what follows from the stored fields and checks the
+stored rules and reduced form against it, and reads format-1 files too.
+Exports are plain CSV: comma separator, '.' decimal, LF line endings,
+mandatory header row.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .evalkit import EvaluationTable, Interpolant
-from .grid import ReducedGrid, SparseGrid, build_sparse_grid
+from .grid import ReducedGrid, SparseGrid, _reduce_extended, build_sparse_grid
 from .knots import family_from_descriptor
 from .levels import LevelMap
 from .midx import MultiIndexSet
 
 __all__ = ["GridBundle", "save_grid", "load_grid", "export_points", "FORMAT_VERSION"]
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class GridFileError(ValueError):
@@ -39,16 +42,6 @@ class GridBundle:
     adapt_state: dict | None = None
 
 
-def _reduced_to_json(reduced: ReducedGrid) -> dict:
-    return {
-        "knots": reduced.knots.tolist(),
-        "weights": reduced.weights.tolist(),
-        "m": reduced.m.tolist(),
-        "n": reduced.n.tolist(),
-        "tol": reduced.tol.tolist(),
-    }
-
-
 def _fields(obj: dict, where: str, *keys: str) -> list:
     """``obj[key]`` for each of ``keys``; a missing one raises a KeyError
     naming it as ``where + key``."""
@@ -58,37 +51,63 @@ def _fields(obj: dict, where: str, *keys: str) -> list:
     return [obj[key] for key in keys]
 
 
-def _reduced_from_json(obj: dict) -> ReducedGrid:
-    knots, weights, m, n, tol = _fields(obj, "reduced.", "knots", "weights", "m", "n", "tol")
-    knots = np.asarray(knots, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    m = np.asarray(m, dtype=np.int64)
-    n = np.asarray(n, dtype=np.int64)
-    tol = np.asarray(tol, dtype=float)
-    for a in (knots, weights, m, n):
-        a.flags.writeable = False
-    return ReducedGrid(knots=knots, weights=weights, size=weights.size, m=m, n=n, tol=tol)
+def _format_1_rules(doc: dict, dim: int) -> list:
+    """Format 2's ``rules`` from a format-1 file: each distinct node list
+    of each tensor's ``knots_per_dim``, keyed by its length."""
+    rules = [{} for _ in range(dim)]
+    for k, rec in enumerate(_fields(doc, "", "tensors")[0]):
+        per_dim = _fields(rec, f"tensors[{k}].", "knots_per_dim")[0]
+        if len(per_dim) != dim:
+            raise ValueError(f"'tensors[{k}].knots_per_dim' has {len(per_dim)} node lists "
+                             f"for {dim} dimensions")
+        for entries, nodes in zip(rules, per_dim):
+            entries.setdefault(repr(nodes), [len(nodes), nodes])
+    return [list(entries.values()) for entries in rules]
 
 
-def _check_reduced(grid: SparseGrid, reduced: ReducedGrid, values) -> None:
-    """Check a stored reduced form (and values) against the rebuilt grid."""
-    knots, weights = grid.extended()
-    m, n, size = reduced.m, reduced.n, reduced.size
-    tol = reduced.tol
+def _check_rules(grid: SparseGrid, rules: list) -> None:
+    """Each stored rule against its family, and every node count the grid
+    uses against the stored ones."""
+    if len(rules) != grid.dim:
+        raise GridFileError(f"'rules' has {len(rules)} entries for {grid.dim} dimensions")
+    counts = zip(*(t.m for t in grid.tensors))
+    for n, (fam, entries, used) in enumerate(zip(grid.families, rules, counts), 1):
+        used = set(used)
+        for count, theirs in entries:
+            if type(count) is not int or count not in used:
+                raise GridFileError(f"'rules' holds a {count!r}-node rule of dimension {n}, "
+                                    "which the grid does not use")
+            ours = fam(count).nodes
+            if theirs.shape != ours.shape or not np.allclose(ours, theirs, rtol=0, atol=1e-12):
+                off = (f"largest deviation {np.abs(ours - theirs).max():.3g} > 1e-12"
+                       if theirs.shape == ours.shape else f"{theirs.size} stored")
+                raise GridFileError(
+                    f"stored rule does not match: dimension {n}, "
+                    f"{count} nodes of {json.dumps(fam.descriptor())}, {off}")
+        missing = used - {count for count, _ in entries}
+        if missing:
+            raise GridFileError(f"'rules' holds no {min(missing)}-node rule of dimension {n}")
+
+
+def _check_reduced(grid: SparseGrid, knots, weights, tol, values) -> ReducedGrid:
+    """The reduced form of ``grid`` on the stored lattice ``tol``, carrying
+    the stored knots and weights once they match it (and the values' width)."""
     if tol.shape != (grid.dim,) or not np.all(np.isfinite(tol) & (tol > 0)):
         raise GridFileError(f"reduced 'tol' is not {grid.dim} finite values above 0")
-    if values is not None and values.n_points != size:
-        raise GridFileError(f"'values' has {values.n_points} columns for {size} reduced knots")
-    if n.shape != weights.shape or np.any((n < 0) | (n >= size)):
-        raise GridFileError(f"reduced 'n' does not map {weights.size} knots onto {size}")
-    if m.shape != (size,) or np.any((m < 0) | (m >= n.size)) or np.any(n[m] != np.arange(size)):
-        raise GridFileError("reduced 'm' is not the first occurrence of each reduced knot")
-    if reduced.knots.shape != (grid.dim, size) or not np.allclose(reduced.knots, knots[:, m],
-                                                                   rtol=0, atol=1e-12):
+    ext_knots, ext_weights = grid.extended()
+    ours = _reduce_extended(ext_knots, ext_weights, tol)
+    if knots.shape != ours.knots.shape:
+        raise GridFileError(f"reduced 'knots' has shape {knots.shape}, but reduced 'tol' leaves "
+                            f"{ours.size} distinct knots of the grid")
+    if not np.allclose(knots, ours.knots, rtol=0, atol=1e-12):
         raise GridFileError("reduced 'knots' do not match the grid's knots")
-    error = np.abs(reduced.weights - np.bincount(n, weights, minlength=size)).max()
-    if error > 1e-12 * np.abs(weights).sum():
+    error = np.abs(weights - ours.weights).max() if weights.shape == ours.weights.shape else np.inf
+    if not error <= 1e-12 * np.abs(ext_weights).sum():
         raise GridFileError(f"reduced 'weights' are off the summed tensor weights by {error:.3g}")
+    if values is not None and values.n_points != ours.size:
+        raise GridFileError(f"'values' has {values.n_points} columns for {ours.size} reduced knots")
+    knots.flags.writeable = weights.flags.writeable = False
+    return replace(ours, knots=knots, weights=weights)
 
 
 def save_grid(path, grid: SparseGrid, reduced: ReducedGrid | None = None,
@@ -101,18 +120,12 @@ def save_grid(path, grid: SparseGrid, reduced: ReducedGrid | None = None,
         "families": [fam.descriptor() for fam in grid.families],
         "level_map": LevelMap(grid.level_map).value,
         "multi_index_set": grid.index_set.rows.tolist(),
-        "tensors": [
-            {
-                "idx": list(t.idx),
-                "m": list(t.m),
-                "coeff": t.coeff,
-                "knots_per_dim": [fam(c).nodes.tolist() for fam, c in zip(grid.families, t.m)],
-            }
-            for t in grid.tensors
-        ],
+        "rules": [[[c, fam(c).nodes.tolist()] for c in sorted(set(counts))]
+                  for fam, counts in zip(grid.families, zip(*(t.m for t in grid.tensors)))],
     }
     if reduced is not None:
-        doc["reduced"] = _reduced_to_json(reduced)
+        doc["reduced"] = {"knots": reduced.knots.tolist(), "weights": reduced.weights.tolist(),
+                          "tol": reduced.tol.tolist()}
     if values is not None:
         doc["values"] = values.values.tolist()
     if adapt_state is not None:
@@ -123,7 +136,9 @@ def save_grid(path, grid: SparseGrid, reduced: ReducedGrid | None = None,
 
 
 def load_grid(path) -> GridBundle:
-    """Read a grid file; the grid is rebuilt and checked against the stored data."""
+    """Read a grid file of format 2 or 1; the grid, its reduced maps and
+    the rest of the derived data are rebuilt and checked against the stored
+    rules, reduced knots and weights."""
     with open(path) as fh:
         text = fh.read()
     try:
@@ -133,50 +148,35 @@ def load_grid(path) -> GridBundle:
     if not isinstance(doc, dict):
         raise GridFileError(f"grid file {path} is structurally invalid: not a JSON object")
     version = doc.get("format_version")
-    if version != FORMAT_VERSION:
+    if version not in (1, FORMAT_VERSION):
         raise GridFileError(
-            f"grid file version {version!r} not supported (expected {FORMAT_VERSION})"
+            f"grid file version {version!r} not supported (expected 1 or {FORMAT_VERSION})"
         )
+    state = doc.get("adapt_state")
     try:
         families = tuple(family_from_descriptor(d) for d in doc["families"])
         level_map = LevelMap(doc["level_map"])
         index_set = MultiIndexSet(doc["multi_index_set"], dim=doc["dim"])
-        stored = {}
-        for k, rec in enumerate(_fields(doc, "", "tensors")[0]):
-            idx, *meta, nodes = _fields(rec, f"tensors[{k}].", "idx", "coeff", "m", "knots_per_dim")
-            stored[tuple(idx)] = *meta, [np.asarray(v, dtype=float) for v in nodes]
-        reduced = _reduced_from_json(doc["reduced"]) if "reduced" in doc else None
+        if version == 1:
+            doc["rules"] = _format_1_rules(doc, index_set.dim)
+            if isinstance(state, dict):  # these follow from its other fields
+                state = {k: v for k, v in state.items()
+                         if k not in ("history", "num_evals", "active_dims")}
+        rules = [[(c, np.asarray(nodes, dtype=float)) for c, nodes in entries]
+                 for entries in doc["rules"]]
+        stored = None if "reduced" not in doc else [
+            np.asarray(v, dtype=float)
+            for v in _fields(doc["reduced"], "reduced.", "knots", "weights", "tol")]
+        values = EvaluationTable(np.asarray(doc["values"], dtype=float)) if "values" in doc else None
     except KeyError as exc:
         raise GridFileError(f"grid file {path} is structurally invalid: "
                             f"missing field {exc.args[0]!r}") from exc
     except (TypeError, ValueError) as exc:
         raise GridFileError(f"grid file {path} is structurally invalid: {exc}") from exc
     grid = build_sparse_grid(index_set, families, level_map)
-    # cross-check the regenerated univariate knots against the stored ones
-    if set(stored) != {t.idx for t in grid.tensors}:
-        raise GridFileError("stored tensors do not match the multi-index set")
-    checked = set()  # (dimension, node count, stored shape and bytes) already compared
-    for t in grid.tensors:
-        coeff, m, stored_nodes = stored[t.idx]
-        if coeff != t.coeff or list(t.m) != m or len(stored_nodes) != grid.dim:
-            raise GridFileError(f"tensor {t.idx} metadata mismatch")
-        for n, (fam, c, theirs) in enumerate(zip(grid.families, t.m, stored_nodes)):
-            key = (n, c, theirs.shape, theirs.tobytes())
-            if key in checked:
-                continue
-            ours = fam(c).nodes
-            if theirs.shape != ours.shape or not np.allclose(ours, theirs, rtol=0, atol=1e-12):
-                off = (f"largest deviation {np.abs(ours - theirs).max():.3g} > 1e-12"
-                       if theirs.shape == ours.shape else f"{theirs.size} stored")
-                raise GridFileError(
-                    f"stored knots of tensor {t.idx} do not match: dimension {n + 1}, "
-                    f"{c} nodes of {json.dumps(fam.descriptor())}, {off}")
-            checked.add(key)
-    values = EvaluationTable(np.asarray(doc["values"], dtype=float)) if "values" in doc else None
-    if reduced is not None:
-        _check_reduced(grid, reduced, values)
-    return GridBundle(grid=grid, reduced=reduced, values=values,
-                      adapt_state=doc.get("adapt_state"))
+    _check_rules(grid, rules)
+    reduced = None if stored is None else _check_reduced(grid, *stored, values)
+    return GridBundle(grid=grid, reduced=reduced, values=values, adapt_state=state)
 
 
 # ---------------------------------------------------------------------------

@@ -121,9 +121,8 @@ def generate_rule_set(
     dim: int,
     rule: Callable[[tuple[int, ...]], float],
     level: float,
-    base: int = 1,
 ) -> MultiIndexSet:
-    """All multi-indices with entries >= base satisfying rule(idx) <= level.
+    """All multi-indices with entries >= 1 satisfying rule(idx) <= level.
 
     ``rule`` must be non-decreasing in each argument and must stay above
     ``level`` when a prefix already is (it is called on partial prefixes
@@ -132,13 +131,13 @@ def generate_rule_set(
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    rule((base,) * dim)  # a rule that cannot take dim entries fails here, not on a prefix
+    rule((1,) * dim)  # a rule that cannot take dim entries fails here, not on a prefix
     rows: list[tuple[int, ...]] = []
     prefix: list[int] = []
 
     def descend():
         depth = len(prefix)
-        i = base
+        i = 1
         while True:
             prefix.append(i)
             if rule(tuple(prefix)) > level:
@@ -150,11 +149,11 @@ def generate_rule_set(
                 descend()
             prefix.pop()
             i += 1
-            if i - base > 1_000_000:
+            if i > 1_000_001:
                 raise ValueError("rule admits too many levels in one dimension")
 
     descend()
-    return MultiIndexSet(np.array(rows, dtype=np.int64).reshape(len(rows), dim), dim=dim, base=base)
+    return MultiIndexSet(np.array(rows, dtype=np.int64).reshape(len(rows), dim), dim=dim)
 
 
 def box_set(upper: Iterable[int]) -> MultiIndexSet:

@@ -92,8 +92,10 @@ class DiffusionModel:
         h = xs[1] - xs[0]
         mids, dx = (xs[:-1] + xs[1:]) / 2.0, np.diff(xs)
         cells = self._cells(mids)
-        mids.flags.writeable = dx.flags.writeable = cells.flags.writeable = False
-        return _Assembly(h, mids, cells, tuple((h * self._rhs_values(xs[1:-1])).tolist()), dx)
+        load = h * self._rhs_values(xs[1:-1])
+        for a in (mids, dx, cells, load):
+            a.flags.writeable = False
+        return _Assembly(h, mids, cells, load, dx)
 
     @cached_property
     def _sigma_array(self) -> np.ndarray:
@@ -131,15 +133,16 @@ class _Assembly(NamedTuple):
     h: float  # mesh width
     mids: np.ndarray  # element midpoints, where the coefficient is sampled
     cells: np.ndarray  # the subinterval of each midpoint
-    load: tuple[float, ...]  # lumped load at the interior nodes
+    load: np.ndarray  # lumped load at the interior nodes
     dx: np.ndarray  # node spacings of the trapezoid rule
 
 
-def _tridiagonal_solve(diag: list, off: list, load: list) -> list:
+def _tridiagonal_solve(diag, off, load):
     """Solution of the symmetric tridiagonal system with diagonal ``diag``
     and off-diagonal ``off`` for ``load``: Gaussian elimination without
-    pivoting (the Thomas algorithm) in LAPACK ``gtsv``'s operation order.
-    Overwrites ``diag`` and ``load``."""
+    pivoting (the Thomas algorithm) in LAPACK ``gtsv``'s operation order,
+    on lists of floats or elementwise on the rows of arrays.  Overwrites
+    ``diag`` and ``load``."""
     d, b = diag[0], load[0]
     for i, e in enumerate(off, 1):
         fact = e / d
@@ -168,37 +171,32 @@ def fem_solve(model: DiffusionModel, y, query_points=None) -> np.ndarray:
     """
     y = np.asarray(y, dtype=float)
     block = y.ndim == 2
-    y = y if block else y.ravel()
+    y = y if block else y.reshape(-1, 1)  # one sample runs as a one-column block
     if y.shape[0] != model.n_random:
         raise ModelError(f"y has {y.shape[0]} entries, but the model has {model.n_random} "
                          "random variables")
     h, mids, _, load, _ = model._assembly
-    if block and type(model).coefficient is not DiffusionModel.coefficient:
+    if type(model).coefficient is not DiffusionModel.coefficient:
         a_el = np.column_stack([model.coefficient(mids, col) for col in np.ascontiguousarray(y.T)])
     else:
         a_el = model.coefficient(mids, y)
     bad = (a_el <= 0.0).any(axis=0)
     if bad.any():
-        where = f"y = {y[:, bad.argmax()]} (column {bad.argmax()})" if block else f"y = {y}"
-        raise ModelError(f"nonpositive diffusion coefficient for {where}")
+        column = f" (column {bad.argmax()})" if block else ""
+        raise ModelError(f"nonpositive diffusion coefficient for y = {y[:, bad.argmax()]}{column}")
     main = a_el[:-1] + a_el[1:]
     main /= h
     off = a_el[1:-1] / -h  # bitwise -a_el[1:-1] / h
     del a_el
     # bitwise as LAPACK gtsv, which never pivots here: pivot i = a_i/h + 1/sum_{e<i} h/a_e > |off_i|
-    if block:  # the sweep runs over rows, elementwise on each sample's column, in place in u
-        u = np.zeros((model.mesh + 1, y.shape[1]))
-        u[1:-1] = np.array(load)[:, None]
-        _tridiagonal_solve(main, off, u[1:-1])
-    else:  # Python floats: faster than 1-column rows for one sample
-        u = np.fromiter([0.0, *_tridiagonal_solve(main.tolist(), off.tolist(), list(load)), 0.0],
-                        float, model.mesh + 1)
-    if query_points is None:
-        return u
-    query_points = np.asarray(query_points, dtype=float)
-    if block:
-        return np.stack([np.interp(query_points, model.nodes, col) for col in u.T], axis=-1)
-    return np.interp(query_points, model.nodes, u)
+    # the sweep runs over rows, elementwise on each sample's column, in place in u
+    u = np.zeros((model.mesh + 1, y.shape[1]))
+    u[1:-1] = load[:, None]
+    _tridiagonal_solve(main, off, u[1:-1])
+    if query_points is not None:
+        query_points = np.asarray(query_points, dtype=float)
+        u = np.stack([np.interp(query_points, model.nodes, col) for col in u.T], axis=-1)
+    return u if block else u[..., 0]
 
 
 def qoi_integral(model: DiffusionModel, y):

@@ -686,7 +686,7 @@ class TestResumeRescoring:
         lib = adapt(f, 3, *_LEJA_3D, previous=first,
                     controls=AdaptControls(nested=True, profit="deltaint_per_new_points",
                                            max_pts=450))
-        assert load_grid(path).adapt_state["history"] == [list(i) for i in lib.internal.history]
+        assert load_grid(path).adapt_state["accepted"] == [list(i) for i in lib.internal.accepted]
         assert printed == [repr(float(v)) for v in lib.intf]
 
     # a nested record resumed as non-nested, then a non-nested one resumed as nested
@@ -846,10 +846,6 @@ class TestRestoreValidation:
             s, controls={**s["controls"], "var_buffer_size": 0.5})),
         "negative-var-buffer-size": ("controls.var_buffer_size", lambda s: _with(
             s, controls={**s["controls"], "var_buffer_size": -1})),
-        "non-integer-active-dims": ("active_dims", lambda s: _with(s, active_dims=1.5)),
-        "active-dims-above-dim": ("active_dims", lambda s: _with(s, active_dims=3)),
-        # the saved run refines dimension 2, so its active_dims is 2
-        "active-dims-not-from-accepted": ("active_dims", lambda s: _with(s, active_dims=1)),
         "values-short": ("values", lambda s: _with(s, values=[r[:-1] for r in s["values"]])),
         "non-finite-value": ("values", lambda s: _with(
             s, values=[[math.inf] + r[1:] for r in s["values"]])),
@@ -863,16 +859,12 @@ class TestRestoreValidation:
             s, points=s["points"] + s["points"][:1])),
         "two-points-one-key": ("points", lambda s: _with(
             s, points=[[r[0], r[0]] + r[2:] for r in s["points"]])),
-        "wrong-num-evals": ("num_evals", lambda s: _with(s, num_evals=s["num_evals"] - 1)),
-        "empty-accepted": ("accepted", lambda s: _with(s, accepted=[], history=[])),
+        "empty-accepted": ("accepted", lambda s: _with(s, accepted=[])),
         "index-of-wrong-length": ("accepted[1]", lambda s: _with(
             s, accepted=[s["accepted"][0], s["accepted"][1] + [1]] + s["accepted"][2:])),
-        "not-downward-closed": ("accepted", lambda s: _with(
-            s, accepted=[[1, 1], [1, 3]], history=[[1, 1], [1, 3]])),
+        "not-downward-closed": ("accepted", lambda s: _with(s, accepted=[[1, 1], [1, 3]])),
         "repeated-index": ("accepted", lambda s: _with(
-            s, accepted=s["accepted"] + s["accepted"][-1:],
-            history=s["history"] + s["history"][-1:])),
-        "history-differs": ("history", lambda s: _with(s, history=s["history"][::-1])),
+            s, accepted=s["accepted"] + s["accepted"][-1:])),
         "margin-index-accepted": ("margin[0].idx", lambda s: _with(
             s, margin=_edit(s["margin"], 0, idx=s["accepted"][1]))),
         "margin-profit-not-a-number": ("margin[0]", lambda s: _with(
@@ -888,9 +880,10 @@ class TestRestoreValidation:
 
     def test_the_saved_run_resumes(self, saved_run):
         path, doc = saved_run
-        assert doc["adapt_state"]["active_dims"] == 2
         state = restore_state(doc["adapt_state"], sg.leja_family(-1, 1), sg.LevelMap.LINEAR,
                               AdaptControls(nested=True, max_pts=40), EXPSUM)
+        # derived from 'accepted': the saved run refines dimension 2
+        assert state.active_dims == 2
         assert len(state.accepted) >= 2 and len(state.margin) >= 1
         assert {**serialize_state(state), "fn": "expsum"} == doc["adapt_state"]
 
@@ -1126,7 +1119,7 @@ class TestSurplusResume:
         single = adapt(get_test_function("expsum"), 3, self.FAMILIES, sg.LevelMap.LINEAR,
                        controls=AdaptControls(nested=True, max_pts=250)).internal
         want = serialize_state(single)
-        assert record["history"] == want["history"]
+        assert record["accepted"] == want["accepted"]
         assert record["margin"] == want["margin"]
 
     def test_resume_after_an_evaluation_error_scores_like_an_uninterrupted_run(self):

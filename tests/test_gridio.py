@@ -16,6 +16,9 @@ from sparsegrids import evalkit, gridio, testfunctions
 from sparsegrids.gridio import GridBundle, GridFileError, export_points, load_grid, save_grid
 
 EXPSUM = lambda y: math.exp(float(np.sum(y)))
+# written by the format-1 CLI: adapt --dim 2 --fn expsum --knots leja --domain=-1,1
+# --lev2knots linear --nested --max-pts 30
+FORMAT_1 = os.path.join(os.path.dirname(__file__), "data", "adapt_format1.json")
 
 
 @pytest.fixture
@@ -77,8 +80,45 @@ class TestRoundTrip:
         save_grid(path, res.extended, res.reduced, res.values_on_reduced,
                   serialize_state(res.internal))
         bundle = load_grid(path)
-        assert bundle.adapt_state["num_evals"] == res.num_evals
+        assert len(bundle.adapt_state["points"][0]) == res.num_evals
         assert bundle.adapt_state["accepted"] == [list(i) for i in res.internal.accepted]
+        # each follows from the fields above
+        assert not {"history", "num_evals", "active_dims"} & set(bundle.adapt_state)
+
+
+class TestFormat1:
+    RESUME = ["adapt", "--dim", "2", "--fn", "expsum", "--knots", "leja", "--domain=-1,1",
+              "--lev2knots", "linear", "--nested", "--max-pts", "60"]
+
+    @pytest.fixture
+    def resaved(self, tmp_path):
+        old = load_grid(FORMAT_1)
+        path = tmp_path / "format2.json"
+        save_grid(path, old.grid, old.reduced, old.values, old.adapt_state)
+        return old, path
+
+    def test_loads_to_the_bundle_of_its_format_2_resave(self, resaved):
+        old, path = resaved
+        doc = json.loads(path.read_text())
+        assert doc["format_version"] == 2 and "tensors" not in doc
+        assert set(doc["reduced"]) == {"knots", "weights", "tol"}
+        new = load_grid(path)
+        assert new.grid == old.grid
+        for name in ("knots", "weights", "m", "n", "tol"):
+            assert np.array_equal(getattr(new.reduced, name), getattr(old.reduced, name)), name
+        assert np.array_equal(new.values.values, old.values.values)
+        assert new.adapt_state == old.adapt_state
+        assert not {"history", "num_evals", "active_dims"} & set(old.adapt_state)
+
+    def test_resume_from_either_file_is_identical(self, resaved, tmp_path, capsys):
+        _, path = resaved
+        outputs = []
+        for source in (FORMAT_1, str(path)):
+            out = tmp_path / f"resumed-{len(outputs)}.json"
+            assert cli_main(self.RESUME + ["--resume", source, "-o", str(out)]) == 0
+            outputs.append((capsys.readouterr().out, out.read_bytes()))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0].startswith("points: ")
 
 
 class TestExports:
@@ -621,31 +661,54 @@ class TestStructuralValidation:
         with pytest.raises(GridFileError, match="not a JSON object"):
             load_grid(path)
 
-    def test_short_knots_per_dim_reported(self, saved_bundle):
-        # a tensor record with one node list too few would leave a dimension unchecked
-        path = saved_bundle[0]
-        doc = json.loads(path.read_text())
+    def test_short_knots_per_dim_reported(self, tmp_path):
+        # a format-1 tensor record with one node list too few would leave a dimension unchecked
+        doc = json.loads(open(FORMAT_1).read())
         doc["tensors"][2]["knots_per_dim"].pop()
+        path = tmp_path / "short.json"
         path.write_text(json.dumps(doc))
-        with pytest.raises(GridFileError, match=r"tensor \(\d+, \d+\) metadata mismatch"):
+        with pytest.raises(GridFileError, match=re.escape(
+                "structurally invalid: 'tensors[2].knots_per_dim' has 1 node lists for 2 "
+                "dimensions")):
             load_grid(path)
 
-    @pytest.mark.parametrize("n, edit", [(0, lambda nodes: nodes * 3),
-                                         (1, lambda nodes: nodes[:-1])],
+    @pytest.mark.parametrize("n, count, edit", [(0, 1, lambda nodes: nodes * 3),
+                                                (1, 5, lambda nodes: nodes[:-1])],
                              ids=["one-node-rule-stored-thrice", "five-node-rule-stored-with-four"])
-    def test_stored_knots_of_another_shape_rejected(self, saved_bundle, n, edit, capsys):
+    def test_stored_knots_of_another_shape_rejected(self, saved_bundle, n, count, edit, capsys):
         # a broadcasting comparison took the first as equal and failed on the
         # second with a bare numpy error
         path = saved_bundle[0]
         doc = json.loads(path.read_text())
-        rec = doc["tensors"][0]
-        assert rec["idx"] == [1, 3] and rec["m"] == [1, 5]
-        rec["knots_per_dim"][n] = edit(rec["knots_per_dim"][n])
+        rule = next(rule for rule in doc["rules"][n] if rule[0] == count)
+        rule[1] = edit(rule[1])
         path.write_text(json.dumps(doc))
-        with pytest.raises(GridFileError, match=r"stored knots of tensor \(1, 3\) do not match"):
+        want = f"stored rule does not match: dimension {n + 1}, {count} nodes of "
+        with pytest.raises(GridFileError, match=re.escape(want)):
             load_grid(path)
         assert cli_main(["quad", "--grid", str(path), "--fn", "expsum"]) == 1
-        assert "stored knots of tensor (1, 3) do not match" in capsys.readouterr().err
+        assert want in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda rules: rules.pop(), "'rules' has 1 entries for 2 dimensions"),
+        (lambda rules: rules.append(rules[0]), "'rules' has 3 entries for 2 dimensions"),
+        (lambda rules: rules[1].pop(2), "'rules' holds no 5-node rule of dimension 2"),
+        (lambda rules: rules[0].append([2, [0.0, 1.0]]),
+         "'rules' holds a 2-node rule of dimension 1, which the grid does not use"),
+        (lambda rules: rules[0][0].__setitem__(0, 1.0),
+         "'rules' holds a 1.0-node rule of dimension 1, which the grid does not use"),
+    ], ids=["too-few-dimensions", "too-many-dimensions", "count-without-rule", "unused-count",
+            "non-integer-count"])
+    def test_rule_list_of_another_grid_rejected(self, saved_bundle, edit, message, capsys):
+        path = saved_bundle[0]
+        doc = json.loads(path.read_text())
+        assert [rule[0] for rule in doc["rules"][1]] == [1, 3, 5, 9]
+        edit(doc["rules"])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(GridFileError, match=f"^{re.escape(message)}$"):
+            load_grid(path)
+        assert cli_main(["quad", "--grid", str(path), "--fn", "expsum"]) == 1
+        assert message in capsys.readouterr().err
 
     def test_each_stored_rule_is_compared_once(self, saved_bundle, monkeypatch):
         path, grid = saved_bundle[:2]
@@ -657,18 +720,6 @@ class TestStructuralValidation:
         # one comparison per distinct (dimension, node count), one of the reduced knots
         assert len(calls) == len(rules) + 1 < grid.dim * len(grid.tensors) + 1
 
-    def test_a_mismatch_held_twice_names_the_first_tensor(self, saved_bundle):
-        path = saved_bundle[0]
-        doc = json.loads(path.read_text())
-        holders = [rec for rec in doc["tensors"] if rec["m"][1] == 5]
-        assert len(holders) >= 2
-        for rec in holders:
-            rec["knots_per_dim"][1][2] += 1e-3
-        path.write_text(json.dumps(doc))
-        first = tuple(holders[0]["idx"])
-        with pytest.raises(GridFileError, match=re.escape(f"stored knots of tensor {first} do not")):
-            load_grid(path)
-
     def test_stale_leja_knots_name_the_rule(self, tmp_path, capsys):
         # Leja files written before the canonical tables hold nodes off by up
         # to about 1e-8 of the width; the tolerance stays 1e-12
@@ -677,12 +728,12 @@ class TestStructuralValidation:
         path = tmp_path / "leja.json"
         save_grid(path, grid)
         doc = json.loads(path.read_text())
-        rec = next(rec for rec in doc["tensors"] if rec["m"][1] == 5)
-        rec["knots_per_dim"][1][3] += 5e-9
+        count, nodes = doc["rules"][1][4]
+        assert count == 5
+        nodes[3] += 5e-9
         path.write_text(json.dumps(doc))
-        want = (f"stored knots of tensor {tuple(rec['idx'])} do not match: dimension 2, 5 nodes "
-                'of {"family": "leja", "params": [-1.3, 1.7, "standard"]}, '
-                "largest deviation 5e-09 > 1e-12")
+        want = ('stored rule does not match: dimension 2, 5 nodes of {"family": "leja", '
+                '"params": [-1.3, 1.7, "standard"]}, largest deviation 5e-09 > 1e-12')
         with pytest.raises(GridFileError, match=f"^{re.escape(want)}$"):
             load_grid(path)
         assert cli_main(["quad", "--grid", str(path), "--fn", "expsum"]) == 1
@@ -692,7 +743,7 @@ class TestStructuralValidation:
     def test_non_numeric_stored_knots_reported(self, saved_bundle, nodes, capsys):
         path = saved_bundle[0]
         doc = json.loads(path.read_text())
-        doc["tensors"][0]["knots_per_dim"][0] = nodes
+        doc["rules"][0][0][1] = nodes
         path.write_text(json.dumps(doc))
         with pytest.raises(GridFileError, match="structurally invalid"):
             load_grid(path)
@@ -702,11 +753,11 @@ class TestStructuralValidation:
     def test_bad_level_map_reported(self, tmp_path):
         path = tmp_path / "badmap.json"
         path.write_text(json.dumps({
-            "format_version": 1, "dim": 1,
+            "format_version": 2, "dim": 1,
             "families": [{"family": "cc", "params": [0.0, 1.0]}],
             "level_map": "quintupling",
             "multi_index_set": [[1]],
-            "tensors": [],
+            "rules": [[[1, [0.5]]]],
         }))
         with pytest.raises(GridFileError, match="structurally invalid"):
             load_grid(path)
@@ -716,10 +767,6 @@ def _corrupt(doc, field):
     red = doc["reduced"]
     if field == "values":
         doc["values"] = [row[:-2] for row in doc["values"]]
-    elif field == "n":
-        red["n"] = red["n"][:-1]
-    elif field == "m":
-        red["m"][1] = red["m"][0]
     elif field == "knots":
         red["knots"][0][3] += 1e-3
     elif field == "weights":
@@ -727,7 +774,7 @@ def _corrupt(doc, field):
 
 
 class TestReducedValidation:
-    @pytest.mark.parametrize("field", ["values", "n", "m", "knots", "weights"])
+    @pytest.mark.parametrize("field", ["values", "knots", "weights"])
     def test_inconsistent_field_is_named(self, saved_bundle, field):
         path = saved_bundle[0]
         doc = json.load(open(path))
@@ -737,11 +784,12 @@ class TestReducedValidation:
             load_grid(path)
 
     @pytest.mark.parametrize("tol", [[1e-14], [0.0, 1e-14], [1e-14, -1e-14],
-                                     [1e-14, math.nan], [math.inf, 1e-14]],
-                             ids=["one-value", "zero", "negative", "nan", "inf"])
+                                     [1e-14, math.nan], [math.inf, 1e-14], [0.3, 1e-14]],
+                             ids=["one-value", "zero", "negative", "nan", "inf", "coarse"])
     def test_bad_tol_is_rejected(self, saved_bundle, tol):
         # one tolerance for a 2-d grid, or one at or below 0 or not finite,
-        # would mis-key the knots that evaluate_on_grid(old=...) recycles
+        # would mis-key the knots that evaluate_on_grid(old=...) recycles; a
+        # coarse one merges knots that the stored reduced knots keep apart
         path = saved_bundle[0]
         doc = json.load(open(path))
         doc["reduced"]["tol"] = tol
@@ -749,12 +797,13 @@ class TestReducedValidation:
         with pytest.raises(GridFileError, match="'tol'"):
             load_grid(path)
 
-    @pytest.mark.parametrize("name", ["tensors", "tensors[2].idx", "tensors[2].m",
-                                      "tensors[2].coeff", "tensors[2].knots_per_dim",
-                                      "reduced.n", "reduced.tol"])
+    # the first two are read from format-1 files only
+    @pytest.mark.parametrize("name", ["tensors", "tensors[2].knots_per_dim", "dim", "families",
+                                      "level_map", "multi_index_set", "rules", "reduced.knots",
+                                      "reduced.weights", "reduced.tol"])
     def test_missing_field_is_named(self, saved_bundle, name, capsys):
         path = saved_bundle[0]
-        doc = json.load(open(path))
+        doc = json.load(open(FORMAT_1 if name.startswith("tensors") else path))
         *keys, last = re.findall(r"\w+", name)
         parent = doc
         for key in keys:

@@ -198,6 +198,11 @@ class TestGenerateRuleSet:
         s = generate_rule_set(1, TD_RULE, 0)
         assert s.rows.tolist() == [[1]]
 
+    def test_base_is_not_a_parameter(self):
+        # base 0 with the TD preset rule returned 5 of the 6 indices; sets start at 1
+        with pytest.raises(TypeError):
+            generate_rule_set(2, preset("TD")[0], 0, base=0)
+
     @given(
         dim=st.integers(1, 3),
         level=st.integers(0, 5),

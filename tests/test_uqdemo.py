@@ -314,7 +314,8 @@ class TestForwardUQ:
         model = DiffusionModel(n_random=2, sigmas=(0.5, 0.1), mesh=200)
         rule, lm = sg.preset("SM")
         fam = sg.cc_family(-SQRT3, SQRT3)
-        qoi = lambda y: qoi_integral(model, y)
+        # in blocks: a one-sample solve runs as a one-column block, slow per sample
+        qoi = sg.vectorized(lambda ys: qoi_integral(model, ys))
         grids = {}
         prev = None
         old = None
