@@ -194,13 +194,14 @@ def work_indicator(candidate, nested: bool, level_map: LevelMap) -> int:
 
     Exact for nested families; a worst-case upper bound otherwise.
     """
-    candidate = _index_row(candidate)
-    if any(v < 1 for v in candidate):
+    candidate = np.array(_index_row(candidate), dtype=np.int64)
+    if np.any(candidate < 1):
         raise ValueError("candidate entries must be >= 1")
-    out = 1
-    for v in candidate:
-        out *= apply_level_map(level_map, v) - (apply_level_map(level_map, v - 1) if nested else 0)
-    return out
+    counts = apply_level_map(level_map, candidate)
+    if nested:
+        counts -= apply_level_map(level_map, candidate - 1)
+    # Python ints: the product of many counts overflows int64
+    return math.prod(counts.tolist())
 
 
 # ---------------------------------------------------------------------------

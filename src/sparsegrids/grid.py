@@ -1,4 +1,4 @@
-"""Tensor and sparse grid construction, reduction, and recycling.
+"""Tensor and sparse grid construction and reduction.
 
 A sparse grid is stored in *extended* format: the list of tensor grids
 whose combination coefficient is nonzero; ``SparseGrid.extended`` lays out
@@ -10,7 +10,7 @@ the index maps between the two formats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -20,10 +20,10 @@ from .levels import LevelMap, apply_level_map
 from .midx import (
     MultiIndexSet,
     _add_backward_terms,
+    _backward_closed,
     _index_row,
     combination_coefficients,
     generate_rule_set,
-    is_downward_closed,
     preset,
 )
 
@@ -161,58 +161,37 @@ def build_tensor_grid(idx, families, level_map: LevelMap, coeff: int = 1) -> Ten
     if any(v < 1 for v in idx):
         raise ValueError("tensor grid indices must be >= 1")
     _normalize_families(families, len(idx))
-    return TensorGrid(idx=idx, m=tuple(apply_level_map(level_map, v) for v in idx), coeff=coeff)
+    m = apply_level_map(level_map, np.array(idx, dtype=np.int64))
+    return TensorGrid(idx=idx, m=tuple(m.tolist()), coeff=coeff)
 
 
-def build_sparse_grid(
-    index_set: MultiIndexSet,
-    families,
-    level_map: LevelMap,
-    previous: SparseGrid | None = None,
-) -> SparseGrid:
-    """Sparse grid over a downward-closed multi-index set.
-
-    Tensor grids of ``previous`` with a matching multi-index are reused
-    provided the knot families and level map agree; a reused tensor only
-    takes its new coefficient.
-    """
+def build_sparse_grid(index_set: MultiIndexSet, families, level_map: LevelMap) -> SparseGrid:
+    """Sparse grid over a downward-closed multi-index set."""
     if index_set.base != 1:
         raise ValueError("sparse grids require a base-1 multi-index set")
     if not len(index_set):
         raise ValueError("cannot build a sparse grid over an empty multi-index set")
     coeffs = combination_coefficients(index_set)
-    return _assemble(index_set, coeffs, families, level_map, previous)
+    return _assemble(index_set, coeffs, families, level_map)
 
 
 def _assemble(index_set: MultiIndexSet, coeffs: dict[tuple[int, ...], int], families,
-              level_map: LevelMap, previous: SparseGrid | None) -> SparseGrid:
-    """Grid of the indices with nonzero coefficient, reusing the tensors of
-    ``previous`` as ``build_sparse_grid`` describes."""
+              level_map: LevelMap) -> SparseGrid:
+    """Grid of the indices of ``index_set`` whose coefficient is nonzero,
+    their node counts mapped in one pass over the index matrix."""
     families = _normalize_families(families, index_set.dim)
-    reuse: dict[tuple[int, ...], TensorGrid] = {}
-    if (
-        previous is not None
-        and previous.level_map == level_map
-        and tuple(previous.families) == families
-    ):
-        reuse = {t.idx: t for t in previous.tensors}
-    tensors = []
-    for idx in index_set:
-        c = coeffs[idx]
-        if c == 0:
-            continue
-        old = reuse.get(idx)
-        if old is None:
-            tensors.append(build_tensor_grid(idx, families, level_map, coeff=c))
-        else:
-            tensors.append(old if old.coeff == c else replace(old, coeff=c))
+    coeff = [coeffs[idx] for idx in index_set]
+    rows = index_set.rows[[c != 0 for c in coeff]]
+    counts = apply_level_map(level_map, rows)
+    tensors = tuple(TensorGrid(idx=tuple(i), m=tuple(m), coeff=c)
+                    for i, m, c in zip(rows.tolist(), counts.tolist(), filter(None, coeff)))
     # each (dimension, node count) rule once, in first-use order: a count a family lacks fails here
-    for fam, counts in zip(families, zip(*(t.m for t in tensors))):
-        for count in dict.fromkeys(counts):
+    for fam, column in zip(families, counts.T.tolist()):
+        for count in dict.fromkeys(column):
             fam(count)
     return SparseGrid(
         dim=index_set.dim,
-        tensors=tuple(tensors),
+        tensors=tensors,
         families=families,
         level_map=LevelMap(level_map),
         index_set=index_set,
@@ -225,11 +204,9 @@ def build_sparse_grid_from_rule(
     families,
     level_map: LevelMap,
     rule: Callable[[tuple[int, ...]], float],
-    previous: SparseGrid | None = None,
 ) -> SparseGrid:
     """Generate the multi-index set from ``rule`` and build the grid."""
-    index_set = generate_rule_set(dim, rule, level)
-    return build_sparse_grid(index_set, families, level_map, previous=previous)
+    return build_sparse_grid(generate_rule_set(dim, rule, level), families, level_map)
 
 
 def quick_preset(dim: int, level: int):
@@ -240,31 +217,24 @@ def quick_preset(dim: int, level: int):
     return grid, reduce_grid(grid)
 
 
-def add_one_index(
-    new_idx,
-    grid: SparseGrid,
-    index_set: MultiIndexSet,
-    coeffs: dict[tuple[int, ...], int],
-    families,
-    level_map: LevelMap,
-) -> SparseGrid:
-    """Grid over ``index_set + {new_idx}`` reusing the existing tensors.
+def add_one_index(new_idx, grid: SparseGrid) -> SparseGrid:
+    """``grid`` over its index set plus ``new_idx``, with the same families
+    and level map.
 
-    Only coefficients of backward binary neighbors of ``new_idx`` change;
-    tensor grids are constructed only for indices whose coefficient turns
-    nonzero (the new index, and occasionally a neighbor that previously
-    cancelled out).
+    Only the coefficients of the backward binary neighbours of ``new_idx``
+    change; the others are read from ``grid.tensors``, so the result is
+    the grid ``build_sparse_grid`` makes of the larger set.
     """
     new_idx = _index_row(new_idx)
-    if new_idx in index_set:
+    if new_idx in grid.index_set:
         raise ValueError(f"index {new_idx} is already in the set")
-    new_set = index_set.union([new_idx])
-    if not is_downward_closed(new_set):
+    new_set = grid.index_set.union([new_idx])
+    if not _backward_closed(new_idx, grid.index_set, new_set.base):
         raise ValueError(f"adding {new_idx} violates downward closedness")
-    new_coeffs = dict(coeffs)
-    new_coeffs[new_idx] = 0
-    _add_backward_terms(new_coeffs, new_idx, new_set.base)
-    return _assemble(new_set, new_coeffs, families, level_map, grid)
+    coeffs = dict.fromkeys(new_set, 0)
+    coeffs.update((t.idx, t.coeff) for t in grid.tensors)
+    _add_backward_terms(coeffs, new_idx, new_set.base)
+    return _assemble(new_set, coeffs, grid.families, grid.level_map)
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +247,8 @@ def dedup_tolerances(knots: np.ndarray, tol: float | None = None) -> np.ndarray:
     largest coordinate magnitude), so lattice keys fit in int64 wherever
     the domain lies."""
     base = DEFAULT_DEDUP_TOL if tol is None else float(tol)
+    if not 0 < base < math.inf:
+        raise ValueError(f"dedup tolerance is {base!r}; it must be finite and above 0")
     if knots.size == 0:
         return np.full(knots.shape[0], base)
     lo, hi = knots.min(axis=1), knots.max(axis=1)

@@ -22,6 +22,16 @@ def one_tensor_grid(idx, families, level_map, coeff=1):
                          level_map=sg.LevelMap(level_map), index_set=sg.MultiIndexSet([t.idx]))
 
 
+def grown(grid, index_set):
+    """``grid`` grown by ``add_one_index``, one call per index of the
+    downward-closed ``index_set`` it lacks, in lexicographic order, each
+    call taking the grid the one before returned."""
+    for idx in index_set:
+        if idx not in grid.index_set:
+            grid = sg.add_one_index(idx, grid)
+    return grid
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

@@ -6,6 +6,7 @@ import time
 
 import numpy as np
 import pytest
+from conftest import grown
 
 import sparsegrids as sg
 from sparsegrids.adaptive import AdaptControls, adapt
@@ -304,14 +305,14 @@ def test_criterion_8_recycling_equivalence():
         savings = {}
         for dim in (2, 4):
             fam = sg.cc_family(0, 1)
-            prev_grid = None
+            warm = sg.build_sparse_grid_from_rule(dim, 0, fam, lm, rule)
             old = None
             cumulative_new = 0
             total_cold = 0
             for w in range(1, 7):
-                warm = sg.build_sparse_grid_from_rule(dim, w, fam, lm, rule,
-                                                      previous=prev_grid)
+                # each level grown from the one before by add_one_index
                 cold = sg.build_sparse_grid_from_rule(dim, w, fam, lm, rule)
+                warm = grown(warm, cold.index_set)
                 assert [t.idx for t in warm.tensors] == [t.idx for t in cold.tensors]
                 for tw, tc in zip(warm.tensors, cold.tensors):
                     assert tw.coeff == tc.coeff and tw.m == tc.m
@@ -323,7 +324,7 @@ def test_criterion_8_recycling_equivalence():
                 assert np.array_equal(table.values, cold_table.values)
                 cumulative_new += table.new_evaluations
                 total_cold += reduced.size
-                prev_grid, old = warm, (table, warm, reduced)
+                old = (table, warm, reduced)
             assert cumulative_new < total_cold
             savings[dim] = 1.0 - cumulative_new / total_cold
         c.note("saved " + ", ".join(f"{100 * v:.0f}% (N={k})" for k, v in savings.items()))

@@ -54,6 +54,10 @@ class TestWorkIndicator:
     def test_non_nested_linear(self):
         assert work_indicator((3, 2), False, sg.LevelMap.LINEAR) == 6
 
+    def test_product_past_int64_is_exact(self):
+        # an int64 product would wrap
+        assert work_indicator((2,) * 100, False, sg.LevelMap.DOUBLING) == 3**100
+
     @pytest.mark.parametrize("candidate", [(0, 1), (2, -1)])
     def test_entries_below_one_rejected(self, candidate):
         with pytest.raises(ValueError, match="candidate entries must be >= 1"):

@@ -6,12 +6,15 @@ break traced benchmark runs, not these sources.  The tracer is loaded by
 path and left as it is.
 """
 
+import dataclasses
 import importlib
 import importlib.util
 import inspect
 import os
 
 import pytest
+
+import sparsegrids as sg
 
 TRACING = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                        "perfbench", "tracing.py")
@@ -46,3 +49,13 @@ def test_summary_arguments_stay_in_place(layer, name, params):
     for want, param in zip(params, got, strict=True):
         if want is not None:
             assert param.name == want, f"{layer}.{name}"
+
+
+def test_sparse_grid_tensors_is_a_replaceable_tuple():
+    # the self-test's mutant drops a tensor with dataclasses.replace(grid, tensors=...)
+    field = {f.name: f for f in dataclasses.fields(sg.SparseGrid)}["tensors"]
+    assert field.init
+    grid = sg.quick_preset(2, 2)[0]
+    assert isinstance(grid.tensors, tuple)
+    kept = dataclasses.replace(grid, tensors=grid.tensors[:-1])
+    assert kept.tensors == grid.tensors[:-1]

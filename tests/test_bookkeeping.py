@@ -7,6 +7,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from conftest import grown
 
 import sparsegrids as sg
 import sparsegrids.pce
@@ -115,14 +116,13 @@ def test_extended_bitwise_equals_tensor_by_tensor(case):
 
 
 def test_previous_chain_flips_carried_coefficients():
-    # a reused tensor only takes its new coefficient, so its weights must
-    # still equal a cold build's bitwise, whichever way the sign went
+    # each level grown from the one before by add_one_index: a carried
+    # tensor whose coefficient changes sign must still give a cold build's
+    # weights bitwise
     family = sg.leja_family(0.0, 1.0)
-    rule, level_map = sg.preset("SM")
-    grids = []
-    for w in range(5):
-        grids.append(sg.build_sparse_grid_from_rule(3, w, family, level_map, rule,
-                                                    previous=grids[-1] if grids else None))
+    grids = [_grid(3, 0, "SM", family)]
+    for w in range(1, 5):
+        grids.append(grown(grids[-1], _grid(3, w, "SM", family).index_set))
     flips = 0
     for before, after in zip(grids, grids[1:]):
         old = {t.idx: t.coeff for t in before.tensors}

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
-from conftest import downward_closed_sets, one_tensor_grid
+from conftest import downward_closed_sets, grown, one_tensor_grid
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sparsegrids as sg
 from sparsegrids.grid import _tensor_product_columns, reduce_grid
 from sparsegrids.knots import ParameterError
-from sparsegrids.midx import combination_coefficients, reduced_margin
+from sparsegrids.midx import reduced_margin
 
 
 class TestBuildTensorGrid:
@@ -108,32 +108,18 @@ class TestBuildSparseGrid:
         assert s.rows.tolist() == sorted(rows)
 
     def test_recycled_build_equals_cold(self):
+        # each level grown from the one before by add_one_index
         fam = sg.cc_family(0, 1)
         rule, lm = sg.preset("SM")
-        prev = None
-        for w in range(5):
+        warm = sg.build_sparse_grid_from_rule(2, 0, fam, lm, rule)
+        for w in range(1, 5):
             cold = sg.build_sparse_grid_from_rule(2, w, fam, lm, rule)
-            warm = sg.build_sparse_grid_from_rule(2, w, fam, lm, rule, previous=prev)
-            assert [t.idx for t in warm.tensors] == [t.idx for t in cold.tensors]
-            for tw, tc in zip(warm.tensors, cold.tensors):
-                assert tw.coeff == tc.coeff and tw.m == tc.m
+            warm = grown(warm, cold.index_set)
+            assert warm.index_set == cold.index_set
+            assert [(t.idx, t.m, t.coeff) for t in warm.tensors] == [
+                (t.idx, t.m, t.coeff) for t in cold.tensors]
             for got, want in zip(warm.extended(), cold.extended()):
                 assert np.array_equal(got, want)
-            prev = warm
-
-    def test_recycling_shares_arrays_when_possible(self):
-        # consecutive SM levels in 2D flip every carried coefficient; a
-        # carried tensor is reused (its node counts are the same object) and
-        # takes the new coefficient
-        fam = sg.cc_family(0, 1)
-        rule, lm = sg.preset("SM")
-        a = sg.build_sparse_grid_from_rule(2, 3, fam, lm, rule)
-        b = sg.build_sparse_grid_from_rule(2, 4, fam, lm, rule, previous=a)
-        a_by_idx = {t.idx: t for t in a.tensors}
-        carried = [t for t in b.tensors if t.idx in a_by_idx]
-        assert carried, "consecutive levels share tensor indices"
-        assert all(t.m is a_by_idx[t.idx].m for t in carried)
-        assert all(t.coeff == -a_by_idx[t.idx].coeff for t in carried)
 
 
 class TestQuickPreset:
@@ -163,8 +149,7 @@ class TestAddOneIndex:
         s = sg.MultiIndexSet([[1, 1], [1, 2], [2, 1], [3, 1]])
         fam = self._family()
         grid = sg.build_sparse_grid(s, fam, sg.LevelMap.LINEAR)
-        coeffs = combination_coefficients(s)
-        new = sg.add_one_index([4, 1], grid, s, coeffs, fam, sg.LevelMap.LINEAR)
+        new = sg.add_one_index([4, 1], grid)
         cold = sg.build_sparse_grid(s.union([(4, 1)]), fam, sg.LevelMap.LINEAR)
         assert [t.idx for t in new.tensors] == [t.idx for t in cold.tensors]
         for a, b in zip(new.tensors, cold.tensors):
@@ -180,15 +165,14 @@ class TestAddOneIndex:
         s = sg.MultiIndexSet([[1, 1]])
         grid = sg.build_sparse_grid(s, sg.gk_family(), lm)
         with pytest.raises(ParameterError, match="got 2"):
-            sg.add_one_index([2, 1], grid, s, combination_coefficients(s), sg.gk_family(), lm)
+            sg.add_one_index([2, 1], grid)
 
     def test_reawakens_zero_coefficient_neighbor(self):
         # adding [2,2] turns the dormant [2,1] back on
         s = sg.MultiIndexSet([[1, 1], [1, 2], [2, 1], [3, 1]])
         fam = self._family()
         grid = sg.build_sparse_grid(s, fam, sg.LevelMap.LINEAR)
-        new = sg.add_one_index([2, 2], grid, s, combination_coefficients(s), fam,
-                               sg.LevelMap.LINEAR)
+        new = sg.add_one_index([2, 2], grid)
         cold = sg.build_sparse_grid(s.union([(2, 2)]), fam, sg.LevelMap.LINEAR)
         assert {t.idx: t.coeff for t in new.tensors} == {t.idx: t.coeff for t in cold.tensors}
         assert {t.idx: t.coeff for t in new.tensors}[(2, 1)] == -1
@@ -197,30 +181,41 @@ class TestAddOneIndex:
         s = sg.MultiIndexSet([[1, 1]])
         fam = self._family()
         grid = sg.build_sparse_grid(s, fam, sg.LevelMap.LINEAR)
-        new = sg.add_one_index([2, 1], grid, s, combination_coefficients(s), fam,
-                               sg.LevelMap.LINEAR)
+        new = sg.add_one_index([2, 1], grid)
         assert {t.idx: t.coeff for t in new.tensors} == {(2, 1): 1}
 
     def test_non_integer_index_rejected(self):
         s = sg.MultiIndexSet([[1, 1], [1, 2]])
         fam = self._family()
         grid = sg.build_sparse_grid(s, fam, sg.LevelMap.LINEAR)
-        coeffs = combination_coefficients(s)
         with pytest.raises(ValueError, match="non-integer"):
-            sg.add_one_index((2.7, 1.0), grid, s, coeffs, fam, sg.LevelMap.LINEAR)
+            sg.add_one_index((2.7, 1.0), grid)
         for idx in [(np.int64(2), np.int32(1)), np.array([2, 1]), (2.0, 1.0)]:
-            new = sg.add_one_index(idx, grid, s, coeffs, fam, sg.LevelMap.LINEAR)
+            new = sg.add_one_index(idx, grid)
             assert new.index_set == s.union([(2, 1)])
 
     def test_rejects_duplicate_and_closure_violation(self):
         s = sg.MultiIndexSet([[1, 1]])
         fam = self._family()
         grid = sg.build_sparse_grid(s, fam, sg.LevelMap.LINEAR)
-        coeffs = combination_coefficients(s)
-        with pytest.raises(ValueError):
-            sg.add_one_index([1, 1], grid, s, coeffs, fam, sg.LevelMap.LINEAR)
-        with pytest.raises(ValueError):
-            sg.add_one_index([3, 1], grid, s, coeffs, fam, sg.LevelMap.LINEAR)
+        with pytest.raises(ValueError, match="already in the set"):
+            sg.add_one_index([1, 1], grid)
+        with pytest.raises(ValueError, match="downward closedness"):
+            sg.add_one_index([3, 1], grid)
+
+    def test_chain_of_forty_margin_steps_equals_cold_build(self, rng):
+        # each call takes the grid the call before returned
+        fams = (sg.cc_family(0, 1), sg.leja_family(-1, 2), self._family())
+        grid = sg.build_sparse_grid(sg.MultiIndexSet([(1, 1, 1)]), fams, sg.LevelMap.LINEAR)
+        for _ in range(40):
+            margin = reduced_margin(grid.index_set).rows
+            grid = sg.add_one_index(margin[rng.integers(len(margin))], grid)
+        cold = sg.build_sparse_grid(grid.index_set, fams, sg.LevelMap.LINEAR)
+        assert len(grid.index_set) == 41
+        assert [(t.idx, t.m, t.coeff) for t in grid.tensors] == [
+            (t.idx, t.m, t.coeff) for t in cold.tensors]
+        for got, want in zip(grid.extended(), cold.extended()):
+            assert got.tobytes() == want.tobytes()
 
 
 class TestReduce:
@@ -236,6 +231,12 @@ class TestReduce:
             assert reduced.n[reduced.m[p]] == p
         extended = grid.extended()[0]
         assert np.allclose(extended[:, reduced.m], reduced.knots, atol=0, rtol=0)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-14, float("nan"), float("inf")])
+    def test_tolerance_must_be_finite_and_positive(self, tol):
+        grid, _ = sg.quick_preset(2, 3)
+        with pytest.raises(ValueError, match=f"tolerance is {tol!r}"):
+            reduce_grid(grid, tol=tol)
 
     def test_single_tensor_identity(self):
         grid = sg.build_sparse_grid(sg.MultiIndexSet([[2, 2]]).union([(1, 1), (1, 2), (2, 1)]),
@@ -312,13 +313,12 @@ class TestAddOneIndexProperty:
     @settings(max_examples=40, deadline=None)
     def test_equals_cold_build_on_the_union(self, s, lm, fam):
         grid = sg.build_sparse_grid(s, fam, lm)
-        coeffs = combination_coefficients(s)
         for idx in reduced_margin(s):
-            grown = sg.add_one_index(idx, grid, s, coeffs, fam, lm)
+            new = sg.add_one_index(idx, grid)
             cold = sg.build_sparse_grid(s.union([idx]), fam, lm)
-            assert [(t.idx, t.coeff) for t in grown.tensors] == [
+            assert [(t.idx, t.coeff) for t in new.tensors] == [
                 (t.idx, t.coeff) for t in cold.tensors]
-            for got, want in zip(grown.extended(), cold.extended()):
+            for got, want in zip(new.extended(), cold.extended()):
                 assert np.array_equal(got, want)
 
 

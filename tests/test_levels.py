@@ -31,6 +31,37 @@ class TestLevelMaps:
         with pytest.raises(UnsupportedLevelError):
             apply_level_map(LevelMap.GK, 6)
 
+    @pytest.mark.parametrize("level_map, top", [(LevelMap.DOUBLING, 63),
+                                                (LevelMap.TRIPLING, 40)])
+    def test_counts_stop_before_int64_wraps(self, level_map, top):
+        count = apply_level_map(level_map, top)
+        assert count == apply_level_map(level_map, np.array([top]))[0] < 2**63
+        for level in (top + 1, np.array([[1, top + 1]])):
+            with pytest.raises(UnsupportedLevelError, match=f"up to level {top}"):
+                apply_level_map(level_map, level)
+
+    @pytest.mark.parametrize("level_map", list(LevelMap))
+    @pytest.mark.parametrize("level", [2.5, 2.0, np.array([1.0, 2.0])])
+    def test_non_integer_level_rejected(self, level_map, level):
+        with pytest.raises(TypeError, match="integers"):
+            apply_level_map(level_map, level)
+
+    @pytest.mark.parametrize("level_map", list(LevelMap))
+    def test_negative_level_rejected(self, level_map):
+        for level in (-1, np.array([[2, -1]])):
+            with pytest.raises(UnsupportedLevelError, match=">= 0"):
+                apply_level_map(level_map, level)
+
+    @pytest.mark.parametrize("level_map", list(LevelMap))
+    def test_matrix_equals_scalar_map_entry_by_entry(self, level_map):
+        levels = np.random.default_rng(7).integers(0, 6, size=(9, 4))
+        counts = apply_level_map(level_map, levels)
+        assert counts.dtype == np.int64 and counts.shape == levels.shape
+        assert counts.tolist() == [[apply_level_map(level_map, v) for v in row]
+                                   for row in levels.tolist()]
+        assert all(type(apply_level_map(level_map, v)) is int
+                   for v in (3, np.int32(3), np.uint8(3)))
+
     @given(st.sampled_from(list(LevelMap)), st.integers(1, 4))
     @settings(max_examples=50, deadline=None)
     def test_strictly_increasing(self, level_map, i):
