@@ -26,16 +26,18 @@ def barycentric_weights(nodes: np.ndarray) -> np.ndarray:
 def basis_matrix(nodes: np.ndarray, bw: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """Lagrange basis values at ``pts``; shape (len(pts), len(nodes)).
 
-    Query points that coincide exactly with a node get the exact unit row.
+    Query points on a node, or so near it that the weight over the distance
+    overflows, get the exact unit row; the distance test also catches a
+    node whose weight underflowed to 0 (equispaced rules of 2,049 nodes).
     """
     pts = np.asarray(pts, dtype=float)
     if nodes.size == 1:
         return np.ones((pts.size, 1))
     d = pts[:, None] - nodes[None, :]
-    hit_q, hit_j = np.nonzero(d == 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         r = bw[None, :] / d
         out = r / np.sum(r, axis=1, keepdims=True)
+    hit_q, hit_j = np.nonzero((d == 0.0) | np.isinf(r))
     if hit_q.size:
         out[hit_q, :] = 0.0
         out[hit_q, hit_j] = 1.0

@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from ._bary import basis_matrix
-from .evalkit import EvaluationError, EvaluationTable, _active_key, _gather, quadrature
+from .evalkit import EvaluationError, EvaluationTable, _gather, quadrature
 from .gridio import _fields
 from .grid import (
     ReducedGrid,
@@ -154,7 +154,6 @@ class AdaptState:
     active_dims: int = 0
     tols: np.ndarray | None = None
     # caches, not serialized
-    rules: dict = field(default_factory=dict, init=False, repr=False, compare=False)  # evalkit._active_key
     # (dimension, level) -> _Level, from _level; its axis layout follows controls.nested
     levels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # multi-index -> values on its box in axis order, from _box_values; follows levels
@@ -232,7 +231,7 @@ def _level(state: AdaptState, n: int, v: int) -> _Level:
         family = state.families[n]
         rule = family(apply_level_map(state.level_map, v))
         m = rule.nodes.size
-        _active_key(state.rules, n, family, m)  # the duplicate-node check
+        family._barycentric(m)  # the duplicate-node check
         fresh = order = np.arange(m)
         if v == 1:
             detail, dweights = np.eye(m), rule.weights
@@ -253,9 +252,7 @@ def _level(state: AdaptState, n: int, v: int) -> _Level:
                 fresh = np.flatnonzero(new)
                 order = np.concatenate([old, fresh])
             # the level below's Lagrange basis at x, in its axis order
-            key = _active_key(state.rules, n, family, k)
-            basis = (np.ones((fresh.size, 1)) if key is None
-                     else basis_matrix(*state.rules[key], rule.nodes[fresh])[:, low.order])
+            basis = basis_matrix(*family._barycentric(k), rule.nodes[fresh])[:, low.order]
             detail = np.hstack([-basis, np.eye(fresh.size)])
             size = k + fresh.size
             dweights = (np.pad(rule.weights[order], (size - m, 0))

@@ -1,9 +1,10 @@
 """Evaluation, quadrature, interpolation, and surrogate derivatives.
 
 An ``Interpolant`` evaluates the sparse-grid interpolant along one of two
-paths, chosen per chunk of query points.  Both start from the table of
-distinct 1D rules with more than one node and their barycentric weights,
-computed once when the interpolant is built.
+paths, chosen per chunk of query points.  Both take the nodes and
+barycentric weights of the distinct 1D rules with more than one node from
+the families' rule store (``KnotFamily._barycentric``), which computes
+them once per process.
 
 * Per tensor (``_tensor_sum``), for large chunks: each distinct rule's
   basis is evaluated once per chunk; each tensor gathers its values from
@@ -35,8 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import ReducedGrid, SparseGrid, _extended_positions, lattice_keys, reduce_grid
-from ._bary import barycentric_weights, basis_matrix
+from .grid import ReducedGrid, SparseGrid, _rule_slots, lattice_keys, reduce_grid
+from ._bary import basis_matrix
 
 __all__ = [
     "EvaluationTable",
@@ -264,46 +265,24 @@ def quadrature(values_or_f, grid_or_reduced):
     return _value_matrix(values_or_f, reduced) @ reduced.weights
 
 
-def _active_key(rules: dict, n: int, family, m: int) -> tuple[int, int] | None:
-    """Key (dimension, node count) in ``rules`` of the dimension-``n`` rule
-    ``family(m)``, or None for a one-node rule, which drops out: its basis
-    is exactly 1.0.  ``rules`` maps each key to (nodes, barycentric
-    weights), fetched and checked for duplicate nodes once."""
-    if m == 1:
-        return None
-    key = (n, m)
-    if key not in rules:
-        nodes = family(m).nodes
-        if len(set(nodes.tolist())) < nodes.size:
-            raise np.linalg.LinAlgError(
-                f"duplicate knots {nodes} make the dimension {n + 1} system singular")
-        rules[key] = (nodes, barycentric_weights(nodes))
-    return key
-
-
-def _active_keys(rules: dict, families, m) -> list[tuple[int, int]]:
-    """``_active_key`` of each multi-node rule ``families[n](m[n])``."""
-    return [_active_key(rules, n, fam, c) for n, (fam, c) in enumerate(zip(families, m)) if c > 1]
-
-
-def _compile(grid: SparseGrid, reduced: ReducedGrid, values) -> tuple[dict, list]:
-    """The grid's signed sum of tensors: the rule table of ``_active_keys``
-    and, per tensor grid, (coefficient, value matrix gathered from the
-    reduced table, active rule keys); the values are checked up front."""
+def _compile(grid: SparseGrid, reduced: ReducedGrid, values) -> list:
+    """The grid's signed sum of tensors: per tensor grid, (coefficient, value
+    matrix gathered from the reduced table, active rule keys), a key
+    (dimension, node count) for each multi-node rule; a one-node rule drops
+    out, its basis is exactly 1.0.  The values are checked up front."""
     vals = _value_matrix(values, reduced)
-    rules: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-    return rules, [(t.coeff, vals[:, reduced.n[start : start + t.size]],
-                    _active_keys(rules, grid.families, t.m))
-                   for t, start in zip(grid.tensors, grid.tensor_offsets())]
+    return [(t.coeff, vals[:, reduced.n[start : start + t.size]],
+             [(n, c) for n, c in enumerate(t.m) if c > 1])
+            for t, start in zip(grid.tensors, grid.tensor_offsets())]
 
 
-def _tensor_sum(rules: dict, tensors, points: np.ndarray) -> np.ndarray:
+def _tensor_sum(families, tensors, points: np.ndarray) -> np.ndarray:
     """Sum over compiled (coefficient, value matrix, active keys) tensors of
     the coefficient times the tensor interpolant at ``points`` (dim x Q);
     each 1D basis the tensors use is evaluated once (nodes x Q) and shared,
     and a tensor contracts its values with them one dimension at a time."""
     used = {key for _, _, keys in tensors for key in keys}
-    bases = {key: basis_matrix(*rules[key], points[key[0]]).T for key in used}
+    bases = {(n, c): basis_matrix(*families[n]._barycentric(c), points[n]).T for n, c in used}
     out = np.zeros((tensors[0][1].shape[0], points.shape[1]))
     for coeff, tv, keys in tensors:
         s = tv  # each step contracts the fastest remaining dimension
@@ -318,32 +297,31 @@ class _ReducedWeights:
     """The reduced-weight path of an ``Interpolant`` (module docstring).
 
     Per dimension with a multi-node rule: the nodes and barycentric weights
-    of all its rules end to end, each rule's first slot, the rule of each
-    slot, and each extended knot's slot, where the extra last slot stands
-    for a one-node rule (basis 1.0).  Extended knots are sorted by their
-    reduced knot, so reduced knot p owns the segment from ``starts[p]``.
+    of its multi-node rules end to end, each rule's first slot, the rule of
+    each slot, and each extended knot's slot (``grid._rule_slots``), where
+    -1, the extra last slot, stands for a one-node rule (basis 1.0).
+    Extended knots are sorted by their reduced knot, so reduced knot p owns
+    the segment from ``starts[p]``.
     """
 
-    def __init__(self, grid: SparseGrid, reduced: ReducedGrid, rules: dict):
+    def __init__(self, grid: SparseGrid, reduced: ReducedGrid):
         order = np.argsort(reduced.n, kind="stable")
         sorted_n = reduced.n[order]
         self.starts = np.flatnonzero(np.r_[True, sorted_n[1:] != sorted_n[:-1]])
         sizes = [t.size for t in grid.tensors]
         self.coeff = np.repeat([float(t.coeff) for t in grid.tensors], sizes)[order]
         self.dims = []
-        for n, pos in enumerate(_extended_positions(grid)):
-            keys = [key for key in rules if key[0] == n]
-            if not keys:
+        for n, (counts, slot, _) in enumerate(_rule_slots(grid)):
+            # a one-node rule comes first and holds slot 0 alone: shift it to -1
+            one = int(counts[0] == 1)
+            counts = counts[one:].tolist()
+            if not counts:
                 continue
-            counts = [rules[key][0].size for key in keys]
-            rule_starts = np.cumsum([0, *counts[:-1]])
-            first = dict(zip(keys, rule_starts.tolist()))
-            one = sum(counts)  # the slot of a one-node rule
-            base = [first.get((n, t.m[n]), one) for t in grid.tensors]
-            self.dims.append((n, np.concatenate([rules[key][0] for key in keys]),
-                              np.concatenate([rules[key][1] for key in keys]), rule_starts,
-                              np.repeat(np.arange(len(keys)), counts),
-                              (np.repeat(base, sizes) + pos)[order]))
+            rules = [grid.families[n]._barycentric(c) for c in counts]
+            self.dims.append((n, np.concatenate([nodes for nodes, _ in rules]),
+                              np.concatenate([bw for _, bw in rules]),
+                              np.cumsum([0, *counts[:-1]]),
+                              np.repeat(np.arange(len(counts)), counts), (slot - one)[order]))
 
     def __call__(self, values: np.ndarray, points: np.ndarray) -> np.ndarray:
         w = np.repeat(self.coeff[:, None], points.shape[1], axis=1)
@@ -355,15 +333,16 @@ class _ReducedWeights:
 def _stacked_basis(nodes, bw, rule_starts, seg, pts) -> np.ndarray:
     """Barycentric bases of several 1D rules stored end to end, at ``pts``:
     row s is node s's basis function, the extra last row is 1.0.  As in
-    ``basis_matrix``, a point on a node gets the exact unit row of each rule
-    holding that node."""
+    ``basis_matrix``, a point on a node, or so near it that the weight over
+    the distance overflows, gets the exact unit row of each rule holding
+    that node."""
     out = np.empty((nodes.size + 1, pts.size))
     out[-1] = 1.0
     d = pts[None, :] - nodes[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         r = bw[:, None] / d
         np.divide(r, np.add.reduceat(r, rule_starts, axis=0)[seg], out=out[:-1])
-    hit_s, hit_q = np.nonzero(d == 0.0)
+    hit_s, hit_q = np.nonzero((d == 0.0) | np.isinf(r))
     if hit_s.size:
         # the rest of the hit rule's column is finite / inf = 0 already
         out[hit_s, hit_q] = 1.0
@@ -373,15 +352,16 @@ def _stacked_basis(nodes, bw, rule_starts, seg, pts) -> np.ndarray:
 class Interpolant:
     """Sparse-grid interpolant, compiled once from (grid, reduced, values).
 
-    Holds the table of distinct multi-node 1D rules with their barycentric
-    weights and the grid's compiled tensors (``_compile``).  Build it once
-    and call it many times: each chunk of query points takes the per-tensor
-    or the reduced-weight path by its size (module docstring).
+    Holds the grid's compiled tensors (``_compile``); the barycentric
+    weights of their rules come from the families' process-wide store.
+    Build it once and call it many times: each chunk of query points takes
+    the per-tensor or the reduced-weight path by its size (module
+    docstring).
     """
 
     def __init__(self, grid: SparseGrid, reduced: ReducedGrid, values):
         self.dim = grid.dim
-        self._rules, self._tensors = _compile(grid, reduced, values)
+        self._tensors = _compile(grid, reduced, values)
         self.n_outputs = self._tensors[0][1].shape[0]
         self._values = _value_matrix(values)
         self._grid, self._reduced = grid, reduced
@@ -392,9 +372,9 @@ class Interpolant:
     def _chunk(self, points: np.ndarray) -> np.ndarray:
         """Interpolant values at one chunk of query points."""
         if points.shape[1] > self._reduced_chunk:
-            return _tensor_sum(self._rules, self._tensors, points)
+            return _tensor_sum(self._grid.families, self._tensors, points)
         if self._reduced_weights is None:
-            self._reduced_weights = _ReducedWeights(self._grid, self._reduced, self._rules)
+            self._reduced_weights = _ReducedWeights(self._grid, self._reduced)
         return self._reduced_weights(self._values, points)
 
     def __call__(self, points) -> np.ndarray:

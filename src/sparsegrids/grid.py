@@ -84,27 +84,27 @@ class SparseGrid:
         end to end.  A weight is its 1D weights multiplied first dimension
         first, then the coefficient, bitwise ``coeff * _kron_rows(...)``."""
         sizes = [t.size for t in self.tensors]
-        node_counts = np.array([t.m for t in self.tensors])
         knots, weights = np.empty((self.dim, sum(sizes))), np.ones(sum(sizes))
-        for n, pos in enumerate(_extended_positions(self)):
-            # dimension n's distinct rules end to end, and each knot's slot in them
-            counts, which = np.unique(node_counts[:, n], return_inverse=True)
-            rules = [self.families[n](int(c)) for c in counts]
-            slot = np.repeat((np.cumsum(counts) - counts)[which], sizes) + pos
+        for n, (counts, slot, _) in enumerate(_rule_slots(self)):
+            rules = [self.families[n](c) for c in counts.tolist()]
             knots[n] = np.concatenate([r.nodes for r in rules])[slot]
             weights *= np.concatenate([r.weights for r in rules])[slot]
         return knots, weights * np.repeat([t.coeff for t in self.tensors], sizes)
 
 
-def _extended_positions(grid: SparseGrid):
-    """Yield, dimension by dimension, each extended knot's position among
-    its tensor's nodes in that dimension, the first dimension fastest."""
+def _rule_slots(grid: SparseGrid):
+    """Yield, dimension by dimension, the ascending distinct node counts of
+    its rules, each extended knot's slot in those rules laid end to end,
+    and its position among its tensor's nodes, the first dimension fastest."""
     sizes = [t.size for t in grid.tensors]
     node_counts = np.array([t.m for t in grid.tensors])
     local = np.arange(sum(sizes)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
     for n in range(grid.dim):
+        counts, which = np.unique(node_counts[:, n], return_inverse=True)
+        slot = np.repeat((np.cumsum(counts) - counts)[which], sizes)
         local, pos = np.divmod(local, np.repeat(node_counts[:, n], sizes))
-        yield pos
+        slot += pos
+        yield counts, slot, pos
 
 
 @dataclass(frozen=True)
@@ -256,8 +256,13 @@ def dedup_tolerances(knots: np.ndarray, tol: float | None = None) -> np.ndarray:
 
 
 def _lattice(points: np.ndarray, tols: np.ndarray) -> np.ndarray:
-    """Integer matrix of ``points`` rounded onto the tolerance lattice."""
-    return np.rint(points / tols[:, None]).astype(np.int64)
+    """Integer matrix of ``points`` rounded onto the tolerance lattice.  It
+    is allocated before the float temporaries of its size are freed, so a
+    large one is mapped, not placed in the heap where a long-lived array
+    allocated later could keep its pages from being released."""
+    keys = np.empty(points.shape, dtype=np.int64)
+    keys[...] = np.rint(points / tols[:, None])
+    return keys
 
 
 def lattice_keys(points: np.ndarray, tols: np.ndarray) -> list[tuple[int, ...]]:
@@ -272,9 +277,11 @@ def _group_columns(keys: np.ndarray, values: np.ndarray):
     over its columns (last axis), from the first column on in column order,
     and ``lex``, the groups in lexicographic order of their keys."""
     order = np.lexsort(keys[::-1])  # stable: equal columns stay in order
-    ordered = keys[:, order]
-    start = np.ones(order.size, dtype=bool)
-    start[1:] = (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)
+    start = np.zeros(order.size, dtype=bool)
+    start[:1] = True
+    for row in keys:  # no sorted copy of the whole matrix: see _lattice
+        ordered = row[order]
+        start[1:] |= ordered[1:] != ordered[:-1]
     first = np.zeros(order.size, dtype=bool)
     first[order[start]] = True
     m = np.flatnonzero(first)

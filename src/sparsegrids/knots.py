@@ -607,8 +607,10 @@ def gk_knots(count: int) -> Rule1D:
 # knot families (providers bound to a distribution, with caching)
 # ---------------------------------------------------------------------------
 
-# every rule a KnotFamily generated in this process, by (tag, params, count)
+# every rule a KnotFamily generated in this process, by (tag, params, count),
+# and the barycentric weights of those an interpolant used
 _RULES: dict[tuple, Rule1D] = {}
+_BARYCENTRIC: dict[tuple, np.ndarray] = {}
 
 
 class KnotFamily:
@@ -618,7 +620,8 @@ class KnotFamily:
     instances generate equal rules.  Instances are immutable, and every
     rule they generate is kept in one process-wide store under
     (tag, params, count), so equal instances (one per dimension, or one
-    rebuilt by ``family_from_descriptor``) build each rule once.
+    rebuilt by ``family_from_descriptor``) build each rule once, and its
+    barycentric weights (``_barycentric``) once if an interpolant uses it.
     """
 
     def __init__(self, tag: str, params: tuple, dist: DistributionSpec | None, maker):
@@ -630,6 +633,21 @@ class KnotFamily:
         if rule is None:
             rule = _RULES[key] = self._maker(count)
         return rule
+
+    def _barycentric(self, count: int) -> tuple[np.ndarray, np.ndarray]:
+        """Nodes and barycentric weights of ``self(count)``, the weights made
+        once per process; a LinAlgError if the rule repeats a node."""
+        nodes = self(count).nodes
+        key = (self.tag, self.params, count)
+        bw = _BARYCENTRIC.get(key)
+        if bw is None:
+            if len(set(nodes.tolist())) < nodes.size:
+                raise np.linalg.LinAlgError(f"duplicate knots {nodes} in the {count}-node rule "
+                                            f"of {self!r} make the interpolation system singular")
+            bw = barycentric_weights(nodes)
+            bw.flags.writeable = False
+            bw = _BARYCENTRIC.setdefault(key, bw)  # atomic: concurrent callers share one array
+        return nodes, bw
 
     def __eq__(self, other):
         return isinstance(other, KnotFamily) and (self.tag, self.params) == (other.tag, other.params)

@@ -165,22 +165,11 @@ def box_set(upper: Iterable[int]) -> MultiIndexSet:
 
 
 def fast_td_set(dim: int, level: int) -> MultiIndexSet:
-    """Total-degree set {idx >= 1 : sum(idx - 1) <= level} by direct
-    enumeration (no rule callback)."""
+    """Total-degree set {idx >= 1 : sum(idx - 1) <= level}: the TD preset's
+    rule set."""
     if dim < 1 or level < 0:
         raise ValueError("need dim >= 1 and level >= 0")
-    rows: list[tuple[int, ...]] = []
-
-    def build(prefix: list[int], remaining: int, depth: int):
-        if depth == dim - 1:
-            for j in range(remaining + 1):
-                rows.append(tuple(prefix + [j + 1]))
-            return
-        for j in range(remaining + 1):
-            build(prefix + [j + 1], remaining - j, depth + 1)
-
-    build([], level, 0)
-    return MultiIndexSet(rows, dim=dim)
+    return generate_rule_set(dim, preset("TD")[0], level)
 
 
 _PRESETS = ("TP", "TD", "HC", "SM")

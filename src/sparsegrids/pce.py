@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evalkit import Domain, _compile, _value_matrix
-from .grid import ReducedGrid, SparseGrid, _extended_positions, _group_columns
+from .grid import ReducedGrid, SparseGrid, _group_columns, _rule_slots
 from .knots import DistributionSpec, _native_to_standard, recurrence_coefficients
 from .midx import MultiIndexSet
 
@@ -141,10 +141,11 @@ def convert_to_modal(grid: SparseGrid, reduced: ReducedGrid, values, domain: Dom
     is the same polynomial as the interpolant.
     """
     params = _params_from_grid(grid, domain, family)
-    rules, tensors = _compile(grid, reduced, values)
+    tensors = _compile(grid, reduced, values)
     # rule key -> orthonormal Vandermonde matrix, rows: nodes, cols: degrees
-    vanders = {key: _orthonormal_table(_family_dist(family, params[key[0]]), nodes.size - 1, nodes).T
-               for key, (nodes, _) in rules.items()}
+    vanders = {(n, c): _orthonormal_table(_family_dist(family, params[n]), c - 1,
+                                          grid.families[n]._barycentric(c)[0]).T
+               for n, c in dict.fromkeys(key for _, _, keys in tensors for key in keys)}
     # tensors whose active rules have the same node counts, in order, solve
     # in lockstep: one stacked solve per dimension, each item of which is
     # the LAPACK call that solving the tensor on its own would make
@@ -167,7 +168,7 @@ def convert_to_modal(grid: SparseGrid, reduced: ReducedGrid, values, domain: Dom
         for k, term in zip(group, block):
             terms[k] = term
     # a column's degrees are its extended knot's node positions
-    degrees = np.array(list(_extended_positions(grid)))
+    degrees = np.array([pos for _, _, pos in _rule_slots(grid)])
     m, _, sums, lex = _group_columns(degrees, np.concatenate(terms, axis=1))
     rows = degrees[:, m[lex]].T
     lam = MultiIndexSet(rows, dim=grid.dim, base=0)

@@ -357,17 +357,15 @@ def least_squares_objective(problem: InverseProblem, surrogate: SolutionSurrogat
 
 
 def negative_log_likelihood(problem: InverseProblem, surrogate: SolutionSurrogate,
-                            sigma_eps: float, convention: str = "full"):
+                            sigma_eps: float):
     """Negative log-likelihood under iid normal noise of scale sigma_eps.
 
     Differs from the least-squares objective by 1/(2 sigma_eps^2) and an
-    additive constant, so both have the same minimizer.  ``convention``
-    picks the constant term: "full" uses all n_data observations in the
-    normalization; "interior" drops two, matching implementations that
-    count mesh nodes instead of data points.
+    additive constant over all n_data observations, so both have the same
+    minimizer.
     """
     ls = least_squares_objective(problem, surrogate)
-    k = problem.n_data if convention == "full" else problem.n_data - 2
+    k = problem.n_data
 
     def objective(y) -> float:
         const = k * math.log(sigma_eps**2) + k * 0.5 * math.log(2.0 * math.pi)

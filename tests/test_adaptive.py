@@ -25,7 +25,7 @@ from sparsegrids.adaptive import (
     serialize_state,
     work_indicator,
 )
-from sparsegrids.evalkit import (EvaluationError, _active_keys, _tensor_sum, evaluate_on_grid,
+from sparsegrids.evalkit import (EvaluationError, _tensor_sum, evaluate_on_grid,
                                  quadrature)
 from sparsegrids.cli import cli_main
 from sparsegrids.gridio import load_grid
@@ -479,10 +479,11 @@ def _new_nodes_by_tolerance(fine, coarse):
 def _direct_point_indicator(state, candidate):
     """error_indicator_point from the tensor detail: the signed per-tensor
     sum over the candidate's backward neighbours (product order, the
-    candidate first) on a fresh rule table, at the candidate's test points
-    (for nested families, its new knots)."""
+    candidate first), with a key (dimension, node count) per multi-node
+    rule, at the candidate's test points (for nested families, its new
+    knots)."""
     fams, lm = state.families, state.level_map
-    rules, terms = {}, []
+    terms = []
     moving = [n for n, v in enumerate(candidate) if v > 1]
     for j in itertools.product((0, 1), repeat=len(moving)):
         idx = list(candidate)
@@ -490,7 +491,7 @@ def _direct_point_indicator(state, candidate):
             idx[n] -= step
         grid = one_tensor_grid(idx, fams, lm)
         terms.append(((-1) ** sum(j), adaptive._values_at(state, grid.extended()[0]),
-                      _active_keys(rules, fams, grid.tensors[0].m)))
+                      [(n, c) for n, c in enumerate(grid.tensors[0].m) if c > 1]))
     per_dim = []
     for n, v in enumerate(candidate):
         nodes = fams[n](sg.apply_level_map(lm, v)).nodes
@@ -498,7 +499,7 @@ def _direct_point_indicator(state, candidate):
             nodes = _new_nodes_by_tolerance(nodes, fams[n](sg.apply_level_map(lm, v - 1)).nodes)
         per_dim.append(nodes)
     pts = _tensor_product_columns(per_dim)
-    err = np.max(np.abs(_tensor_sum(rules, terms, pts)), axis=0)
+    err = np.max(np.abs(_tensor_sum(fams, terms, pts)), axis=0)
     if state.controls.profit.startswith("weighted"):
         err = err * np.array([state.controls.pdf_weight(pts[:, q]) for q in range(pts.shape[1])])
     return float(np.max(err))

@@ -49,10 +49,10 @@ def reference_reduce(grid):
 
 def reference_modal(grid, reduced, values, params, family):
     """Degree rows and coefficients of the dict-and-loop modal accumulation."""
-    rules, tensors = _compile(grid, reduced, values)
-    vanders = {key: _orthonormal_table(_family_dist(family, params[key[0]]),
-                                       nodes.size - 1, nodes).T
-               for key, (nodes, _) in rules.items()}
+    tensors = _compile(grid, reduced, values)
+    vanders = {(n, c): _orthonormal_table(_family_dist(family, params[n]), c - 1,
+                                          grid.families[n](c).nodes).T
+               for _, _, keys in tensors for n, c in keys}
     coeff_map = {}
     for t, (coeff, tv, keys) in zip(grid.tensors, tensors):
         n_out = tv.shape[0]

@@ -549,8 +549,8 @@ class TestInterpolant:
         values = rng.standard_normal((1, reduced.size))
         interp = Interpolant(grid, reduced, values)
         pts = rng.uniform(-1.0, 1.0, (grid.dim, 1000))  # chunks of 512 and 488
-        want = np.concatenate([evalkit._tensor_sum(interp._rules, interp._tensors, pts[:, :512]),
-                               evalkit._tensor_sum(interp._rules, interp._tensors, pts[:, 512:])],
+        want = np.concatenate([evalkit._tensor_sum(grid.families, interp._tensors, pts[:, :512]),
+                               evalkit._tensor_sum(grid.families, interp._tensors, pts[:, 512:])],
                               axis=1)
         assert np.array_equal(interp(pts), want)
         assert interp._reduced_weights is None  # never built
@@ -565,16 +565,47 @@ class TestInterpolant:
         pts = rng.uniform(0, 1, (3, 5))
         got = interp(pts)
         assert [n for n, *_ in interp._reduced_weights.dims] == [0, 2]
-        want = evalkit._tensor_sum(interp._rules, interp._tensors, pts)
+        want = evalkit._tensor_sum(grid.families, interp._tensors, pts)
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
-    def test_rules_are_shared_across_tensors(self):
+    def test_rules_are_shared_across_tensors(self, monkeypatch, rng):
         grid, reduced, table = interpolant_case("cc")
         interp = Interpolant(grid, reduced, table)
-        # one-node rules have the basis 1.0 and never enter the table
+        # one-node rules have the basis 1.0 and are never fetched
         distinct = {(n, fam(m).nodes.tobytes()) for t in grid.tensors
                     for n, (fam, m) in enumerate(zip(grid.families, t.m)) if m > 1}
-        assert len(interp._rules) == len(distinct) < grid.dim * len(grid.tensors)
+        fetched = []
+        real = sg.KnotFamily._barycentric
+        monkeypatch.setattr(sg.KnotFamily, "_barycentric",
+                            lambda fam, count: fetched.append(count) or real(fam, count))
+        # one chunk on each path: the reduced weights, then the per-tensor sum
+        assert 1 <= self.largest_reduced_weight_chunk(grid, reduced) < 512
+        for size in (1, 512):
+            fetched.clear()
+            interp(rng.uniform(0, 1, (grid.dim, size)))
+            assert len(fetched) == len(distinct) < grid.dim * len(grid.tensors)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("x", [1e-310, 5e-324, -5e-324])
+    @pytest.mark.parametrize("path", ["reduced", "per-tensor"])
+    def test_query_within_overflow_of_a_node(self, x, path):
+        # the barycentric weight over a distance this small overflows to
+        # inf; the point still takes the node's exact unit row, not nan
+        grid, reduced = sg.quick_preset(2, 3)
+        interp = Interpolant(grid, reduced, evaluate_on_grid(EXPSUM, reduced))
+        size = 1 if path == "reduced" else 512
+        assert (size > self.largest_reduced_weight_chunk(grid, reduced)) == (path == "per-tensor")
+        got = interp(np.tile([[x], [0.3]], size))
+        assert np.all(np.isfinite(got))
+        assert np.array_equal(got, interp(np.tile([[0.0], [0.3]], size)))
+
+    def test_node_of_an_underflowed_weight_gets_its_unit_row(self):
+        # equispaced rules of 2,049 nodes have barycentric weights that
+        # underflow to 0; on such a node the weight over the distance is 0 / 0
+        nodes, bw, pts = np.array([0.0, 0.5, 1.0]), np.array([0.0, 1.0, -0.5]), np.array([0.0, 0.25])
+        got = basis_matrix(nodes, bw, pts)
+        assert got[0].tolist() == [1.0, 0.0, 0.0]
+        assert np.all(np.isfinite(got))
 
     def test_replaced_families_are_the_nodes_everywhere(self):
         # the families are a tensor's only source of nodes: after a replace,

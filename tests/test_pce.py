@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import sparsegrids as sg
 from sparsegrids import pce
 from sparsegrids.adaptive import AdaptControls, adapt
 from sparsegrids.evalkit import Domain, _compile, evaluate_on_grid, interpolate, quadrature
-from sparsegrids.grid import _extended_positions, _group_columns
+from sparsegrids.grid import _group_columns, _rule_slots
 from sparsegrids.pce import (
     DegenerateInputError,
     convert_to_modal,
@@ -136,12 +137,47 @@ class TestConvertToModal:
         grid = sg.build_sparse_grid_from_rule(2, 4, fam, lm, rule)
         reduced = sg.reduce_grid(grid)
         ones = np.ones((1, reduced.size))
-        with pytest.raises(np.linalg.LinAlgError, match="duplicate knots"):
+        # the message names the nodes, the family and the node count
+        message = re.escape(f"duplicate knots {fam(3).nodes} in the 3-node rule of {fam!r}")
+        with pytest.raises(np.linalg.LinAlgError, match=message):
             convert_to_modal(grid, reduced, ones, unit_domain(2), "legendre")
-        with pytest.raises(np.linalg.LinAlgError, match="duplicate knots"):
+        with pytest.raises(np.linalg.LinAlgError, match=message):
             interpolate(grid, reduced, ones, reduced.knots)
-        with pytest.raises(np.linalg.LinAlgError, match="duplicate knots"):
+        with pytest.raises(np.linalg.LinAlgError, match=message):
             adapt(lambda y: 1.0, 2, fam, lm, controls=AdaptControls(nested=False, max_pts=50))
+
+    def test_entry_points_share_the_barycentric_store(self, monkeypatch, rng):
+        # two interpolants, a modal conversion and an adaptive run on one
+        # family all take each rule's barycentric weights from one store
+        fam = sg.cc_family(-1, 1)
+        rule, lm = sg.preset("SM")
+        grid = sg.build_sparse_grid_from_rule(2, 4, fam, lm, rule)
+        reduced = sg.reduce_grid(grid)
+        table = evaluate_on_grid(lambda y: math.exp(y[0] - 0.5 * y[1]), reduced)
+        fetched = {}  # entry point -> [(node count, barycentric weights)]
+        real = sg.KnotFamily._barycentric
+
+        def spy(family, count):
+            nodes, bw = real(family, count)
+            fetched[entry].append((count, bw))
+            return nodes, bw
+
+        monkeypatch.setattr(sg.KnotFamily, "_barycentric", spy)
+        # 512 points take the per-tensor path, one point the reduced weights
+        pts = rng.uniform(-1, 1, (2, 512))
+        for entry, run in [
+            ("first interpolant", lambda: sg.Interpolant(grid, reduced, table)(pts)),
+            ("second interpolant", lambda: sg.Interpolant(grid, reduced, table)(pts[:, :1])),
+            ("modal", lambda: convert_to_modal(grid, reduced, table, unit_domain(2), "legendre")),
+            ("adapt", lambda: adapt(lambda y: math.exp(y[0] - 0.5 * y[1]), 2, fam, lm,
+                                    controls=AdaptControls(nested=True, max_pts=30))),
+        ]:
+            fetched[entry] = []
+            run()
+        monkeypatch.undo()
+        for entry, got in fetched.items():
+            assert {count for count, _ in got} >= {3, 5}, entry
+            assert all(bw is fam._barycentric(count)[1] for count, bw in got), entry
 
     def test_one_table_per_distinct_rule(self, monkeypatch, rng):
         rule, lm = sg.preset("SM")
@@ -168,17 +204,17 @@ def per_tensor_modal(grid, reduced, values, domain, family):
     """convert_to_modal's (degree rows, coefficients), one solve per tensor
     and active dimension."""
     params = pce._params_from_grid(grid, domain, family)
-    rules, tensors = _compile(grid, reduced, values)
-    vanders = {key: pce._orthonormal_table(pce._family_dist(family, params[key[0]]),
-                                           nodes.size - 1, nodes).T
-               for key, (nodes, _) in rules.items()}
+    tensors = _compile(grid, reduced, values)
+    vanders = {(n, c): pce._orthonormal_table(pce._family_dist(family, params[n]), c - 1,
+                                              grid.families[n](c).nodes).T
+               for _, _, keys in tensors for n, c in keys}
     terms = []
     for coeff, tv, keys in tensors:
         block = tv
         for key in keys:
             block = np.linalg.solve(vanders[key], block.reshape(-1, len(vanders[key])).T)
         terms.append(coeff * block.reshape(-1, tv.shape[0]).T)
-    degrees = np.array(list(_extended_positions(grid)))
+    degrees = np.array([pos for _, _, pos in _rule_slots(grid)])
     m, _, sums, lex = _group_columns(degrees, np.concatenate(terms, axis=1))
     return degrees[:, m[lex]].T, sums[:, lex]
 
@@ -203,8 +239,7 @@ class TestLockstepSolves:
                             np.cos(2 * x[1])])
         # tensors of one (active node counts) group are spread over the grid,
         # so the columns must be put back in tensor order
-        rules, tensors = _compile(grid, reduced, values)
-        counts = [tuple(rules[key][0].size for key in keys) for _, _, keys in tensors]
+        counts = [tuple(c for _, c in keys) for _, _, keys in _compile(grid, reduced, values)]
         sizes = {counts.count(c) for c in counts}
         assert 1 in sizes and max(sizes) > 2
         assert any(counts[k - 1] == counts[k + 1] != counts[k] for k in range(1, len(counts) - 1))
