@@ -17,20 +17,24 @@ them once per process.
   W (reduced knots x Q) the reduced-knot weights.  Each extended knot's
   weight is its coefficient times the product of its active dimensions'
   basis values; the weights of extended knots that reduce to the same
-  knot are summed.  All rules of one dimension are evaluated in one
-  barycentric pass, then W takes one gather-product per dimension and one
-  segment sum, whatever the number of tensors.
+  knot are summed.  The multi-node rules of all dimensions are evaluated
+  in one barycentric pass, then W takes one gather-product per dimension
+  and one segment sum, whatever the number of tensors.
 
-The per-tensor path costs a fixed amount per tensor, the reduced-weight
-path about one product per extended knot and query point; a chunk of Q
-points takes the reduced weights when E * Q <= _REDUCED_WEIGHTS_PER_TENSOR * T
-for E extended knots and T tensors.  Their tables are built on the first
-chunk that takes them, so an interpolant that only sees large chunks
-never builds them.  Both paths agree to round-off.
+The per-tensor path costs a fixed amount per tensor and output, the
+reduced-weight path about one product per extended knot and query point,
+plus the final product with the V outputs.  For E extended knots and T
+tensors, a chunk of Q points takes the reduced weights when
+E * Q <= _REDUCED_WEIGHTS_PER_TENSOR * T, or, with V outputs, when
+E * Q <= _REDUCED_WEIGHTS_PER_TENSOR * T * V and E * Q <= _REDUCED_WEIGHTS_MAX.
+Their tables are built on the first chunk that takes them, so an
+interpolant that only sees large chunks never builds them.  Both paths
+agree to round-off.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -58,6 +62,12 @@ _QUERY_CHUNK = 512
 # w=4 Smolyak grid (E * Q / T = 379: 11.8 against 12.0 ms a chunk; 421:
 # 11.6 against 15.0 ms), while smaller grids cross over at larger E * Q / T
 _REDUCED_WEIGHTS_PER_TENSOR = 400
+# the per-tensor contraction grows with the output count V, the reduced
+# weights only in their final product: with V outputs a chunk also takes
+# them when E * Q <= _REDUCED_WEIGHTS_PER_TENSOR * T * V, as long as
+# E * Q <= _REDUCED_WEIGHTS_MAX, which caps the E x Q weights at 4 MB
+# (V = 80, E = 609, T = 31: 0.62 against 5.5 ms a chunk at Q = 64)
+_REDUCED_WEIGHTS_MAX = 2**19
 
 
 class EvaluationError(RuntimeError):
@@ -296,12 +306,13 @@ def _tensor_sum(families, tensors, points: np.ndarray) -> np.ndarray:
 class _ReducedWeights:
     """The reduced-weight path of an ``Interpolant`` (module docstring).
 
-    Per dimension with a multi-node rule: the nodes and barycentric weights
-    of its multi-node rules end to end, each rule's first slot, the rule of
-    each slot, and each extended knot's slot (``grid._rule_slots``), where
-    -1, the extra last slot, stands for a one-node rule (basis 1.0).
-    Extended knots are sorted by their reduced knot, so reduced knot p owns
-    the segment from ``starts[p]``.
+    The multi-node rules of all dimensions lie end to end in one table: the
+    nodes and barycentric weights, each rule's first slot, the rule of each
+    slot and the dimension of each slot, whose query coordinate it reads.
+    Per dimension with a multi-node rule, each extended knot's slot in that
+    table (``grid._rule_slots``); -1, the table's extra last row, stands for
+    a one-node rule (basis 1.0).  Extended knots are sorted by their
+    reduced knot, so reduced knot p owns the segment from ``starts[p]``.
     """
 
     def __init__(self, grid: SparseGrid, reduced: ReducedGrid):
@@ -310,42 +321,66 @@ class _ReducedWeights:
         self.starts = np.flatnonzero(np.r_[True, sorted_n[1:] != sorted_n[:-1]])
         sizes = [t.size for t in grid.tensors]
         self.coeff = np.repeat([float(t.coeff) for t in grid.tensors], sizes)[order]
-        self.dims = []
-        for n, (counts, slot, _) in enumerate(_rule_slots(grid)):
-            # a one-node rule comes first and holds slot 0 alone: shift it to -1
-            one = int(counts[0] == 1)
-            counts = counts[one:].tolist()
-            if not counts:
+        nodes, bw, counts, self.slots = [], [], [], []
+        rows = []  # the dimension of each node of the table
+        for n, (dim_counts, slot, _) in enumerate(_rule_slots(grid)):
+            # a one-node rule comes first and holds slot 0 alone: it goes to -1
+            one = int(dim_counts[0] == 1)
+            dim_counts = dim_counts[one:].tolist()
+            if not dim_counts:
                 continue
-            rules = [grid.families[n]._barycentric(c) for c in counts]
-            self.dims.append((n, np.concatenate([nodes for nodes, _ in rules]),
-                              np.concatenate([bw for _, bw in rules]),
-                              np.cumsum([0, *counts[:-1]]),
-                              np.repeat(np.arange(len(counts)), counts), (slot - one)[order]))
+            slot = slot[order] - one
+            self.slots.append(np.where(slot < 0, -1, slot + len(rows)))
+            for c in dim_counts:
+                rule_nodes, rule_bw = grid.families[n]._barycentric(c)
+                nodes.append(rule_nodes)
+                bw.append(rule_bw)
+            counts += dim_counts
+            rows += [n] * sum(dim_counts)
+        self.nodes = np.concatenate([np.empty(0), *nodes])
+        self.bw = np.concatenate([np.empty(0), *bw])
+        self.rule_starts = np.cumsum([0, *counts])[:-1]
+        self.seg = np.repeat(np.arange(len(counts)), counts)
+        self.rows = np.array(rows, dtype=int)
+        if not self.slots:  # no multi-node rule: each weight is its coefficient
+            self.slots.append(np.full(self.coeff.size, -1))
 
     def __call__(self, values: np.ndarray, points: np.ndarray) -> np.ndarray:
-        w = np.repeat(self.coeff[:, None], points.shape[1], axis=1)
-        for n, nodes, bw, rule_starts, seg, slot in self.dims:
-            w *= _stacked_basis(nodes, bw, rule_starts, seg, points[n])[slot]
+        B = _stacked_basis(self.nodes, self.bw, self.rule_starts, self.seg,
+                           points.take(self.rows, axis=0))
+        # take, not B[slot]: the same rows, in a third of the time at Q = 1
+        first, *rest = self.slots
+        w = B.take(first, axis=0)
+        w *= self.coeff[:, None]
+        for slot in rest:
+            w *= B.take(slot, axis=0)
         return values @ np.add.reduceat(w, self.starts, axis=0)
 
 
 def _stacked_basis(nodes, bw, rule_starts, seg, pts) -> np.ndarray:
-    """Barycentric bases of several 1D rules stored end to end, at ``pts``:
-    row s is node s's basis function, the extra last row is 1.0.  As in
-    ``basis_matrix``, a point on a node, or so near it that the weight over
-    the distance overflows, gets the exact unit row of each rule holding
-    that node."""
-    out = np.empty((nodes.size + 1, pts.size))
+    """Barycentric bases of several 1D rules stored end to end: row s is
+    node s's basis function at ``pts[s]`` (one row of query coordinates per
+    node, K x Q), the extra last row is 1.0.  As in ``basis_matrix``, a
+    point on a node, or so near it that the weight over the distance
+    overflows, gets the exact unit column of each rule holding that node,
+    also when the node's weight underflowed to 0."""
+    out = np.empty((nodes.size + 1, pts.shape[1]))
     out[-1] = 1.0
-    d = pts[None, :] - nodes[:, None]
+    d = pts - nodes[:, None]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         r = bw[:, None] / d
-        np.divide(r, np.add.reduceat(r, rule_starts, axis=0)[seg], out=out[:-1])
-    hit_s, hit_q = np.nonzero((d == 0.0) | np.isinf(r))
-    if hit_s.size:
-        # the rest of the hit rule's column is finite / inf = 0 already
-        out[hit_s, hit_q] = 1.0
+        den = np.add.reduceat(r, rule_starts, axis=0)
+        np.divide(r, den.take(seg, axis=0), out=out[:-1])
+        # a hit makes its r inf (or nan for a zero weight), so its rule's sum
+        # is not finite, nor is the sum of all: a chunk whose sum is has no hit
+        total = den.sum()
+    if not math.isfinite(total):
+        hit_s, hit_q = np.nonzero((d == 0.0) | np.isinf(r))
+        if hit_s.size:
+            hit = np.zeros(den.shape, dtype=bool)
+            hit[seg[hit_s], hit_q] = True
+            out[:-1][hit[seg]] = 0.0
+            out[hit_s, hit_q] = 1.0
     return out
 
 
@@ -366,7 +401,9 @@ class Interpolant:
         self._values = _value_matrix(values)
         self._grid, self._reduced = grid, reduced
         # the most query points a chunk may hold to take the reduced weights
-        self._reduced_chunk = _REDUCED_WEIGHTS_PER_TENSOR * len(self._tensors) // reduced.n.size
+        per_tensor = _REDUCED_WEIGHTS_PER_TENSOR * len(self._tensors)
+        self._reduced_chunk = max(per_tensor, min(per_tensor * self.n_outputs,
+                                                  _REDUCED_WEIGHTS_MAX)) // reduced.n.size
         self._reduced_weights = None
 
     def _chunk(self, points: np.ndarray) -> np.ndarray:
@@ -382,6 +419,8 @@ class Interpolant:
         points = np.atleast_2d(np.asarray(points, dtype=float))
         if points.shape[0] != self.dim:
             raise ValueError(f"points must be {self.dim} x Q")
+        if points.shape[1] <= _QUERY_CHUNK:
+            return self._chunk(points)
         result = np.empty((self.n_outputs, points.shape[1]))
         for lo in range(0, points.shape[1], _QUERY_CHUNK):
             chunk = points[:, lo : lo + _QUERY_CHUNK]

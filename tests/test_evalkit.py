@@ -1,9 +1,12 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
-from conftest import one_tensor_grid
+from conftest import downward_closed_sets, one_tensor_grid
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import sparsegrids as sg
 from sparsegrids import evalkit
@@ -19,7 +22,7 @@ from sparsegrids.evalkit import (
     interpolate,
     quadrature,
 )
-from sparsegrids.grid import lattice_keys
+from sparsegrids.grid import _rule_slots, lattice_keys
 from sparsegrids.uqdemo import (DiffusionModel, _input_box_grid, build_solution_surrogate,
                                 make_synthetic_data)
 
@@ -75,6 +78,37 @@ def loop_interpolate(grid, reduced, values, points, magnitude=False):
             coeff = abs(t.coeff) if magnitude else t.coeff
             result[:, lo : lo + chunk.shape[1]] += coeff * (tv @ basis.T)
     return result
+
+
+def per_dimension_reduced_weights(grid, reduced, values, points):
+    """Reference for the reduced-weight path: one barycentric pass over the
+    multi-node rules of each dimension and one gather-product per
+    dimension, in dimension order, then the segment sum over each reduced
+    knot's extended knots."""
+    order = np.argsort(reduced.n, kind="stable")
+    sorted_n = reduced.n[order]
+    starts = np.flatnonzero(np.r_[True, sorted_n[1:] != sorted_n[:-1]])
+    sizes = [t.size for t in grid.tensors]
+    coeff = np.repeat([float(t.coeff) for t in grid.tensors], sizes)[order]
+    w = np.repeat(coeff[:, None], points.shape[1], axis=1)
+    for n, (counts, slot, _) in enumerate(_rule_slots(grid)):
+        one = int(counts[0] == 1)  # a one-node rule's slot 0 becomes -1, the 1.0 row
+        counts = counts[one:].tolist()
+        if not counts:
+            continue
+        rules = [grid.families[n]._barycentric(c) for c in counts]
+        nodes = np.concatenate([x for x, _ in rules])
+        B = evalkit._stacked_basis(nodes, np.concatenate([bw for _, bw in rules]),
+                                   np.cumsum([0, *counts[:-1]]),
+                                   np.repeat(np.arange(len(counts)), counts),
+                                   np.tile(points[n], (nodes.size, 1)))
+        w *= B[(slot - one)[order]]
+    return values @ np.add.reduceat(w, starts, axis=0)
+
+
+MIXED_FAMILIES = [sg.cc_family(0, 1), sg.leja_family(-1, 2), sg.trap_family(0, 1),
+                  sg.gauss_family(sg.DistributionSpec.uniform(-1, 2)),
+                  sg.gauss_family(sg.DistributionSpec.normal(0.5, 2.0))]
 
 
 def three_outputs(y):
@@ -462,10 +496,12 @@ class TestInterpolant:
         assert np.array_equal(interpolate(grid, reduced, table, pts), got)
 
     @staticmethod
-    def largest_reduced_weight_chunk(grid, reduced):
-        """The most query points one chunk may hold and still take the
-        reduced-weight path."""
-        return evalkit._REDUCED_WEIGHTS_PER_TENSOR * len(grid.tensors) // reduced.n.size
+    def largest_reduced_weight_chunk(grid, reduced, outputs=1):
+        """The most query points one chunk of an interpolant of ``outputs``
+        outputs may hold and still take the reduced-weight path."""
+        per_tensor = evalkit._REDUCED_WEIGHTS_PER_TENSOR * len(grid.tensors)
+        cap = min(per_tensor * outputs, evalkit._REDUCED_WEIGHTS_MAX)
+        return max(per_tensor, cap) // reduced.n.size
 
     def assert_matches_loop(self, grid, reduced, table, pts, path):
         interp = Interpolant(grid, reduced, table)
@@ -504,11 +540,24 @@ class TestInterpolant:
     @pytest.mark.parametrize("kind", ["cc", "gauss", "three-outputs"])
     def test_both_sides_of_the_path_boundary(self, kind, rng):
         grid, reduced, table = interpolant_case(kind)
-        largest = self.largest_reduced_weight_chunk(grid, reduced)
+        largest = self.largest_reduced_weight_chunk(grid, reduced, table.n_outputs)
         assert 1 <= largest < 512
         pts = rng.uniform(0, 1, (grid.dim, largest + 1))
         self.assert_matches_loop(grid, reduced, table, pts[:, :largest], "reduced")
         self.assert_matches_loop(grid, reduced, table, pts, "tensor")
+
+    def test_many_outputs_take_the_reduced_weights_for_larger_chunks(self, rng):
+        # the shape of the inverse surrogate: 80 outputs on 31 tensors of
+        # 609 extended knots; 64 points take the per-tensor path for one
+        # output, the reduced weights for 80
+        grid, reduced, _ = interpolant_case("cc")
+        assert (len(grid.tensors), reduced.n.size) == (31, 609)
+        assert self.largest_reduced_weight_chunk(grid, reduced) < 64
+        assert self.largest_reduced_weight_chunk(grid, reduced, 80) >= 64
+        values = rng.standard_normal((80, reduced.size))
+        pts = rng.uniform(0, 1, (grid.dim, 64))
+        self.assert_matches_loop(grid, reduced, sg.EvaluationTable(values[:1]), pts, "tensor")
+        self.assert_matches_loop(grid, reduced, sg.EvaluationTable(values), pts, "reduced")
 
     def test_nested_knots_reproduce_the_table_one_at_a_time(self):
         grid, reduced, table = interpolant_case("three-outputs")
@@ -564,7 +613,8 @@ class TestInterpolant:
         interp = Interpolant(grid, reduced, evaluate_on_grid(three_outputs, reduced))
         pts = rng.uniform(0, 1, (3, 5))
         got = interp(pts)
-        assert [n for n, *_ in interp._reduced_weights.dims] == [0, 2]
+        weights = interp._reduced_weights
+        assert len(weights.slots) == 2 and np.unique(weights.rows).tolist() == [0, 2]
         want = evalkit._tensor_sum(grid.families, interp._tensors, pts)
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
@@ -601,11 +651,61 @@ class TestInterpolant:
 
     def test_node_of_an_underflowed_weight_gets_its_unit_row(self):
         # equispaced rules of 2,049 nodes have barycentric weights that
-        # underflow to 0; on such a node the weight over the distance is 0 / 0
-        nodes, bw, pts = np.array([0.0, 0.5, 1.0]), np.array([0.0, 1.0, -0.5]), np.array([0.0, 0.25])
-        got = basis_matrix(nodes, bw, pts)
-        assert got[0].tolist() == [1.0, 0.0, 0.0]
-        assert np.all(np.isfinite(got))
+        # underflow to 0; on such a node the weight over the distance is
+        # 0 / 0, and so is its rule's sum.  Both kernels give the unit row:
+        # basis_matrix (per tensor) and _stacked_basis (reduced weights),
+        # the latter with a 3-node rule before it, queried off its nodes
+        trap = sg.trap_family(0, 1)._barycentric(2049)
+        zero = np.flatnonzero(trap[1] == 0.0)
+        assert zero.size == 418
+        small = np.array([0.0, 0.5, 1.0]), np.array([0.0, 1.0, -0.5])
+        other = np.array([0.1, 0.4, 0.7]), barycentric_weights(np.array([0.1, 0.4, 0.7]))
+        other_row = basis_matrix(*other, np.array([0.25]))[0]
+        for (nodes, bw), j in [(small, 0), (trap, zero[3]), (trap, zero[-1])]:
+            unit = np.zeros(nodes.size)
+            unit[j] = 1.0
+            assert np.array_equal(basis_matrix(nodes, bw, nodes[[j]])[0], unit)
+            pts = np.r_[np.full(3, 0.25), np.full(nodes.size, nodes[j])][:, None]
+            got = evalkit._stacked_basis(np.r_[other[0], nodes], np.r_[other[1], bw],
+                                         np.array([0, 3]), np.repeat([0, 1], [3, nodes.size]),
+                                         pts)[:, 0]
+            assert np.array_equal(got[3:-1], unit)
+            np.testing.assert_allclose(got[:3], other_row, rtol=1e-15)
+            assert got[-1] == 1.0
+
+    @example(s=sg.MultiIndexSet([i for i in itertools.product(range(1, 5), repeat=3)
+                                 if sum(i) <= 6]),
+             lm=sg.LevelMap.LINEAR, picks=[1, 3, 4, 0], outputs=1, seed=1)
+    @example(s=sg.MultiIndexSet([(1, 1, 1), (1, 1, 2), (2, 1, 1), (2, 1, 2), (3, 1, 1)]),
+             lm=sg.LevelMap.DOUBLING, picks=[0, 1, 3], outputs=3, seed=0)
+    @given(s=downward_closed_sets(max_extra=10),
+           lm=st.sampled_from([sg.LevelMap.LINEAR, sg.LevelMap.DOUBLING]),
+           picks=st.lists(st.integers(0, len(MIXED_FAMILIES) - 1), min_size=4, max_size=4),
+           outputs=st.sampled_from([1, 3]), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_one_pass_equals_one_pass_per_dimension(self, s, lm, picks, outputs, seed):
+        # the fused pass does every elementwise operation and every rule's
+        # sum of the per-dimension passes, so the results are bitwise equal,
+        # also on knots, on a knot in some dimensions and within 1e-300 of
+        # a node; dimensions of one-node rules only drop out of both.  The
+        # first example multiplies three factors per knot, whose order
+        # shows in the last bits
+        families = [MIXED_FAMILIES[k] for k in picks[: len(next(iter(s)))]]
+        grid = sg.build_sparse_grid(s, families, lm)
+        reduced = sg.reduce_grid(grid)
+        rng = np.random.default_rng(seed)
+        values = rng.standard_normal((outputs, reduced.size))
+        lo, hi = reduced.knots.min(axis=1), reduced.knots.max(axis=1)
+        random = rng.uniform(lo - 0.1, hi + 0.1 + (hi == lo), (5, grid.dim)).T
+        knots = reduced.knots[:, rng.integers(0, reduced.size, 5)]
+        some = np.where(rng.random((grid.dim, 5)) < 0.5, knots, random)
+        weights = evalkit._ReducedWeights(grid, reduced)
+        for pts in (random, knots, some, knots + 1e-300, some - 1e-300, knots + 5e-324, random[:, :1],
+                    knots[:, :1]):
+            got = weights(values, pts)
+            assert np.all(np.isfinite(got))
+            want = per_dimension_reduced_weights(grid, reduced, values, pts)
+            assert got.tobytes() == want.tobytes()
 
     def test_replaced_families_are_the_nodes_everywhere(self):
         # the families are a tensor's only source of nodes: after a replace,
