@@ -21,15 +21,12 @@ them once per process.
   in one barycentric pass, then W takes one gather-product per dimension
   and one segment sum, whatever the number of tensors.
 
-The per-tensor path costs a fixed amount per tensor and output, the
-reduced-weight path about one product per extended knot and query point,
-plus the final product with the V outputs.  For E extended knots and T
-tensors, a chunk of Q points takes the reduced weights when
-E * Q <= _REDUCED_WEIGHTS_PER_TENSOR * T, or, with V outputs, when
-E * Q <= _REDUCED_WEIGHTS_PER_TENSOR * T * V and E * Q <= _REDUCED_WEIGHTS_MAX.
-Their tables are built on the first chunk that takes them, so an
-interpolant that only sees large chunks never builds them.  Both paths
-agree to round-off.
+The per-tensor path costs a fixed amount per tensor, the reduced-weight
+path about one product per extended knot and query point; a chunk of Q
+points takes the reduced weights when E * Q <= _REDUCED_WEIGHTS_PER_TENSOR * T
+for E extended knots and T tensors.  Their tables are built on the first
+chunk that takes them, so an interpolant that only sees large chunks
+never builds them.  Both paths agree to round-off.
 """
 
 from __future__ import annotations
@@ -62,12 +59,6 @@ _QUERY_CHUNK = 512
 # w=4 Smolyak grid (E * Q / T = 379: 11.8 against 12.0 ms a chunk; 421:
 # 11.6 against 15.0 ms), while smaller grids cross over at larger E * Q / T
 _REDUCED_WEIGHTS_PER_TENSOR = 400
-# the per-tensor contraction grows with the output count V, the reduced
-# weights only in their final product: with V outputs a chunk also takes
-# them when E * Q <= _REDUCED_WEIGHTS_PER_TENSOR * T * V, as long as
-# E * Q <= _REDUCED_WEIGHTS_MAX, which caps the E x Q weights at 4 MB
-# (V = 80, E = 609, T = 31: 0.62 against 5.5 ms a chunk at Q = 64)
-_REDUCED_WEIGHTS_MAX = 2**19
 
 
 class EvaluationError(RuntimeError):
@@ -401,9 +392,7 @@ class Interpolant:
         self._values = _value_matrix(values)
         self._grid, self._reduced = grid, reduced
         # the most query points a chunk may hold to take the reduced weights
-        per_tensor = _REDUCED_WEIGHTS_PER_TENSOR * len(self._tensors)
-        self._reduced_chunk = max(per_tensor, min(per_tensor * self.n_outputs,
-                                                  _REDUCED_WEIGHTS_MAX)) // reduced.n.size
+        self._reduced_chunk = _REDUCED_WEIGHTS_PER_TENSOR * len(self._tensors) // reduced.n.size
         self._reduced_weights = None
 
     def _chunk(self, points: np.ndarray) -> np.ndarray:

@@ -164,47 +164,39 @@ def fem_solve(model: DiffusionModel, y, query_points=None) -> np.ndarray:
     load are assembled once per model, so a custom ``rhs`` is evaluated
     once and must be a pure function of x.
 
-    ``y`` is one sample, whose sweep runs over Python floats, or an
-    n_random x M block of samples (a 2D array), which one sweep solves
-    together, elementwise on the rows: the result then has one column per
-    sample.  Both do the same IEEE double operations, so each column is
-    bitwise that sample's one-sample solve.  An overridden ``coefficient``
-    is called once per sample.
+    ``y`` is one sample, or an n_random x M block of samples (a 2D
+    array), which one Thomas sweep solves together: the result then has
+    one column per sample, each bitwise that of its one-sample solve.  An
+    overridden ``coefficient`` is called once per sample.
     """
     y = np.asarray(y, dtype=float)
     block = y.ndim == 2
-    y = y if block else y.ravel()
+    y = y if block else y.reshape(-1, 1)  # one sample runs as a one-column block
     if y.shape[0] != model.n_random:
         raise ModelError(f"y has {y.shape[0]} entries, but the model has {model.n_random} "
                          "random variables")
     h, mids, _, load, _ = model._assembly
-    if block and type(model).coefficient is not DiffusionModel.coefficient:
+    if type(model).coefficient is not DiffusionModel.coefficient:
         a_el = np.column_stack([model.coefficient(mids, col) for col in np.ascontiguousarray(y.T)])
     else:
         a_el = model.coefficient(mids, y)
-    bad = np.atleast_1d((a_el <= 0.0).any(axis=0))
+    bad = (a_el <= 0.0).any(axis=0)
     if bad.any():
         column = f" (column {bad.argmax()})" if block else ""
-        raise ModelError(f"nonpositive diffusion coefficient for y = "
-                         f"{y[:, bad.argmax()] if block else y}{column}")
+        raise ModelError(f"nonpositive diffusion coefficient for y = {y[:, bad.argmax()]}{column}")
     main = a_el[:-1] + a_el[1:]
     main /= h
     off = a_el[1:-1] / -h  # bitwise -a_el[1:-1] / h
     del a_el
     # bitwise as LAPACK gtsv, which never pivots here: pivot i = a_i/h + 1/sum_{e<i} h/a_e > |off_i|
-    if not block:
-        u = np.array([0.0, *_tridiagonal_solve(main.tolist(), off.tolist(), load.tolist()), 0.0])
-        if query_points is None:
-            return u
-        return np.interp(np.asarray(query_points, dtype=float), model.nodes, u)
-    # a block's sweep runs over rows, elementwise on each sample's column, in place in u
+    # the sweep runs over rows, elementwise on each sample's column, in place in u
     u = np.zeros((model.mesh + 1, y.shape[1]))
     u[1:-1] = load[:, None]
     _tridiagonal_solve(main, off, u[1:-1])
     if query_points is not None:
         query_points = np.asarray(query_points, dtype=float)
         u = np.stack([np.interp(query_points, model.nodes, col) for col in u.T], axis=-1)
-    return u
+    return u if block else u[..., 0]
 
 
 def qoi_integral(model: DiffusionModel, y):

@@ -496,12 +496,10 @@ class TestInterpolant:
         assert np.array_equal(interpolate(grid, reduced, table, pts), got)
 
     @staticmethod
-    def largest_reduced_weight_chunk(grid, reduced, outputs=1):
-        """The most query points one chunk of an interpolant of ``outputs``
-        outputs may hold and still take the reduced-weight path."""
-        per_tensor = evalkit._REDUCED_WEIGHTS_PER_TENSOR * len(grid.tensors)
-        cap = min(per_tensor * outputs, evalkit._REDUCED_WEIGHTS_MAX)
-        return max(per_tensor, cap) // reduced.n.size
+    def largest_reduced_weight_chunk(grid, reduced):
+        """The most query points one chunk may hold and still take the
+        reduced-weight path."""
+        return evalkit._REDUCED_WEIGHTS_PER_TENSOR * len(grid.tensors) // reduced.n.size
 
     def assert_matches_loop(self, grid, reduced, table, pts, path):
         interp = Interpolant(grid, reduced, table)
@@ -540,24 +538,11 @@ class TestInterpolant:
     @pytest.mark.parametrize("kind", ["cc", "gauss", "three-outputs"])
     def test_both_sides_of_the_path_boundary(self, kind, rng):
         grid, reduced, table = interpolant_case(kind)
-        largest = self.largest_reduced_weight_chunk(grid, reduced, table.n_outputs)
+        largest = self.largest_reduced_weight_chunk(grid, reduced)
         assert 1 <= largest < 512
         pts = rng.uniform(0, 1, (grid.dim, largest + 1))
         self.assert_matches_loop(grid, reduced, table, pts[:, :largest], "reduced")
         self.assert_matches_loop(grid, reduced, table, pts, "tensor")
-
-    def test_many_outputs_take_the_reduced_weights_for_larger_chunks(self, rng):
-        # the shape of the inverse surrogate: 80 outputs on 31 tensors of
-        # 609 extended knots; 64 points take the per-tensor path for one
-        # output, the reduced weights for 80
-        grid, reduced, _ = interpolant_case("cc")
-        assert (len(grid.tensors), reduced.n.size) == (31, 609)
-        assert self.largest_reduced_weight_chunk(grid, reduced) < 64
-        assert self.largest_reduced_weight_chunk(grid, reduced, 80) >= 64
-        values = rng.standard_normal((80, reduced.size))
-        pts = rng.uniform(0, 1, (grid.dim, 64))
-        self.assert_matches_loop(grid, reduced, sg.EvaluationTable(values[:1]), pts, "tensor")
-        self.assert_matches_loop(grid, reduced, sg.EvaluationTable(values), pts, "reduced")
 
     def test_nested_knots_reproduce_the_table_one_at_a_time(self):
         grid, reduced, table = interpolant_case("three-outputs")
@@ -654,7 +639,8 @@ class TestInterpolant:
         # underflow to 0; on such a node the weight over the distance is
         # 0 / 0, and so is its rule's sum.  Both kernels give the unit row:
         # basis_matrix (per tensor) and _stacked_basis (reduced weights),
-        # the latter with a 3-node rule before it, queried off its nodes
+        # the latter with a 3-node rule before it, queried off its nodes.
+        # Halfway to the next node, off the nodes, both are finite
         trap = sg.trap_family(0, 1)._barycentric(2049)
         zero = np.flatnonzero(trap[1] == 0.0)
         assert zero.size == 418
@@ -664,14 +650,17 @@ class TestInterpolant:
         for (nodes, bw), j in [(small, 0), (trap, zero[3]), (trap, zero[-1])]:
             unit = np.zeros(nodes.size)
             unit[j] = 1.0
-            assert np.array_equal(basis_matrix(nodes, bw, nodes[[j]])[0], unit)
-            pts = np.r_[np.full(3, 0.25), np.full(nodes.size, nodes[j])][:, None]
+            near = (nodes[j] + nodes[j + 1 if j + 1 < nodes.size else j - 1]) / 2
+            got = basis_matrix(nodes, bw, np.array([nodes[j], near]))  # small: [0.0, 0.25]
+            assert np.array_equal(got[0], unit)
+            assert np.all(np.isfinite(got))
+            pts = np.r_[np.full((3, 2), 0.25), np.tile([nodes[j], near], (nodes.size, 1))]
             got = evalkit._stacked_basis(np.r_[other[0], nodes], np.r_[other[1], bw],
-                                         np.array([0, 3]), np.repeat([0, 1], [3, nodes.size]),
-                                         pts)[:, 0]
-            assert np.array_equal(got[3:-1], unit)
-            np.testing.assert_allclose(got[:3], other_row, rtol=1e-15)
-            assert got[-1] == 1.0
+                                         np.array([0, 3]), np.repeat([0, 1], [3, nodes.size]), pts)
+            assert np.array_equal(got[3:-1, 0], unit)
+            assert np.all(np.isfinite(got))
+            np.testing.assert_allclose(got[:3, 0], other_row, rtol=1e-15)
+            assert np.all(got[-1] == 1.0)
 
     @example(s=sg.MultiIndexSet([i for i in itertools.product(range(1, 5), repeat=3)
                                  if sum(i) <= 6]),

@@ -173,19 +173,6 @@ class TestAssemblyOncePerModel:
             assert_bitwise(q[j], np.float64(want_q))
             assert_bitwise(uq[:, j], per_call_reference(model, y, queries)[0])
 
-    @pytest.mark.parametrize("mesh", [2, 81, 200])
-    def test_one_sample_equals_its_column_of_a_block(self, mesh):
-        # one sample sweeps over Python floats, a block elementwise over
-        # array rows: the same IEEE operations, so the results are bitwise equal
-        model = DiffusionModel(n_random=3, sigmas=(0.5, 0.1, 0.3), mesh=mesh, rhs=sin_rhs)
-        ys = np.random.default_rng(mesh).uniform(-SQRT3, SQRT3, (3, 6))
-        queries = np.array([[0.0, 0.1, 1.0 / 3.0], [0.5, 0.77, 0.999]])
-        u, uq = fem_solve(model, ys), fem_solve(model, ys, queries)
-        assert uq.shape == (2, 3, 6)
-        for j, y in enumerate(ys.T):
-            assert_bitwise(fem_solve(model, y), u[:, j])
-            assert_bitwise(fem_solve(model, y, queries), uq[..., j])
-
     def test_models_never_share_assembly(self):
         models = [DiffusionModel(3, (0.5, 0.1, 0.3), mesh=37),
                   DiffusionModel(3, (0.5, 0.1, 0.3), mesh=38),
